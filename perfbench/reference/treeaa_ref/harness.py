@@ -1,0 +1,231 @@
+"""Experiment driver: configuration, run matrix execution, verdicts, reports.
+
+A run report's verdicts (validity, pairwise output distance) are always
+recomputed from the honest inputs and outputs with the tree oracles; the
+protocol under test never grades itself.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import dataclass, field
+from pathlib import Path as FilePath
+from typing import Any, Sequence
+
+from . import bounds
+from .adversaries import REGISTRY, AdversaryContext, make_adversary
+from .errors import InvalidParams
+from .generators import KINDS, generate_tree
+from .simnet import GeneratorProgram
+from .tree_aa import (
+    final_rounds,
+    final_tree_aa_machine,
+    old_rounds,
+    run_final_tree_aa,
+    run_tree_aa_old,
+    tree_aa_old_machine,
+)
+from .trees import LabeledTree, parse_tree
+
+CSV_HEADER = "seed,mode,n,t,tree_kind,vertices,diameter,rounds,lb_rounds,max_dist,valid"
+
+
+@dataclass
+class ExperimentConfig:
+    tree_source: str  # "kind:size[:seed]" generator spec or a file path
+    n: int
+    t: int
+    inputs: str | Sequence[str] = "random"  # "random" | "endpoints" | explicit labels
+    adversary: str = "silent"
+    seeds: Sequence[int] = (0,)
+    mode: str = "final"
+    out_format: str = "json"
+    emit_transcripts: str | None = None
+
+    def __post_init__(self):
+        if self.t < 0 or self.n <= 3 * self.t:
+            raise InvalidParams(f"need 0 <= t < n/3, got n={self.n} t={self.t}")
+        if self.mode not in ("final", "legacy"):
+            raise InvalidParams(f"mode must be final or legacy, got {self.mode!r}")
+        if self.out_format not in ("json", "csv"):
+            raise InvalidParams(f"format must be json or csv, got {self.out_format!r}")
+        if self.adversary not in REGISTRY:
+            raise InvalidParams(f"unknown adversary {self.adversary!r}")
+        if not self.seeds:
+            raise InvalidParams("need at least one seed")
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "ExperimentConfig":
+        known = set(cls.__dataclass_fields__)
+        unknown = set(data) - known
+        if unknown:
+            raise InvalidParams(f"unknown config keys: {sorted(unknown)}")
+        return cls(**data)
+
+
+@dataclass
+class RunReport:
+    seed: int
+    mode: str
+    n: int
+    t: int
+    tree_kind: str
+    vertices: int
+    diameter: int
+    rounds: int
+    lb_rounds: int
+    max_dist: int
+    valid: bool
+    honest: tuple[int, ...] = ()
+    outputs: dict[int, str] = field(default_factory=dict)
+    transcript_path: str | None = None
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "seed": self.seed,
+            "mode": self.mode,
+            "n": self.n,
+            "t": self.t,
+            "tree_kind": self.tree_kind,
+            "vertices": self.vertices,
+            "diameter": self.diameter,
+            "rounds": self.rounds,
+            "lb_rounds": self.lb_rounds,
+            "max_dist": self.max_dist,
+            "valid": self.valid,
+            "honest": list(self.honest),
+            "outputs": {str(pid): label for pid, label in self.outputs.items()},
+            "transcript_path": self.transcript_path,
+        }
+
+    def to_csv_row(self) -> str:
+        return (
+            f"{self.seed},{self.mode},{self.n},{self.t},{self.tree_kind},"
+            f"{self.vertices},{self.diameter},{self.rounds},{self.lb_rounds},"
+            f"{self.max_dist},{str(self.valid).lower()}"
+        )
+
+
+def resolve_tree(source: str) -> tuple[LabeledTree, str]:
+    """A tree plus its short kind string, from a generator spec or a file."""
+    parts = source.split(":")
+    if parts[0] in KINDS:
+        if len(parts) not in (2, 3):
+            raise InvalidParams(f"generator spec must be kind:size[:seed], got {source!r}")
+        size = int(parts[1])
+        seed = int(parts[2]) if len(parts) == 3 else 0
+        return generate_tree(parts[0], size, seed), f"{parts[0]}({size})"
+    path = FilePath(source)
+    if not path.exists():
+        raise InvalidParams(f"tree file {source!r} does not exist")
+    return parse_tree(path.read_text(encoding="utf-8")), path.name
+
+
+def assign_inputs(tree: LabeledTree, n: int, spec: str | Sequence[str],
+                  rng: random.Random) -> dict[int, str]:
+    """Input vertex per party id, from an assignment spec."""
+    if isinstance(spec, str) and spec == "random":
+        pool = sorted(tree.vertices)
+        return {pid: rng.choice(pool) for pid in range(1, n + 1)}
+    if isinstance(spec, str) and spec == "endpoints":
+        a, b = tree.diameter_endpoints
+        return {pid: a if pid % 2 else b for pid in range(1, n + 1)}
+    labels = spec.split(",") if isinstance(spec, str) else list(spec)
+    for label in labels:
+        if label not in tree:
+            raise InvalidParams(f"input {label!r} is not a vertex of the tree")
+    if not labels:
+        raise InvalidParams("empty explicit input list")
+    return {pid: labels[(pid - 1) % len(labels)] for pid in range(1, n + 1)}
+
+
+def _extreme_inputs(tree: LabeledTree) -> tuple[str, str]:
+    # Low extreme: the start vertex itself; high: a deepest vertex.
+    hi = max(tree.vertices, key=lambda v: (tree.depth(v), v))
+    return tree.root, hi
+
+
+def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
+            adversary_name: str, inputs: dict[int, str], seed: int,
+            emit_dir: str | None = None) -> RunReport:
+    """Execute one protocol run and grade it with the tree oracles."""
+    machine = final_tree_aa_machine if mode == "final" else tree_aa_old_machine
+    runner = run_final_tree_aa if mode == "final" else run_tree_aa_old
+    planned = final_rounds(tree, n, t) if mode == "final" else old_rounds(tree, n, t)
+    lo, hi = _extreme_inputs(tree)
+    ctx = AdversaryContext(
+        program_factory=lambda pid, value: GeneratorProgram(machine(tree, n, t, pid, value)),
+        lo_input=lo,
+        hi_input=hi,
+        planned_rounds=planned,
+    )
+    adversary = make_adversary(adversary_name, ctx)
+    outputs, transcript, _ = runner(tree, n, t, inputs, adversary, seed)
+
+    honest = tuple(sorted(outputs))
+    honest_inputs = [inputs[pid] for pid in honest]
+    hull = tree.convex_hull(honest_inputs)
+    labels = [outputs[pid] for pid in honest]
+    valid = all(label in hull for label in labels)
+    max_dist = 0
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            d = tree.distance(labels[i], labels[j])
+            if d > max_dist:
+                max_dist = d
+    lb = bounds.lb_rounds(n, t, float(tree.diameter)) if t >= 1 and tree.diameter > 1 else 0
+    transcript_path = None
+    if emit_dir is not None:
+        out = FilePath(emit_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        name = f"{mode}-{tree_kind.replace('(', '-').rstrip(')')}-n{n}-{adversary_name}-s{seed}.jsonl"
+        target = out / name
+        target.write_text(transcript.to_jsonl(), encoding="utf-8")
+        transcript_path = str(target)
+    return RunReport(
+        seed=seed,
+        mode=mode,
+        n=n,
+        t=t,
+        tree_kind=tree_kind,
+        vertices=len(tree),
+        diameter=tree.diameter,
+        rounds=transcript.rounds_used,
+        lb_rounds=lb,
+        max_dist=max_dist,
+        valid=valid,
+        honest=honest,
+        outputs=dict(sorted(outputs.items())),
+        transcript_path=transcript_path,
+    )
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[RunReport]:
+    """One report per seed, in seed order."""
+    tree, kind = resolve_tree(cfg.tree_source)
+    reports = []
+    for seed in cfg.seeds:
+        rng = random.Random(f"inputs:{seed}")
+        inputs = assign_inputs(tree, cfg.n, cfg.inputs, rng)
+        reports.append(
+            run_one(tree, kind, cfg.n, cfg.t, cfg.mode, cfg.adversary, inputs, seed,
+                    cfg.emit_transcripts)
+        )
+    return reports
+
+
+def emit_report(reports: Sequence[RunReport], out_format: str) -> str:
+    """Render reports as a CSV or JSON document."""
+    if not reports:
+        raise InvalidParams("no reports to emit")
+    if out_format == "csv":
+        return "\n".join([CSV_HEADER, *(r.to_csv_row() for r in reports)]) + "\n"
+    if out_format == "json":
+        return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    raise InvalidParams(f"format must be json or csv, got {out_format!r}")
+
+
+def all_good(reports: Sequence[RunReport]) -> bool:
+    """The CLI success criterion: every report valid with 1-close outputs."""
+    return all(r.valid and r.max_dist <= 1 for r in reports)

@@ -1,0 +1,148 @@
+"""Path agreement subprotocols.
+
+Two ways for the parties to converge on (nearly) the same path of the
+input tree:
+
+* the prefix finder gradecasts every party's path from the start vertex to
+  its input and keeps the longest prefix supported by n - t senders, once
+  at grade 2 (the party's own path P) and once at grade >= 1 (the more
+  permissive path Q every honest P is a prefix of);
+* the legacy finder agrees on a position of the tree's Euler visit list by
+  running real-valued agreement on list indices, then returns the path
+  from the root to the landed vertex.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .errors import NoSupport
+from .gradecast import gradecast_all
+from .real_aa import RealAAResult, closest_int, plan_iterations, real_aa_machine
+from .trees import LabeledTree, Path
+from .wire import decode_path, encode_path
+
+Entry = tuple[Path | None, int]  # decoded path (None when invalid) and its grade
+
+
+def decode_tree_path(tree: LabeledTree, data: bytes, start: str) -> Path | None:
+    """Decode and validate a wire path: simple, adjacent, starting at start.
+
+    Anything else is None; a Byzantine sender's malformed bytes count for
+    nothing.  Results are memoised on the tree since the same byte string
+    is decoded by every receiver.
+    """
+    cache = tree.__dict__.setdefault("_wire_path_cache", {})
+    key = (data, start)
+    if key in cache:
+        return cache[key]
+    path = decode_path(data)
+    if path is not None and (path[0] != start or not tree.is_path(path)):
+        path = None
+    cache[key] = path
+    return path
+
+
+def supported_prefix(entries: Sequence[Entry], min_grade: int, threshold: int) -> Path:
+    """Longest path that prefixes at least ``threshold`` qualifying entries.
+
+    Qualifying entries are valid paths with grade >= min_grade.  Uniqueness
+    at every depth holds because two distinct extensions have disjoint
+    supporter sets and the protocol calls this with 2 * threshold > n; the
+    deterministic (count, label) tie-break only matters for direct calls
+    with weaker thresholds.
+    """
+    pool = [path for path, grade in entries if path is not None and grade >= min_grade]
+    prefix: list[str] = []
+    depth = 0
+    while True:
+        counts: dict[str, int] = {}
+        for path in pool:
+            if len(path) > depth:
+                v = path[depth]
+                counts[v] = counts.get(v, 0) + 1
+        if not counts:
+            break
+        best = max(counts, key=lambda v: (counts[v], v))
+        if counts[best] < threshold:
+            break
+        prefix.append(best)
+        pool = [p for p in pool if len(p) > depth and p[depth] == best]
+        depth += 1
+    if not prefix:
+        raise NoSupport(f"no prefix supported by {threshold} entries")
+    return tuple(prefix)
+
+
+@dataclass(frozen=True)
+class PathPair:
+    """Output of the prefix finder: own path p, permissive extension q."""
+
+    p: Path
+    q: Path
+
+
+def prefix_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
+    """3-round machine returning a PathPair (one gradecast invocation)."""
+    start = tree.root
+    graded = yield from gradecast_all(
+        n, t, pid, encode_path(tree.path_from_root(input_vertex))
+    )
+    entries: list[Entry] = []
+    for sender in range(1, n + 1):
+        value, grade = graded[sender]
+        path = None
+        if grade > 0 and value is not None:
+            path = decode_tree_path(tree, value, start)
+        entries.append((path, grade if path is not None else 0))
+    p = supported_prefix(entries, min_grade=2, threshold=n - t)
+    q = supported_prefix(entries, min_grade=1, threshold=n - t)
+    return PathPair(p, q)
+
+
+@dataclass(frozen=True)
+class LegacyPathResult:
+    path: Path
+    start_index: int  # the Euler index this party fed into the agreement
+    landed_index: int  # the rounded agreement output
+    real: RealAAResult
+
+
+def legacy_rounds(tree: LabeledTree, n: int, t: int) -> int:
+    return 3 * plan_iterations(n, t, 2 * len(tree), 1.0)
+
+
+def legacy_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
+    """Euler-index agreement; returns a LegacyPathResult."""
+    euler = tree.euler
+    index = euler.index_of[input_vertex][0]  # smallest index of the input vertex
+    result = yield from real_aa_machine(n, t, pid, float(index), 2 * len(tree), 1.0)
+    landed = closest_int(result.value)
+    # Validity keeps the landed index inside the honest index range, hence
+    # inside 1..|L|; vertex_at raising would mean a protocol bug.
+    endpoint = euler.vertex_at(landed)
+    return LegacyPathResult(tree.path_from_root(endpoint), index, landed, result)
+
+
+def run_prefix_path_finder(tree, n, t, inputs, adversary=None, seed=0):
+    """({honest pid: PathPair}, transcript) for one finder invocation."""
+    from .simnet import GeneratorProgram, run_simulation
+
+    programs = [
+        GeneratorProgram(prefix_path_finder_machine(tree, n, t, pid, inputs[pid]))
+        for pid in range(1, n + 1)
+    ]
+    return run_simulation(n, t, programs, adversary, seed, round_cap=60)
+
+
+def run_legacy_path_finder(tree, n, t, inputs, adversary=None, seed=0):
+    """({honest pid: LegacyPathResult}, transcript) for one finder invocation."""
+    from .simnet import GeneratorProgram, run_simulation
+
+    programs = [
+        GeneratorProgram(legacy_path_finder_machine(tree, n, t, pid, inputs[pid]))
+        for pid in range(1, n + 1)
+    ]
+    cap = 10 * (3 + legacy_rounds(tree, n, t))
+    return run_simulation(n, t, programs, adversary, seed, cap)

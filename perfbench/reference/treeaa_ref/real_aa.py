@@ -1,0 +1,168 @@
+"""Approximate agreement on real values with gradecast distribution.
+
+Each iteration costs 3 rounds: the parties gradecast their current values,
+keep those delivered with grade 1 or 2, permanently blacklist every sender
+whose grade was at most 1 (its later gradecasts are ignored), then move to
+the arithmetic mean of the kept values after discarding the t lowest and
+t highest.  The iteration count is fixed up front from (n, t, d, eps), so
+all honest parties terminate in the same round; with honest inputs d-close
+the final values are eps-close and inside the honest input range.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping
+
+from .errors import InsufficientValues, InvalidParams, NonFinite
+from .gradecast import GradedValue, gradecast_all
+from .wire import decode_double, encode_double
+
+CLOSE_SLACK = 2.0 ** -40
+"""Absolute slack absorbing float rounding in closeness assertions."""
+
+
+def closest_int(j: float) -> int:
+    """Nearest integer to j; an exact half rounds up."""
+    if isinstance(j, float) and not math.isfinite(j):
+        raise NonFinite(f"closest_int({j!r})")
+    z = math.floor(j)
+    return z if j - z < 0.5 else z + 1
+
+
+def plan_iterations(n: int, t: int, d_bound: float, epsilon: float) -> int:
+    """Smallest iteration count R with d * t^R / (R^R (n-2t)^R) <= eps.
+
+    The R = 0 factor is 1, so R = 0 exactly when d <= eps.  The comparison
+    is exact (rational arithmetic), immune to overflow for any magnitudes.
+    """
+    if t < 0 or n <= 3 * t:
+        raise InvalidParams(f"need 0 <= t < n/3, got n={n} t={t}")
+    if not (d_bound > 0 and math.isfinite(d_bound)):
+        raise InvalidParams(f"d_bound must be positive and finite, got {d_bound!r}")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise InvalidParams(f"epsilon must be positive and finite, got {epsilon!r}")
+    d = Fraction(d_bound)
+    eps = Fraction(epsilon)
+    if d <= eps:
+        return 0
+    shrink = n - 2 * t
+    r = 1
+    while True:
+        if d * t**r <= eps * (r * shrink) ** r:
+            return r
+        r += 1
+        if r > 10_000:  # unreachable for valid params; guards the loop
+            raise InvalidParams("iteration search diverged")
+
+
+def closed_form_iterations(delta: float) -> int:
+    """ceil(20/9 * log2(delta) / log2(log2(delta))); defined for delta > 2.
+
+    Only used as a cross-check ceiling on plan_iterations in tests; the
+    plan itself comes from the exact search, which is total for any d/eps.
+    """
+    if delta <= 2:
+        raise InvalidParams("closed form needs delta > 2")
+    lg = math.log2(delta)
+    return math.ceil(20.0 / 9.0 * lg / math.log2(lg))
+
+
+def convergence_factor(n: int, t: int, r: int) -> float:
+    """t^R / (R^R (n-2t)^R), the guaranteed range shrink after R iterations."""
+    if r == 0:
+        return 1.0
+    return float(Fraction(t**r, (r * (n - 2 * t)) ** r))
+
+
+def _pairwise_sum(xs: list[float]) -> float:
+    n = len(xs)
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return xs[0]
+    half = n // 2
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def trim_mean_update(
+    received: Mapping[int, GradedValue],
+    prior_blacklist: set[int],
+    n: int,
+    t: int,
+) -> tuple[float, set[int]]:
+    """One iteration's value update and blacklist growth.
+
+    ``received`` carries the decoded gradecast deliveries (value float or
+    None, grade) of every sender not already blacklisted.  Values with
+    grade >= 1 enter the working multiset this iteration even when their
+    sender is being blacklisted (grade <= 1) for the following ones.
+    """
+    new_blacklist = set(prior_blacklist)
+    working: list[float] = []
+    for sender, gv in received.items():
+        if sender in prior_blacklist:
+            continue
+        if gv.grade <= 1:
+            new_blacklist.add(sender)
+        if gv.grade >= 1 and gv.value is not None:
+            working.append(gv.value)
+    if len(working) < 2 * t + 1:
+        raise InsufficientValues(f"{len(working)} usable values, need {2 * t + 1}")
+    working.sort()
+    kept = working[t : len(working) - t] if t else working
+    return _pairwise_sum(kept) / len(kept), new_blacklist
+
+
+@dataclass(frozen=True)
+class RealAAResult:
+    """Per-party outcome plus the diagnostics the property suites assert on."""
+
+    value: float
+    blacklist: frozenset[int]
+    history: tuple[float, ...]  # value at every iteration boundary, input first
+    iterations: int
+
+
+def real_aa_machine(n: int, t: int, pid: int, value: float, d_bound: float, epsilon: float):
+    """Protocol machine: plan_iterations(n,t,d,eps) iterations of 3 rounds."""
+    plan = plan_iterations(n, t, d_bound, epsilon)
+    blacklist: set[int] = set()
+    current = float(value)
+    history = [current]
+    for _ in range(plan):
+        graded = yield from gradecast_all(n, t, pid, encode_double(current))
+        decoded = {
+            sender: GradedValue(
+                decode_double(gv.value) if gv.value is not None else None, gv.grade
+            )
+            for sender, gv in graded.items()
+            if sender not in blacklist
+        }
+        current, blacklist = trim_mean_update(decoded, blacklist, n, t)
+        history.append(current)
+    return RealAAResult(current, frozenset(blacklist), tuple(history), plan)
+
+
+def planned_rounds(n: int, t: int, d_bound: float, epsilon: float) -> int:
+    return 3 * plan_iterations(n, t, d_bound, epsilon)
+
+
+def run_real_aa(n, t, inputs, d_bound, epsilon, adversary=None, seed=0):
+    """Run one invocation over the simulator.
+
+    ``inputs`` maps pid to that party's real input.  Returns
+    ({honest pid: output value}, transcript, {honest pid: RealAAResult}).
+    """
+    from .simnet import GeneratorProgram, run_simulation
+
+    programs = [
+        GeneratorProgram(real_aa_machine(n, t, pid, inputs[pid], d_bound, epsilon))
+        for pid in range(1, n + 1)
+    ]
+    cap = 10 * (3 + planned_rounds(n, t, d_bound, epsilon))
+    results, transcript = run_simulation(n, t, programs, adversary, seed, cap)
+    outputs = {pid: res.value for pid, res in results.items()}
+    return outputs, transcript, results

@@ -1,0 +1,339 @@
+"""Deterministic lockstep simulator for synchronous round protocols.
+
+Parties are numbered 1..n and exchange envelopes over authenticated
+point-to-point channels: an envelope's sender field always names the true
+origin, and everything sent in round k is delivered exactly at the end of
+round k, before round k+1 begins.
+
+Round structure.  In round k every non-corrupted party is stepped with
+``on_round(k, inbox)`` where inbox holds the messages sent to it in round
+k-1 (empty for k=1); the call returns the messages the party sends in
+round k.  The adversary then picks additional parties to corrupt (their
+round-k messages are suppressed, as if corrupted at the start of the
+round) and finally crafts Byzantine round-k messages after seeing every
+honest round-k message (rushing).  A final step in which all remaining
+honest parties report their outputs and send nothing does not count as a
+communication round, so a 3-round protocol consumes exactly 3 rounds.
+
+Everything is a pure function of (n, t, programs, adversary, seed): one
+simulation is strictly single-threaded, distinct simulations share nothing.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import dataclass, field
+from typing import Any, Iterable, NamedTuple, Sequence
+
+from .errors import (
+    CorruptTranscript,
+    InvalidParams,
+    NonTermination,
+    ProtocolViolation,
+    StrategyViolation,
+)
+
+DEFAULT_ROUND_CAP = 10_000
+
+
+class Envelope(NamedTuple):
+    round: int
+    sender: int
+    receiver: int
+    payload: bytes
+
+
+@dataclass
+class Transcript:
+    """Full record of one simulation, replayable bit-exactly."""
+
+    n: int
+    t: int
+    seed: int
+    envelopes: list[Envelope] = field(default_factory=list)
+    events: list[tuple[str, int, int]] = field(default_factory=list)
+    rounds_used: int = 0
+
+    def corrupted(self) -> set[int]:
+        return {pid for kind, _, pid in self.events if kind == "corrupt"}
+
+    def to_jsonl(self) -> str:
+        """Line-delimited JSON, one envelope per line, stable field order."""
+        lines = []
+        for env in self.envelopes:
+            lines.append(
+                json.dumps(
+                    {
+                        "round": env.round,
+                        "sender": env.sender,
+                        "receiver": env.receiver,
+                        "payload_hex": env.payload.hex(),
+                    },
+                    separators=(",", ":"),
+                )
+            )
+        return "\n".join(lines) + ("\n" if lines else "")
+
+    @classmethod
+    def from_jsonl(cls, text: str, n: int | None = None, t: int = 0, seed: int = 0) -> "Transcript":
+        envelopes = []
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                env = Envelope(
+                    int(rec["round"]),
+                    int(rec["sender"]),
+                    int(rec["receiver"]),
+                    bytes.fromhex(rec["payload_hex"]),
+                )
+            except (KeyError, ValueError, TypeError) as exc:
+                raise CorruptTranscript(f"bad record: {line!r}") from exc
+            envelopes.append(env)
+        inferred = n or max((max(e.sender, e.receiver) for e in envelopes), default=0)
+        rounds = max((e.round for e in envelopes), default=0)
+        return cls(inferred, t, seed, envelopes, [], rounds)
+
+
+def replay_transcript(tr: Transcript) -> dict[int, dict[int, list[Envelope]]]:
+    """Rebuild every party's per-round inbox from a transcript.
+
+    Returns {round: {pid: [envelopes delivered at the end of that round]}}
+    for rounds 1..rounds_used.  Raises CorruptTranscript on structural
+    damage: out-of-range rounds or party ids, or round order regressions.
+    """
+    inboxes: dict[int, dict[int, list[Envelope]]] = {
+        r: {pid: [] for pid in range(1, tr.n + 1)} for r in range(1, tr.rounds_used + 1)
+    }
+    last = 1
+    for env in tr.envelopes:
+        if not 1 <= env.round <= tr.rounds_used:
+            raise CorruptTranscript(f"round {env.round} outside 1..{tr.rounds_used}")
+        if env.round < last:
+            raise CorruptTranscript(f"round order regression at {env}")
+        last = env.round
+        if not (1 <= env.sender <= tr.n and 1 <= env.receiver <= tr.n):
+            raise CorruptTranscript(f"party id out of range in {env}")
+        inboxes[env.round][env.receiver].append(env)
+    return inboxes
+
+
+class SimulationView:
+    """Adversary-facing read view of a running simulation.
+
+    During a corruption decision the view covers rounds before the current
+    one; during `byzantine_send` it additionally covers the honest messages
+    of the current round (rushing adversary).
+    """
+
+    def __init__(self, sim: "_Simulation"):
+        self._sim = sim
+
+    @property
+    def n(self) -> int:
+        return self._sim.n
+
+    @property
+    def t(self) -> int:
+        return self._sim.t
+
+    @property
+    def round(self) -> int:
+        return self._sim.round
+
+    @property
+    def corrupted(self) -> frozenset[int]:
+        return frozenset(self._sim.corrupted)
+
+    @property
+    def envelopes(self) -> Sequence[Envelope]:
+        return self._sim.transcript.envelopes
+
+    @property
+    def events(self) -> Sequence[tuple[str, int, int]]:
+        return self._sim.transcript.events
+
+    def inbox_of(self, pid: int, round: int) -> list[Envelope]:
+        """Messages sent to pid in `round` (delivered at that round's end)."""
+        return [e for e in self._sim.by_round.get(round, ()) if e.receiver == pid]
+
+
+class Adversary:
+    """Strategy hooks; the default is fully passive.
+
+    `corrupt_decision` returns the desired cumulative corrupted set for the
+    round (a superset of the current one, at most t parties).
+    `byzantine_send` is invoked once per corrupted party per round, after
+    all honest messages of the round are fixed.
+    """
+
+    n: int = 0
+    t: int = 0
+    rng: random.Random
+
+    def begin(self, n: int, t: int, rng: random.Random) -> None:
+        self.n, self.t, self.rng = n, t, rng
+
+    def corrupt_decision(self, round: int, view: SimulationView) -> set[int]:
+        return set(view.corrupted)
+
+    def byzantine_send(self, round: int, pid: int, view: SimulationView) -> list[Envelope]:
+        return []
+
+
+class Program:
+    """Per-party state machine driven by the simulator."""
+
+    result: Any = None
+
+    def on_round(self, round: int, inbox: Sequence[Envelope]) -> list[tuple[int, bytes]]:
+        raise NotImplementedError
+
+
+class GeneratorProgram(Program):
+    """Adapter running a protocol written as a generator.
+
+    The generator yields the outbox for the next round (a list of
+    (receiver, payload) pairs) and is resumed with the inbox delivered at
+    the end of that round.  Its return value becomes the party's output.
+    """
+
+    def __init__(self, gen):
+        self._gen = gen
+        self._started = False
+        self._done = False
+        self.result = None
+
+    def on_round(self, round: int, inbox: Sequence[Envelope]) -> list[tuple[int, bytes]]:
+        if self._done:
+            return []
+        try:
+            if not self._started:
+                self._started = True
+                return self._gen.send(None)
+            return self._gen.send(tuple(inbox))
+        except StopIteration as stop:
+            self._done = True
+            self.result = stop.value
+            return []
+
+
+class _Simulation:
+    def __init__(self, n: int, t: int, seed: int):
+        self.n = n
+        self.t = t
+        self.round = 0
+        self.corrupted: set[int] = set()
+        self.transcript = Transcript(n, t, seed)
+        self.by_round: dict[int, list[Envelope]] = {}
+
+
+def run_simulation(
+    n: int,
+    t: int,
+    programs: Sequence[Program],
+    adversary: Adversary | None = None,
+    seed: int = 0,
+    round_cap: int = DEFAULT_ROUND_CAP,
+) -> tuple[dict[int, Any], Transcript]:
+    """Run the lockstep loop until every non-corrupted party has an output.
+
+    Returns ({pid: output} over parties that were never corrupted, transcript).
+    """
+    if not 0 <= t < n:
+        raise InvalidParams(f"need 0 <= t < n, got n={n} t={t}")
+    if len(programs) != n:
+        raise InvalidParams(f"expected {n} programs, got {len(programs)}")
+    adversary = adversary if adversary is not None else Adversary()
+    adversary.begin(n, t, random.Random(f"adversary:{seed}"))
+    sim = _Simulation(n, t, seed)
+    view = SimulationView(sim)
+    tr = sim.transcript
+    inboxes: dict[int, tuple[Envelope, ...]] = {pid: () for pid in range(1, n + 1)}
+    reported: set[int] = set()
+
+    while True:
+        rnd = sim.round + 1
+        if rnd > round_cap:
+            raise NonTermination(f"round cap {round_cap} exceeded")
+
+        pending: dict[int, list[Envelope]] = {}
+        for pid in range(1, n + 1):
+            if pid in sim.corrupted:
+                continue
+            outbox = programs[pid - 1].on_round(rnd, inboxes[pid])
+            envs = []
+            for receiver, payload in outbox:
+                if not 1 <= receiver <= n:
+                    raise ProtocolViolation(f"party {pid} addressed invalid receiver {receiver}")
+                envs.append(Envelope(rnd, pid, receiver, bytes(payload)))
+            pending[pid] = envs
+            if programs[pid - 1].result is not None and pid not in reported:
+                reported.add(pid)
+                tr.events.append(("output", rnd - 1, pid))
+
+        if all(programs[pid - 1].result is not None for pid in range(1, n + 1) if pid not in sim.corrupted):
+            # The protocol finished on the previous round's deliveries; this
+            # round never takes place.
+            assert all(not envs for envs in pending.values())
+            break
+
+        sim.round = rnd
+        requested = set(adversary.corrupt_decision(rnd, view))
+        if not requested >= sim.corrupted:
+            raise StrategyViolation("adversary un-corrupted a party")
+        if len(requested) > t:
+            raise StrategyViolation(f"corrupted {len(requested)} parties, budget is {t}")
+        if not all(1 <= pid <= n for pid in requested):
+            raise StrategyViolation("corrupted party id out of range")
+        for pid in sorted(requested - sim.corrupted):
+            sim.corrupted.add(pid)
+            tr.events.append(("corrupt", rnd, pid))
+            pending.pop(pid, None)  # corruption suppresses this round's sends
+
+        round_envs: list[Envelope] = []
+        for pid in sorted(pending):
+            round_envs.extend(pending[pid])
+        tr.envelopes.extend(round_envs)
+        sim.by_round[rnd] = round_envs
+
+        for pid in sorted(sim.corrupted):
+            for env in adversary.byzantine_send(rnd, pid, view):
+                if env.round != rnd:
+                    raise StrategyViolation(f"byzantine envelope for round {env.round} in round {rnd}")
+                if env.sender != pid:
+                    raise StrategyViolation(f"party {pid} tried to spoof sender {env.sender}")
+                if not 1 <= env.receiver <= n:
+                    raise StrategyViolation(f"byzantine receiver {env.receiver} out of range")
+                env = Envelope(rnd, pid, env.receiver, bytes(env.payload))
+                round_envs.append(env)
+                tr.envelopes.append(env)
+
+        next_inboxes: dict[int, list[Envelope]] = {pid: [] for pid in range(1, n + 1)}
+        for env in round_envs:
+            next_inboxes[env.receiver].append(env)
+        inboxes = {pid: tuple(envs) for pid, envs in next_inboxes.items()}
+        tr.rounds_used = rnd
+
+    outputs = {
+        pid: programs[pid - 1].result
+        for pid in range(1, n + 1)
+        if pid not in sim.corrupted
+    }
+    return outputs, tr
+
+
+def broadcast(n: int, payload: bytes) -> list[tuple[int, bytes]]:
+    """Outbox addressing every party (including the sender) with one payload."""
+    return [(pid, payload) for pid in range(1, n + 1)]
+
+
+def first_payload_by_sender(inbox: Iterable[Envelope]) -> dict[int, bytes]:
+    """First payload per sender; duplicates within a round are ignored."""
+    seen: dict[int, bytes] = {}
+    for env in inbox:
+        if env.sender not in seen:
+            seen[env.sender] = env.payload
+    return seen

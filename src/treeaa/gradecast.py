@@ -17,13 +17,17 @@ For t < n/3 two candidate values can never both reach the echo threshold
 so the per-instance output is well defined; the guarantees themselves
 (integrity for honest senders, grade/value consistency across honest
 receivers) are established by the adversarial test suites, not assumed.
+
+Inside a simulation each distinct echo or vote frame is decoded once and
+each distinct inbox tallied once (``simnet.memoised``); a Byzantine
+sender's per-receiver frames differ, so they are still decoded apart.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .simnet import Envelope, broadcast, first_payload_by_sender
+from .simnet import Envelope, broadcast, first_payload_by_sender, memoised
 from .wire import (
     TAG_ECHO,
     TAG_VALUE,
@@ -52,13 +56,24 @@ def received_values(n: int, inbox: Iterable[Envelope]) -> list[bytes | None]:
     return out
 
 
-def received_vectors(n: int, inbox: Iterable[Envelope], tag: int) -> list[list[bytes | None] | None]:
+Vector = tuple[bytes | None, ...]
+
+
+def _decoded_vector(n: int, tag: int, payload: bytes) -> Vector | None:
+    parsed = parse_frame(payload)
+    if parsed is None or parsed[0] != tag:
+        return None
+    entries = decode_vector(parsed[1], n)
+    return None if entries is None else tuple(entries)
+
+
+def received_vectors(n: int, inbox: Iterable[Envelope], tag: int) -> list[Vector | None]:
     """Per-sender decoded entry vectors for echo or vote rounds."""
-    out: list[list[bytes | None] | None] = [None] * n
+    out: list[Vector | None] = [None] * n
     for sender, payload in first_payload_by_sender(inbox).items():
-        parsed = parse_frame(payload)
-        if parsed is not None and parsed[0] == tag:
-            out[sender - 1] = decode_vector(parsed[1], n)
+        out[sender - 1] = memoised(
+            "vector", (n, tag, payload), lambda: _decoded_vector(n, tag, payload)
+        )
     return out
 
 
@@ -70,7 +85,7 @@ def _tally(column: Iterable[bytes | None]) -> dict[bytes, int]:
     return counts
 
 
-def compute_candidates(n: int, t: int, echoes: list[list[bytes | None] | None]) -> list[bytes | None]:
+def compute_candidates(n: int, t: int, echoes: list[Vector | None]) -> list[bytes | None]:
     """Per sender instance, the value echoed by at least n - t parties."""
     candidates: list[bytes | None] = [None] * n
     threshold = n - t
@@ -83,7 +98,7 @@ def compute_candidates(n: int, t: int, echoes: list[list[bytes | None] | None]) 
     return candidates
 
 
-def grade_votes(n: int, t: int, votes: list[list[bytes | None] | None]) -> dict[int, GradedValue]:
+def grade_votes(n: int, t: int, votes: list[Vector | None]) -> dict[int, GradedValue]:
     """Fold the vote round into per-sender (value, grade) outputs."""
     outputs: dict[int, GradedValue] = {}
     for s in range(n):
@@ -99,16 +114,26 @@ def grade_votes(n: int, t: int, votes: list[list[bytes | None] | None]) -> dict[
     return outputs
 
 
+def _tallied(n: int, t: int, inbox: Iterable[Envelope], tag: int, tally):
+    """tally(n, t, received_vectors(...)), once per distinct inbox in a run.
+
+    A tally reads only each sender's first payload, so those are the key.
+    """
+    payloads = first_payload_by_sender(inbox)
+    key = (n, t, tag, tuple(payloads.get(s) for s in range(1, n + 1)))
+    return memoised("tally", key, lambda: tally(n, t, received_vectors(n, inbox, tag)))
+
+
 def gradecast_all(n: int, t: int, pid: int, value: bytes):
     """3-round machine; returns {sender pid: GradedValue} for all n instances."""
     inbox = yield broadcast(n, frame(TAG_VALUE, value))
     mine = received_values(n, inbox)
     inbox = yield broadcast(n, frame(TAG_ECHO, encode_vector(mine)))
-    echoes = received_vectors(n, inbox, TAG_ECHO)
-    candidates = compute_candidates(n, t, echoes)
+    # Tallies are shared with every receiver of the same inbox: the
+    # candidates are only read, the grades are copied before they leave.
+    candidates = _tallied(n, t, inbox, TAG_ECHO, compute_candidates)
     inbox = yield broadcast(n, frame(TAG_VOTE, encode_vector(candidates)))
-    votes = received_vectors(n, inbox, TAG_VOTE)
-    return grade_votes(n, t, votes)
+    return dict(_tallied(n, t, inbox, TAG_VOTE, grade_votes))
 
 
 def run_gradecast(n, t, values, adversary=None, seed=0, round_cap=60):

@@ -15,11 +15,14 @@ input tree:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import ne
 from typing import Sequence
 
 from .errors import NoSupport
 from .gradecast import gradecast_all
 from .real_aa import RealAAResult, closest_int, plan_iterations, real_aa_machine
+from .simnet import memoised
 from .trees import LabeledTree, Path
 from .wire import decode_path, encode_path
 
@@ -30,17 +33,17 @@ def decode_tree_path(tree: LabeledTree, data: bytes, start: str) -> Path | None:
     """Decode and validate a wire path: simple, adjacent, starting at start.
 
     Anything else is None; a Byzantine sender's malformed bytes count for
-    nothing.  Results are memoised on the tree since the same byte string
-    is decoded by every receiver.
+    nothing.  A run decodes each (tree, bytes, start) once for all
+    receivers (``simnet.memoised``); the run holds the tree alive, so the
+    tree itself is a sound key while the memo lives.
     """
-    cache = tree.__dict__.setdefault("_wire_path_cache", {})
-    key = (data, start)
-    if key in cache:
-        return cache[key]
+    return memoised("tree_path", (tree, data, start), lambda: _checked_path(tree, data, start))
+
+
+def _checked_path(tree: LabeledTree, data: bytes, start: str) -> Path | None:
     path = decode_path(data)
     if path is not None and (path[0] != start or not tree.is_path(path)):
-        path = None
-    cache[key] = path
+        return None
     return path
 
 
@@ -52,11 +55,23 @@ def supported_prefix(entries: Sequence[Entry], min_grade: int, threshold: int) -
     supporter sets and the protocol calls this with 2 * threshold > n; the
     deterministic (count, label) tie-break only matters for direct calls
     with weaker thresholds.
+
+    Python work happens only at branch points.  The pooled paths share
+    exactly what the smallest shares with the largest (cut to the
+    smallest's length, as nothing past it can be shared); while the pool
+    holds ``threshold`` paths that run is supported, so it is taken whole.
+    Each branch step then drops at least one path from the pool.
     """
     pool = [path for path, grade in entries if path is not None and grade >= min_grade]
     prefix: list[str] = []
-    depth = 0
-    while True:
+    while pool and len(pool) >= threshold:
+        lo = min(pool)
+        hi = max(path[: len(lo)] for path in pool)
+        start = len(prefix)
+        # First index past the common run, found by C iterators, not a Python loop.
+        mismatches = map(ne, islice(lo, start, None), islice(hi, start, None))
+        depth = next(compress(count(start), mismatches), len(hi))
+        prefix.extend(lo[start:depth])
         counts: dict[str, int] = {}
         for path in pool:
             if len(path) > depth:
@@ -69,7 +84,6 @@ def supported_prefix(entries: Sequence[Entry], min_grade: int, threshold: int) -
             break
         prefix.append(best)
         pool = [p for p in pool if len(p) > depth and p[depth] == best]
-        depth += 1
     if not prefix:
         raise NoSupport(f"no prefix supported by {threshold} entries")
     return tuple(prefix)
@@ -86,9 +100,11 @@ class PathPair:
 def prefix_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
     """3-round machine returning a PathPair (one gradecast invocation)."""
     start = tree.root
-    graded = yield from gradecast_all(
-        n, t, pid, encode_path(tree.path_from_root(input_vertex))
+    own = memoised(
+        "own_path", (tree, input_vertex),
+        lambda: encode_path(tree.path_from_root(input_vertex)),
     )
+    graded = yield from gradecast_all(n, t, pid, own)
     entries: list[Entry] = []
     for sender in range(1, n + 1):
         value, grade = graded[sender]

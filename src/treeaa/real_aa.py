@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import InsufficientValues, InvalidParams, NonFinite
@@ -32,11 +33,14 @@ def closest_int(j: float) -> int:
     return z if j - z < 0.5 else z + 1
 
 
+@lru_cache(maxsize=1024)
 def plan_iterations(n: int, t: int, d_bound: float, epsilon: float) -> int:
     """Smallest iteration count R with d * t^R / (R^R (n-2t)^R) <= eps.
 
     The R = 0 factor is 1, so R = 0 exactly when d <= eps.  The comparison
     is exact (rational arithmetic), immune to overflow for any magnitudes.
+    Cached: every machine of a run asks with the same configuration, and
+    the arguments are never bytes from the wire.
     """
     if t < 0 or n <= 3 * t:
         raise InvalidParams(f"need 0 <= t < n/3, got n={n} t={t}")
@@ -99,6 +103,8 @@ def trim_mean_update(
     None, grade) of every sender not already blacklisted.  Values with
     grade >= 1 enter the working multiset this iteration even when their
     sender is being blacklisted (grade <= 1) for the following ones.
+    The mean is clamped into the kept range, so float rounding can never
+    move it outside (three kept copies of 0.1 average to 0.10000000000000002).
     """
     new_blacklist = set(prior_blacklist)
     working: list[float] = []
@@ -113,7 +119,8 @@ def trim_mean_update(
         raise InsufficientValues(f"{len(working)} usable values, need {2 * t + 1}")
     working.sort()
     kept = working[t : len(working) - t] if t else working
-    return _pairwise_sum(kept) / len(kept), new_blacklist
+    mean = _pairwise_sum(kept) / len(kept)
+    return min(max(mean, kept[0]), kept[-1]), new_blacklist
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,19 @@ communication round, so a 3-round protocol consumes exactly 3 rounds.
 
 Everything is a pure function of (n, t, programs, adversary, seed): one
 simulation is strictly single-threaded, distinct simulations share nothing.
+One run memoises decoding (``run_memo``): honest parties receive
+byte-identical broadcasts, so its machines and adversary shadows decode and
+tally each distinct input once.  The memo is keyed by value and dropped
+when the run ends.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     CorruptTranscript,
@@ -35,6 +40,31 @@ from .errors import (
 )
 
 DEFAULT_ROUND_CAP = 10_000
+
+# The memo of the run_simulation call on the stack, if any: {table: {key: value}}.
+_RUN_MEMO: ContextVar[dict[str, dict] | None] = ContextVar("treeaa_run_memo", default=None)
+
+
+def run_memo(table: str) -> dict | None:
+    """The running simulation's memo table named ``table``; None outside a run.
+
+    Keys are values (or objects the run holds alive), never ``id()``
+    numbers; every party of the run shares the cached values, so they must
+    be immutable or copied on the way out.
+    """
+    memo = _RUN_MEMO.get()
+    return None if memo is None else memo.setdefault(table, {})
+
+
+def memoised(table: str, key: Any, compute: Callable[[], Any]) -> Any:
+    """compute(), once per key in the running simulation; always outside one."""
+    memo = run_memo(table)
+    if memo is None:
+        return compute()
+    if key in memo:
+        return memo[key]
+    value = memo[key] = compute()
+    return value
 
 
 class Envelope(NamedTuple):
@@ -184,9 +214,17 @@ class Adversary:
 
 
 class Program:
-    """Per-party state machine driven by the simulator."""
+    """Per-party state machine driven by the simulator.
+
+    A party is finished once ``done`` is true; its output is ``result``.
+    Hand-written programs finish by setting a non-None ``result``.
+    """
 
     result: Any = None
+
+    @property
+    def done(self) -> bool:
+        return self.result is not None
 
     def on_round(self, round: int, inbox: Sequence[Envelope]) -> list[tuple[int, bytes]]:
         raise NotImplementedError
@@ -197,17 +235,19 @@ class GeneratorProgram(Program):
 
     The generator yields the outbox for the next round (a list of
     (receiver, payload) pairs) and is resumed with the inbox delivered at
-    the end of that round.  Its return value becomes the party's output.
+    the end of that round.  Its return value, None included, becomes the
+    party's output.
     """
+
+    done = False
 
     def __init__(self, gen):
         self._gen = gen
         self._started = False
-        self._done = False
         self.result = None
 
     def on_round(self, round: int, inbox: Sequence[Envelope]) -> list[tuple[int, bytes]]:
-        if self._done:
+        if self.done:
             return []
         try:
             if not self._started:
@@ -215,7 +255,7 @@ class GeneratorProgram(Program):
                 return self._gen.send(None)
             return self._gen.send(tuple(inbox))
         except StopIteration as stop:
-            self._done = True
+            self.done = True
             self.result = stop.value
             return []
 
@@ -241,11 +281,22 @@ def run_simulation(
     """Run the lockstep loop until every non-corrupted party has an output.
 
     Returns ({pid: output} over parties that were never corrupted, transcript).
+    The run's memo lives until it returns or raises; a nested run gets its
+    own and leaves this one's in place.
     """
     if not 0 <= t < n:
         raise InvalidParams(f"need 0 <= t < n, got n={n} t={t}")
     if len(programs) != n:
         raise InvalidParams(f"expected {n} programs, got {len(programs)}")
+    token = _RUN_MEMO.set({})
+    try:
+        return _run(n, t, programs, adversary, seed, round_cap)
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def _run(n, t, programs, adversary, seed, round_cap):
+    """run_simulation's lockstep loop, run inside the memo it set up."""
     adversary = adversary if adversary is not None else Adversary()
     adversary.begin(n, t, random.Random(f"adversary:{seed}"))
     sim = _Simulation(n, t, seed)
@@ -270,11 +321,11 @@ def run_simulation(
                     raise ProtocolViolation(f"party {pid} addressed invalid receiver {receiver}")
                 envs.append(Envelope(rnd, pid, receiver, bytes(payload)))
             pending[pid] = envs
-            if programs[pid - 1].result is not None and pid not in reported:
+            if programs[pid - 1].done and pid not in reported:
                 reported.add(pid)
                 tr.events.append(("output", rnd - 1, pid))
 
-        if all(programs[pid - 1].result is not None for pid in range(1, n + 1) if pid not in sim.corrupted):
+        if all(programs[pid - 1].done for pid in range(1, n + 1) if pid not in sim.corrupted):
             # The protocol finished on the previous round's deliveries; this
             # round never takes place.
             assert all(not envs for envs in pending.values())

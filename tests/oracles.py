@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from collections import deque
 
+from treeaa.errors import NoSupport
+
 
 
 def adjacency(tree) -> dict[str, set[str]]:
@@ -140,3 +142,27 @@ def enumerate_supported_prefix(entries, min_grade: int, threshold: int):
             if support >= threshold and (best is None or len(prefix) > len(best)):
                 best = prefix
     return best
+
+
+def supported_prefix_by_depth(entries, min_grade: int, threshold: int):
+    """The original supported_prefix: one (count, label) vote per depth."""
+    pool = [path for path, grade in entries if path is not None and grade >= min_grade]
+    prefix: list[str] = []
+    depth = 0
+    while True:
+        counts: dict[str, int] = {}
+        for path in pool:
+            if len(path) > depth:
+                v = path[depth]
+                counts[v] = counts.get(v, 0) + 1
+        if not counts:
+            break
+        best = max(counts, key=lambda v: (counts[v], v))
+        if counts[best] < threshold:
+            break
+        prefix.append(best)
+        pool = [p for p in pool if len(p) > depth and p[depth] == best]
+        depth += 1
+    if not prefix:
+        raise NoSupport(f"no prefix supported by {threshold} entries")
+    return tuple(prefix)

@@ -1,8 +1,9 @@
 from itertools import product
 
 from treeaa import run_gradecast
-from treeaa.gradecast import GradedValue
-from treeaa.simnet import Adversary
+from treeaa.gradecast import GradedValue, received_vectors
+from treeaa.simnet import Adversary, GeneratorProgram, broadcast, run_simulation
+from treeaa.wire import TAG_ECHO, encode_vector, frame
 
 from byzhelpers import InstanceScript, check_consistency
 
@@ -33,6 +34,29 @@ def test_silent_sender_yields_bottom_grade_zero():
         assert outputs[receiver][4] == GradedValue(None, 0)
         for sender in (1, 2, 3):
             assert outputs[receiver][sender] == GradedValue(b"val-%d" % sender, 2)
+
+
+def test_receivers_share_one_immutable_vector():
+    # Four senders frame equal bytes as four distinct objects: the memo is
+    # keyed by value, so all sixteen deliveries decode to one tuple.
+    n = 4
+    got = {}
+
+    def machine(pid):
+        inbox = yield broadcast(n, frame(TAG_ECHO, encode_vector([b"a", None, b"c", b"d"])))
+        got[pid] = received_vectors(n, inbox, TAG_ECHO)
+        return None
+
+    run_simulation(n, 1, [GeneratorProgram(machine(pid)) for pid in range(1, n + 1)])
+    shared = got[1][0]
+    assert shared == (b"a", None, b"c", b"d")
+    assert all(vec is shared for vectors in got.values() for vec in vectors)
+
+
+def test_each_receiver_gets_its_own_output_dict():
+    outputs, _ = run_gradecast(4, 1, values_for(4))
+    outputs[1][1] = GradedValue(None, 0)
+    assert outputs[2][1] == GradedValue(b"val-1", 2)
 
 
 def test_three_rounds_regardless_of_adversary():

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from treeaa import (
+    generate_tree,
     is_prefix,
     longest_common_prefix,
     run_legacy_path_finder,
@@ -47,6 +50,11 @@ class TestSupportedPrefix:
         assert supported_prefix(entries, 2, 3) == ("a",)
         assert supported_prefix(entries, 1, 3) == ("a", "b")
 
+    def test_weak_threshold_tie_goes_to_larger_label(self):
+        entries = [(("a", "b"), 2), (("a", "c"), 2), (("a", "c"), 2), (("a", "b"), 2)]
+        assert supported_prefix(entries, 2, 2) == ("a", "c")
+        assert oracles.supported_prefix_by_depth(entries, 2, 2) == ("a", "c")
+
     def test_no_support(self):
         entries = [(("a", "b"), 2), (("b", "a"), 2), (None, 0)]
         with pytest.raises(NoSupport):
@@ -76,6 +84,52 @@ class TestSupportedPrefix:
                 assert supported_prefix(entries, min_grade, threshold) == expected
 
 
+@st.composite
+def prefix_cases(draw):
+    """Entries over a random tree: a spine of up to 2,000 vertices with
+    branches, paths from its root (some cut short), None entries, every
+    grade, and thresholds weak enough for ties."""
+    depth = draw(st.integers(1, 2000))
+    parent = {f"s{i}": f"s{i - 1}" for i in range(1, depth)}
+    for b in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, depth - 1))
+        for i in range(draw(st.integers(1, 40))):
+            parent[f"b{b}.{i}"] = f"s{at}" if i == 0 else f"b{b}.{i - 1}"
+    vertices = ["s0", *parent]
+    leaves = sorted(set(vertices) - set(parent.values()))
+
+    def from_root(v):
+        path = [v]
+        while path[-1] in parent:
+            path.append(parent[path[-1]])
+        return tuple(reversed(path))
+
+    entries = []
+    for _ in range(draw(st.integers(0, 9))):
+        grade = draw(st.integers(0, 2))
+        if draw(st.integers(0, 5)) == 0:
+            entries.append((None, grade))
+            continue
+        # Leaves make paths diverge at the branch points, where ties arise.
+        path = from_root(draw(st.sampled_from(leaves) | st.sampled_from(vertices)))
+        entries.append((path[: draw(st.integers(1, len(path)))], grade))
+    threshold = draw(st.integers(0, 2) | st.integers(0, len(entries) + 1))
+    return entries, draw(st.integers(0, 2)), threshold
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_cases())
+def test_supported_prefix_matches_per_depth_reference(case):
+    entries, min_grade, threshold = case
+    try:
+        expected = oracles.supported_prefix_by_depth(entries, min_grade, threshold)
+    except NoSupport:
+        with pytest.raises(NoSupport):
+            supported_prefix(entries, min_grade, threshold)
+    else:
+        assert supported_prefix(entries, min_grade, threshold) == expected
+
+
 class TestDecodeTreePath:
     def test_valid(self, eight_vertex_tree):
         path = eight_vertex_tree.path_between("v1", "v8")
@@ -88,6 +142,14 @@ class TestDecodeTreePath:
     def test_non_path(self, eight_vertex_tree):
         assert decode_tree_path(eight_vertex_tree, encode_path(("v1", "v3")), "v1") is None
         assert decode_tree_path(eight_vertex_tree, b"\xde\xad", "v1") is None
+
+    def test_run_leaves_no_memo_on_the_tree(self):
+        tree = generate_tree("path", 1000)
+        far = max(tree.vertices, key=tree.depth)
+        inputs = {1: far, 2: far, 3: far, 4: tree.root}
+        outputs, _ = run_prefix_path_finder(tree, 4, 1, inputs)
+        assert all(pair.q == tree.path_from_root(far) for pair in outputs.values())
+        assert "_wire_path_cache" not in tree.__dict__
 
 
 def prefix_ctx(tree, n, t):

@@ -145,12 +145,27 @@ class TestTrimMeanUpdate:
         with pytest.raises(InsufficientValues):
             trim_mean_update(received, set(), 4, 1)
 
+    def test_mean_stays_in_kept_range(self):
+        # The three kept copies of 0.1 sum to 0.30000000000000004.
+        received = graded({pid: (0.1, 2) for pid in range(1, 8)})
+        value, _ = trim_mean_update(received, set(), 7, 2)
+        assert value == 0.1
+
 
 class TestRunRealAA:
     def test_unanimous_inputs_fixpoint(self):
         inputs = {pid: 7.0 for pid in range(1, 5)}
         outputs, transcript, _ = run_real_aa(4, 1, inputs, 100.0, 1.0)
         assert all(v == 7.0 for v in outputs.values())
+
+    def test_unanimous_inputs_fixpoint_exact(self):
+        # Strict validity: unanimous honest inputs come back bit for bit,
+        # not merely within CLOSE_SLACK, whatever rounding the mean does.
+        rng = random.Random("unanimous")
+        for _ in range(300):
+            x = rng.uniform(0, 1e6)
+            outputs, _, _ = run_real_aa(7, 2, {pid: x for pid in range(1, 8)}, 1e6, 1.0)
+            assert set(outputs.values()) == {x}
 
     def test_zero_fault_average_in_one_iteration(self):
         inputs = {1: 0.0, 2: 4.0, 3: 8.0, 4: 12.0}

@@ -14,6 +14,7 @@ from treeaa.simnet import (
     Transcript,
     broadcast,
     replay_transcript,
+    run_memo,
     run_simulation,
 )
 
@@ -146,6 +147,68 @@ def test_instant_output_takes_zero_rounds():
     assert outputs == {1: 42, 2: 42, 3: 42}
     assert transcript.rounds_used == 0
     assert transcript.envelopes == []
+
+
+def test_generator_returning_none_finishes():
+    def returns_none(n):
+        yield broadcast(n, b"x")
+        return None
+
+    programs = [GeneratorProgram(returns_none(4)) for _ in range(4)]
+    outputs, transcript = run_simulation(4, 1, programs, round_cap=50)
+    assert outputs == {1: None, 2: None, 3: None, 4: None}
+    assert transcript.rounds_used == 1
+
+
+class TestRunMemo:
+    def test_outside_a_run_there_is_none(self):
+        assert run_memo("any") is None
+
+    def test_one_memo_per_run_dropped_on_return(self):
+        seen = []
+
+        def machine():
+            seen.append(run_memo("t"))
+            run_memo("t")["k"] = "v"
+            yield []
+            seen.append(run_memo("t"))
+            return None
+
+        run_simulation(2, 0, [GeneratorProgram(machine()) for _ in range(2)])
+        assert seen[0] is seen[1] is seen[2] is seen[3]
+        assert seen[0] == {"k": "v"}
+        assert run_memo("t") is None
+        run_simulation(2, 0, [GeneratorProgram(machine()) for _ in range(2)])
+        assert seen[4] is not seen[0]
+
+    def test_dropped_when_the_run_raises(self):
+        class Touches(Program):
+            def on_round(self, round, inbox):
+                run_memo("t")[round] = round
+                return []
+
+        with pytest.raises(NonTermination):
+            run_simulation(2, 0, [Touches(), Touches()], round_cap=5)
+        assert run_memo("t") is None
+
+    def test_nested_run_has_its_own_memo(self):
+        inner_seen = []
+
+        def inner():
+            inner_seen.append(dict(run_memo("t")))
+            run_memo("t")["who"] = "inner"
+            return "inner-done"
+            yield  # pragma: no cover
+
+        def outer():
+            run_memo("t")["who"] = "outer"
+            outputs, _ = run_simulation(1, 0, [GeneratorProgram(inner())])
+            yield []
+            return outputs[1], run_memo("t")["who"]
+
+        outputs, _ = run_simulation(1, 0, [GeneratorProgram(outer())])
+        assert outputs == {1: ("inner-done", "outer")}
+        assert inner_seen == [{}]
 
 
 class TestTranscript:

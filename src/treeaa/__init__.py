@@ -10,33 +10,23 @@ from . import bounds
 from .adversaries import REGISTRY, AdversaryContext, make_adversary
 from .errors import TreeAAError
 from .generators import generate_tree
-from .gradecast import GradedValue, gradecast_all, run_gradecast
+from .gradecast import GradedValue, gradecast_all
 from .harness import ExperimentConfig, RunReport, emit_report, run_experiment
-from .paths import (
-    PathPair,
-    run_legacy_path_finder,
-    run_prefix_path_finder,
-    supported_prefix,
-)
-from .real_aa import (
-    closest_int,
-    plan_iterations,
-    run_real_aa,
-    trim_mean_update,
-)
+from .paths import PathPair, supported_prefix
+from .real_aa import check_resilience, closest_int, plan_iterations, trim_mean_update
 from .simnet import (
     Adversary,
     Envelope,
     GeneratorProgram,
     Transcript,
     replay_transcript,
+    run_machines,
     run_simulation,
 )
 from .tree_aa import (
-    TreeAAConfig,
+    MACHINES,
     TreeAAResult,
-    final_rounds,
-    old_rounds,
+    planned_rounds,
     run_final_tree_aa,
     run_tree_aa,
     run_tree_aa_old,
@@ -60,32 +50,29 @@ __all__ = [
     "GeneratorProgram",
     "GradedValue",
     "LabeledTree",
+    "MACHINES",
     "PathPair",
     "REGISTRY",
     "RunReport",
     "Transcript",
-    "TreeAAConfig",
     "TreeAAError",
     "TreeAAResult",
     "bounds",
+    "check_resilience",
     "closest_int",
     "emit_report",
-    "final_rounds",
     "generate_tree",
     "gradecast_all",
     "is_prefix",
     "longest_common_prefix",
     "make_adversary",
-    "old_rounds",
     "parse_tree",
     "plan_iterations",
+    "planned_rounds",
     "replay_transcript",
     "run_experiment",
     "run_final_tree_aa",
-    "run_gradecast",
-    "run_legacy_path_finder",
-    "run_prefix_path_finder",
-    "run_real_aa",
+    "run_machines",
     "run_simulation",
     "run_tree_aa",
     "run_tree_aa_old",

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import InvalidParams
-from .simnet import Adversary, Envelope, Program, SimulationView
+from .real_aa import plan_iterations, real_aa_machine
+from .simnet import Adversary, Envelope, GeneratorProgram, Program, SimulationView
 
 
 @dataclass
@@ -165,14 +166,11 @@ def context_for_real_aa(n: int, t: int, d_bound: float, epsilon: float,
                         lo_input: float | None = None,
                         hi_input: float | None = None) -> AdversaryContext:
     """Context for attacking a bare real-valued agreement run."""
-    from .real_aa import planned_rounds, real_aa_machine
-    from .simnet import GeneratorProgram
-
     return AdversaryContext(
         program_factory=lambda pid, value: GeneratorProgram(
             real_aa_machine(n, t, pid, value, d_bound, epsilon)
         ),
         lo_input=-2.0 * abs(d_bound) if lo_input is None else lo_input,
         hi_input=2.0 * abs(d_bound) if hi_input is None else hi_input,
-        planned_rounds=planned_rounds(n, t, d_bound, epsilon),
+        planned_rounds=3 * plan_iterations(n, t, d_bound, epsilon),
     )

@@ -13,13 +13,20 @@ from .adversaries import REGISTRY
 from .errors import TreeAAError
 from .generators import KINDS, generate_tree
 from .harness import ExperimentConfig, all_good, emit_report, run_experiment
+from .tree_aa import MACHINES
 
 
-def _parse_seeds(spec: str) -> tuple[int, ...]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return tuple(range(int(lo), int(hi)))
-    return tuple(int(s) for s in spec.split(","))
+def _parse_seeds(ctx, param, spec: str | None) -> list[int] | None:
+    """--seeds callback: "lo:hi" or a comma list; a usage error otherwise."""
+    if spec is None:
+        return None
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            return list(range(int(lo), int(hi)))
+        return [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise click.BadParameter(f'expected "lo:hi" or a comma list, got {spec!r}') from None
 
 
 @click.group()
@@ -38,8 +45,9 @@ def main():
 @click.option("--inputs", default=None,
               help='"random", "endpoints", or comma-separated vertex labels.')
 @click.option("--adversary", type=click.Choice(sorted(REGISTRY)), default=None)
-@click.option("--seeds", default=None, help='Range "lo:hi" or comma list, default "0:10".')
-@click.option("--mode", type=click.Choice(["final", "legacy"]), default=None)
+@click.option("--seeds", default=None, callback=_parse_seeds,
+              help='Range "lo:hi" or comma list, default "0:10".')
+@click.option("--mode", type=click.Choice(sorted(MACHINES)), default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), help="Report file.")
 @click.option("--format", "out_format", type=click.Choice(["json", "csv"]), default=None)
 @click.option("--emit-transcripts", "emit_transcripts",
@@ -66,7 +74,7 @@ def run(config_path, tree_file, gen_spec, n, t, inputs, adversary, seeds, mode,
     if adversary is not None:
         data["adversary"] = adversary
     if seeds is not None:
-        data["seeds"] = list(_parse_seeds(seeds))
+        data["seeds"] = seeds
     elif "seeds" not in data:
         data["seeds"] = list(range(10))
     if mode is not None:

@@ -134,17 +134,3 @@ def gradecast_all(n: int, t: int, pid: int, value: bytes):
     candidates = _tallied(n, t, inbox, TAG_ECHO, compute_candidates)
     inbox = yield broadcast(n, frame(TAG_VOTE, encode_vector(candidates)))
     return dict(_tallied(n, t, inbox, TAG_VOTE, grade_votes))
-
-
-def run_gradecast(n, t, values, adversary=None, seed=0, round_cap=60):
-    """Convenience runner: one gradecast invocation over the simulator.
-
-    ``values`` maps pid to the byte string that party distributes.  Returns
-    ({honest pid: {sender pid: GradedValue}}, transcript).
-    """
-    from .simnet import GeneratorProgram, run_simulation
-
-    programs = [
-        GeneratorProgram(gradecast_all(n, t, pid, values[pid])) for pid in range(1, n + 1)
-    ]
-    return run_simulation(n, t, programs, adversary, seed, round_cap)

@@ -17,15 +17,9 @@ from . import bounds
 from .adversaries import REGISTRY, AdversaryContext, make_adversary
 from .errors import InvalidParams
 from .generators import KINDS, generate_tree
+from .real_aa import check_resilience
 from .simnet import GeneratorProgram
-from .tree_aa import (
-    final_rounds,
-    final_tree_aa_machine,
-    old_rounds,
-    run_final_tree_aa,
-    run_tree_aa_old,
-    tree_aa_old_machine,
-)
+from .tree_aa import planned_rounds, protocol, run_final_tree_aa, run_tree_aa_old
 from .trees import LabeledTree, parse_tree
 
 CSV_HEADER = "seed,mode,n,t,tree_kind,vertices,diameter,rounds,lb_rounds,max_dist,valid"
@@ -44,10 +38,8 @@ class ExperimentConfig:
     emit_transcripts: str | None = None
 
     def __post_init__(self):
-        if self.t < 0 or self.n <= 3 * self.t:
-            raise InvalidParams(f"need 0 <= t < n/3, got n={self.n} t={self.t}")
-        if self.mode not in ("final", "legacy"):
-            raise InvalidParams(f"mode must be final or legacy, got {self.mode!r}")
+        check_resilience(self.n, self.t)
+        protocol(self.mode)  # InvalidParams for an unknown mode
         if self.out_format not in ("json", "csv"):
             raise InvalidParams(f"format must be json or csv, got {self.out_format!r}")
         if self.adversary not in REGISTRY:
@@ -150,9 +142,10 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
             adversary_name: str, inputs: dict[int, str], seed: int,
             emit_dir: str | None = None) -> RunReport:
     """Execute one protocol run and grade it with the tree oracles."""
-    machine = final_tree_aa_machine if mode == "final" else tree_aa_old_machine
+    machine = protocol(mode).machine  # InvalidParams for an unknown mode
+    planned = planned_rounds(tree, n, t, mode)
+    # Module globals looked up per call, so a wrapper installed on either is seen.
     runner = run_final_tree_aa if mode == "final" else run_tree_aa_old
-    planned = final_rounds(tree, n, t) if mode == "final" else old_rounds(tree, n, t)
     lo, hi = _extreme_inputs(tree)
     ctx = AdversaryContext(
         program_factory=lambda pid, value: GeneratorProgram(machine(tree, n, t, pid, value)),

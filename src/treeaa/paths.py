@@ -126,6 +126,7 @@ class LegacyPathResult:
 
 
 def legacy_rounds(tree: LabeledTree, n: int, t: int) -> int:
+    """Exact round count of the legacy finder; Euler indices lie within 2|V|."""
     return 3 * plan_iterations(n, t, 2 * len(tree), 1.0)
 
 
@@ -139,26 +140,3 @@ def legacy_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, inpu
     # inside 1..|L|; vertex_at raising would mean a protocol bug.
     endpoint = euler.vertex_at(landed)
     return LegacyPathResult(tree.path_from_root(endpoint), index, landed, result)
-
-
-def run_prefix_path_finder(tree, n, t, inputs, adversary=None, seed=0):
-    """({honest pid: PathPair}, transcript) for one finder invocation."""
-    from .simnet import GeneratorProgram, run_simulation
-
-    programs = [
-        GeneratorProgram(prefix_path_finder_machine(tree, n, t, pid, inputs[pid]))
-        for pid in range(1, n + 1)
-    ]
-    return run_simulation(n, t, programs, adversary, seed, round_cap=60)
-
-
-def run_legacy_path_finder(tree, n, t, inputs, adversary=None, seed=0):
-    """({honest pid: LegacyPathResult}, transcript) for one finder invocation."""
-    from .simnet import GeneratorProgram, run_simulation
-
-    programs = [
-        GeneratorProgram(legacy_path_finder_machine(tree, n, t, pid, inputs[pid]))
-        for pid in range(1, n + 1)
-    ]
-    cap = 10 * (3 + legacy_rounds(tree, n, t))
-    return run_simulation(n, t, programs, adversary, seed, cap)

@@ -33,6 +33,12 @@ def closest_int(j: float) -> int:
     return z if j - z < 0.5 else z + 1
 
 
+def check_resilience(n: int, t: int) -> None:
+    """The protocols' resilience condition: 0 <= t < n/3."""
+    if t < 0 or n <= 3 * t:
+        raise InvalidParams(f"need 0 <= t < n/3, got n={n} t={t}")
+
+
 @lru_cache(maxsize=1024)
 def plan_iterations(n: int, t: int, d_bound: float, epsilon: float) -> int:
     """Smallest iteration count R with d * t^R / (R^R (n-2t)^R) <= eps.
@@ -42,8 +48,7 @@ def plan_iterations(n: int, t: int, d_bound: float, epsilon: float) -> int:
     Cached: every machine of a run asks with the same configuration, and
     the arguments are never bytes from the wire.
     """
-    if t < 0 or n <= 3 * t:
-        raise InvalidParams(f"need 0 <= t < n/3, got n={n} t={t}")
+    check_resilience(n, t)
     if not (d_bound > 0 and math.isfinite(d_bound)):
         raise InvalidParams(f"d_bound must be positive and finite, got {d_bound!r}")
     if not (epsilon > 0 and math.isfinite(epsilon)):
@@ -151,25 +156,3 @@ def real_aa_machine(n: int, t: int, pid: int, value: float, d_bound: float, epsi
         current, blacklist = trim_mean_update(decoded, blacklist, n, t)
         history.append(current)
     return RealAAResult(current, frozenset(blacklist), tuple(history), plan)
-
-
-def planned_rounds(n: int, t: int, d_bound: float, epsilon: float) -> int:
-    return 3 * plan_iterations(n, t, d_bound, epsilon)
-
-
-def run_real_aa(n, t, inputs, d_bound, epsilon, adversary=None, seed=0):
-    """Run one invocation over the simulator.
-
-    ``inputs`` maps pid to that party's real input.  Returns
-    ({honest pid: output value}, transcript, {honest pid: RealAAResult}).
-    """
-    from .simnet import GeneratorProgram, run_simulation
-
-    programs = [
-        GeneratorProgram(real_aa_machine(n, t, pid, inputs[pid], d_bound, epsilon))
-        for pid in range(1, n + 1)
-    ]
-    cap = 10 * (3 + planned_rounds(n, t, d_bound, epsilon))
-    results, transcript = run_simulation(n, t, programs, adversary, seed, cap)
-    outputs = {pid: res.value for pid, res in results.items()}
-    return outputs, transcript, results

@@ -162,28 +162,8 @@ class SimulationView:
         self._sim = sim
 
     @property
-    def n(self) -> int:
-        return self._sim.n
-
-    @property
-    def t(self) -> int:
-        return self._sim.t
-
-    @property
-    def round(self) -> int:
-        return self._sim.round
-
-    @property
     def corrupted(self) -> frozenset[int]:
         return frozenset(self._sim.corrupted)
-
-    @property
-    def envelopes(self) -> Sequence[Envelope]:
-        return self._sim.transcript.envelopes
-
-    @property
-    def events(self) -> Sequence[tuple[str, int, int]]:
-        return self._sim.transcript.events
 
     def inbox_of(self, pid: int, round: int) -> list[Envelope]:
         """Messages sent to pid in `round` (delivered at that round's end)."""
@@ -262,8 +242,6 @@ class GeneratorProgram(Program):
 
 class _Simulation:
     def __init__(self, n: int, t: int, seed: int):
-        self.n = n
-        self.t = t
         self.round = 0
         self.corrupted: set[int] = set()
         self.transcript = Transcript(n, t, seed)
@@ -374,6 +352,18 @@ def _run(n, t, programs, adversary, seed, round_cap):
         if pid not in sim.corrupted
     }
     return outputs, tr
+
+
+def run_machines(n: int, t: int, machine: Callable[[int], Any],
+                 adversary: Adversary | None = None, seed: int = 0,
+                 round_cap: int = DEFAULT_ROUND_CAP) -> tuple[dict[int, Any], Transcript]:
+    """Run one protocol: ``machine(pid)`` is party pid's generator, pids 1..n.
+
+    The one entry point for generator machines; returns run_simulation's
+    ({pid: output}, transcript).
+    """
+    programs = [GeneratorProgram(machine(pid)) for pid in range(1, n + 1)]
+    return run_simulation(n, t, programs, adversary, seed, round_cap)
 
 
 def broadcast(n: int, payload: bytes) -> list[tuple[int, bytes]]:

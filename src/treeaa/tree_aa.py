@@ -5,18 +5,21 @@ vertex positions along a path:
 
 * final mode runs the 3-round prefix finder, projects each input onto the
   party's path p, agrees on the projected position, and reads the answer
-  off the longer path q (3 + 3 * plan(n, t, D, 1) rounds);
+  off the longer path q;
 * legacy mode first agrees on a path via the Euler-list finder, then
   repeats the projection step on that path, clamping a landed position
   that falls just past a shorter path's end to the path's last vertex.
 
-Trees of diameter at most 1 make the problem trivial; runners short-circuit
-to returning each party's own input in zero rounds.
+``MACHINES`` is the one table of modes and ``planned_rounds`` the one
+round formula: the finder's rounds plus 3 * plan(n, t, D, 1).  Trees of
+diameter at most 1 make the problem trivial; runners short-circuit to
+returning each party's own input in zero rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import InvalidParams, ProtocolViolation
 from .paths import (
@@ -27,37 +30,8 @@ from .paths import (
     prefix_path_finder_machine,
 )
 from .real_aa import RealAAResult, closest_int, plan_iterations, real_aa_machine
+from .simnet import Transcript, run_machines
 from .trees import LabeledTree, Path
-
-__all__ = [
-    "closest_int",
-    "TreeAAConfig",
-    "TreeAAResult",
-    "tree_aa_machine",
-    "final_tree_aa_machine",
-    "tree_aa_old_machine",
-    "final_rounds",
-    "old_rounds",
-    "run_tree_aa",
-    "run_final_tree_aa",
-    "run_tree_aa_old",
-]
-
-
-@dataclass(frozen=True)
-class TreeAAConfig:
-    """Validated experiment parameters for the tree protocols."""
-
-    tree: LabeledTree
-    n: int
-    t: int
-    mode: str = "final"
-
-    def __post_init__(self):
-        if self.mode not in ("final", "legacy"):
-            raise InvalidParams(f"mode must be final or legacy, got {self.mode!r}")
-        if self.t < 0 or self.n <= 3 * self.t:
-            raise InvalidParams(f"need 0 <= t < n/3, got n={self.n} t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -107,35 +81,11 @@ def tree_aa_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: s
 
 def final_tree_aa_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
     pair: PathPair = yield from prefix_path_finder_machine(tree, n, t, pid, input_vertex)
-    result = yield from tree_aa_machine(tree, n, t, pid, input_vertex, pair.p, pair.q)
-    return result
-
-
-def _counted(machine):
-    """Drive a sub-machine, measuring the rounds it consumes."""
-    rounds = 0
-    try:
-        out = machine.send(None)
-        while True:
-            rounds += 1
-            inbox = yield out
-            out = machine.send(inbox)
-    except StopIteration as stop:
-        return rounds, stop.value
+    return (yield from tree_aa_machine(tree, n, t, pid, input_vertex, pair.p, pair.q))
 
 
 def tree_aa_old_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
-    finder_window = legacy_rounds(tree, n, t)
-    consumed, finder = yield from _counted(
-        legacy_path_finder_machine(tree, n, t, pid, input_vertex)
-    )
-    if consumed > finder_window:
-        raise ProtocolViolation(f"finder took {consumed} rounds, window is {finder_window}")
-    # Wait out the finder window so all parties enter the second agreement
-    # together; with the fixed iteration plan everyone already has, so this
-    # never actually idles.
-    for _ in range(finder_window - consumed):
-        yield []
+    finder = yield from legacy_path_finder_machine(tree, n, t, pid, input_vertex)
     path = finder.path
     k = len(path)
     index = _projection_index(tree, path, input_vertex)
@@ -148,41 +98,53 @@ def tree_aa_old_machine(tree: LabeledTree, n: int, t: int, pid: int, input_verte
     return TreeAAResult(output, path, path, index, landed, clamped, result, finder)
 
 
-def final_rounds(tree: LabeledTree, n: int, t: int) -> int:
-    """Exact simulated round count of the final protocol."""
+class Protocol(NamedTuple):
+    machine: Callable  # (tree, n, t, pid, input vertex) -> generator returning TreeAAResult
+    finder_rounds: Callable[[LabeledTree, int, int], int]  # (tree, n, t) -> rounds
+
+
+MACHINES = {
+    "final": Protocol(final_tree_aa_machine, lambda tree, n, t: 3),  # one gradecast
+    "legacy": Protocol(tree_aa_old_machine, legacy_rounds),
+}
+
+
+def protocol(mode: str) -> Protocol:
+    """MACHINES[mode]; InvalidParams for an unknown mode."""
+    try:
+        return MACHINES[mode]
+    except KeyError:
+        raise InvalidParams(f"mode must be one of {sorted(MACHINES)}, got {mode!r}") from None
+
+
+def planned_rounds(tree: LabeledTree, n: int, t: int, mode: str) -> int:
+    """Exact simulated round count of the ``mode`` protocol on ``tree``."""
+    finder_rounds = protocol(mode).finder_rounds
     if tree.diameter <= 1:
         return 0
-    return 3 + 3 * plan_iterations(n, t, float(tree.diameter), 1.0)
+    return finder_rounds(tree, n, t) + 3 * plan_iterations(n, t, float(tree.diameter), 1.0)
 
 
-def old_rounds(tree: LabeledTree, n: int, t: int) -> int:
-    """Exact simulated round count of the legacy protocol."""
-    if tree.diameter <= 1:
-        return 0
-    return legacy_rounds(tree, n, t) + 3 * plan_iterations(n, t, float(tree.diameter), 1.0)
+def _run(tree, n, t, inputs, mode, adversary, seed, machine=None):
+    """({honest pid: label}, transcript, {honest pid: TreeAAResult}) of one run.
 
-
-def _run(tree, n, t, inputs, machine_factory, planned, adversary=None, seed=0):
-    from .simnet import GeneratorProgram, Transcript, run_simulation
-
+    Every party runs ``machine`` (by default the ``mode`` machine) on its
+    input; ``mode``'s planned rounds set the round cap.
+    """
+    machine = machine or protocol(mode).machine
     for pid in range(1, n + 1):
         tree._require(inputs[pid])
     if tree.diameter <= 1:
-        outputs = {pid: inputs[pid] for pid in range(1, n + 1)}
-        results = {
-            pid: TreeAAResult(inputs[pid], (inputs[pid],), (inputs[pid],), 1, 1, False,
-                              RealAAResult(1.0, frozenset(), (1.0,), 0))
-            for pid in range(1, n + 1)
-        }
-        return outputs, Transcript(n, t, seed), results
-    programs = [
-        GeneratorProgram(machine_factory(tree, n, t, pid, inputs[pid]))
-        for pid in range(1, n + 1)
-    ]
-    cap = 10 * (3 + planned)
-    results, transcript = run_simulation(n, t, programs, adversary, seed, cap)
-    outputs = {pid: res.output for pid, res in results.items()}
-    return outputs, transcript, results
+        own = {pid: inputs[pid] for pid in range(1, n + 1)}
+        trivial = RealAAResult(1.0, frozenset(), (1.0,), 0)
+        results = {pid: TreeAAResult(v, (v,), (v,), 1, 1, False, trivial) for pid, v in own.items()}
+        transcript = Transcript(n, t, seed)
+    else:
+        results, transcript = run_machines(
+            n, t, lambda pid: machine(tree, n, t, pid, inputs[pid]), adversary, seed,
+            round_cap=10 * (3 + planned_rounds(tree, n, t, mode)),
+        )
+    return {pid: res.output for pid, res in results.items()}, transcript, results
 
 
 def run_tree_aa(tree, n, t, inputs, pairs, adversary=None, seed=0):
@@ -191,28 +153,20 @@ def run_tree_aa(tree, n, t, inputs, pairs, adversary=None, seed=0):
     ``pairs`` maps pid to a PathPair; returns ({honest pid: label},
     transcript, {honest pid: TreeAAResult}).
     """
-    from .simnet import GeneratorProgram, run_simulation
-
     for pid in range(1, n + 1):
         tree.validate_path(pairs[pid].p)
         tree.validate_path(pairs[pid].q)
-    programs = [
-        GeneratorProgram(
-            tree_aa_machine(tree, n, t, pid, inputs[pid], pairs[pid].p, pairs[pid].q)
-        )
-        for pid in range(1, n + 1)
-    ]
-    cap = 10 * (3 + 3 * plan_iterations(n, t, float(tree.diameter), 1.0))
-    results, transcript = run_simulation(n, t, programs, adversary, seed, cap)
-    outputs = {pid: res.output for pid, res in results.items()}
-    return outputs, transcript, results
+
+    def machine(tree, n, t, pid, vertex):
+        return tree_aa_machine(tree, n, t, pid, vertex, pairs[pid].p, pairs[pid].q)
+
+    # This is final mode without its finder, so final's round count caps it.
+    return _run(tree, n, t, inputs, "final", adversary, seed, machine)
 
 
 def run_final_tree_aa(tree, n, t, inputs, adversary=None, seed=0):
-    return _run(tree, n, t, inputs, final_tree_aa_machine, final_rounds(tree, n, t),
-                adversary, seed)
+    return _run(tree, n, t, inputs, "final", adversary, seed)
 
 
 def run_tree_aa_old(tree, n, t, inputs, adversary=None, seed=0):
-    return _run(tree, n, t, inputs, tree_aa_old_machine, old_rounds(tree, n, t),
-                adversary, seed)
+    return _run(tree, n, t, inputs, "legacy", adversary, seed)

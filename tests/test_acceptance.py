@@ -24,15 +24,15 @@ from treeaa import (
     closest_int,
     parse_tree,
     plan_iterations,
-    run_gradecast,
-    run_real_aa,
+    planned_rounds,
+    run_machines,
 )
 from treeaa.adversaries import REGISTRY, context_for_real_aa
 from treeaa.bounds import k_bound, k_bound_simple, lb_rounds, max_product_partition
 from treeaa.harness import assign_inputs, resolve_tree, run_one
-from treeaa.real_aa import CLOSE_SLACK, convergence_factor
+from treeaa.gradecast import gradecast_all
+from treeaa.real_aa import CLOSE_SLACK, convergence_factor, real_aa_machine
 from treeaa.simnet import Transcript
-from treeaa.tree_aa import final_rounds, old_rounds
 from treeaa.trees import LabeledTree
 
 EIGHT_DOC = "v1 v2\nv2 v3\nv3 v6\nv3 v7\nv2 v4\nv4 v8\nv2 v5\n"
@@ -161,6 +161,11 @@ _GC_VALUES4 = {pid: b"hv-%d" % pid for pid in range(1, 5)}
 _GC_ALPHABET = (b"v", b"w", None)
 
 
+def gradecast_once(n, t, values, adversary=None, seed=0):
+    """({honest pid: {sender pid: GradedValue}}, transcript) of one invocation."""
+    return run_machines(n, t, lambda pid: gradecast_all(n, t, pid, values[pid]), adversary, seed)
+
+
 def _gc_enumeration_chunk(c1) -> list[str]:
     bad = []
     r1 = dict(zip((1, 2, 3), c1))
@@ -168,7 +173,7 @@ def _gc_enumeration_chunk(c1) -> list[str]:
         for c3 in product(_GC_ALPHABET, repeat=3):
             script = InstanceScript(4, 4, r1, dict(zip((1, 2, 3), c2)),
                                     dict(zip((1, 2, 3), c3)))
-            outputs, transcript = run_gradecast(4, 1, _GC_VALUES4, script)
+            outputs, transcript = gradecast_once(4, 1, _GC_VALUES4, script)
             if transcript.rounds_used != 3:
                 bad.append(f"rounds {transcript.rounds_used} for {c1},{c2},{c3}")
             try:
@@ -188,7 +193,7 @@ def _gc_integrity_chunk(c2) -> list[str]:
     for c3 in product(_GC_ALPHABET, repeat=3):
         script = InstanceScript(4, target, {}, dict(zip((1, 2, 3), c2)),
                                 dict(zip((1, 2, 3), c3)))
-        outputs, _ = run_gradecast(4, 1, _GC_VALUES4, script)
+        outputs, _ = gradecast_once(4, 1, _GC_VALUES4, script)
         for receiver in (1, 2, 3):
             if outputs[receiver][target] != (_GC_VALUES4[target], 2):
                 bad.append(f"honest-sender integrity {c2},{c3}")
@@ -202,7 +207,7 @@ def _gc_registry_chunk(args) -> list[str]:
     for seed in seeds:
         ctx = context_for_real_aa(n, t, 100.0, 1.0)
         adversary = REGISTRY[name](ctx)
-        outputs, transcript = run_gradecast(n, t, values, adversary, seed=seed)
+        outputs, transcript = gradecast_once(n, t, values, adversary, seed=seed)
         if transcript.rounds_used != 3:
             bad.append(f"{name} n={n} seed={seed}: rounds {transcript.rounds_used}")
         try:
@@ -246,7 +251,10 @@ def _real_aa_chunk(args) -> list[str]:
         rng = random.Random(f"realaa-inputs:{n}:{d}:{seed}")
         inputs = {pid: rng.uniform(0.0, d) for pid in range(1, n + 1)}
         adversary = REGISTRY[name](context_for_real_aa(n, t, d, 1.0))
-        outputs, transcript, results = run_real_aa(n, t, inputs, d, 1.0, adversary, seed)
+        results, transcript = run_machines(
+            n, t, lambda pid: real_aa_machine(n, t, pid, inputs[pid], d, 1.0), adversary, seed
+        )
+        outputs = {pid: res.value for pid, res in results.items()}
         tag = f"{name} n={n} d={d:g} seed={seed}"
         honest = sorted(outputs)
         v0 = [inputs[pid] for pid in honest]
@@ -304,7 +312,7 @@ def test_criterion_05_iteration_cap():
 def _matrix_chunk(args):
     spec, n, t, mode, name, seeds = args
     tree, kind = _tree(spec)
-    expected = final_rounds(tree, n, t) if mode == "final" else old_rounds(tree, n, t)
+    expected = planned_rounds(tree, n, t, mode)
     agreement_bad: list[str] = []
     rounds_bad: list[str] = []
     for seed in seeds:

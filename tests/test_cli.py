@@ -40,6 +40,17 @@ def test_run_rejects_bad_threshold():
     assert "n/3" in result.output
 
 
+def test_run_rejects_malformed_seeds():
+    runner = CliRunner()
+    for seeds in ("x", "1:x", "0,,2"):
+        result = runner.invoke(main, [
+            "run", "--gen", "path:8", "--n", "4", "--t", "1", "--seeds", seeds,
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--seeds" in result.output
+        assert not isinstance(result.exception, ValueError)
+
+
 def test_run_with_config_file(tmp_path):
     cfg = {
         "tree_source": "star:5",

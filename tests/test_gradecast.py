@@ -1,8 +1,8 @@
 from itertools import product
 
-from treeaa import run_gradecast
-from treeaa.gradecast import GradedValue, received_vectors
-from treeaa.simnet import Adversary, GeneratorProgram, broadcast, run_simulation
+from treeaa.adversaries import REGISTRY, AdversaryContext
+from treeaa.gradecast import GradedValue, gradecast_all, received_vectors
+from treeaa.simnet import Adversary, GeneratorProgram, broadcast, run_machines
 from treeaa.wire import TAG_ECHO, encode_vector, frame
 
 from byzhelpers import InstanceScript, check_consistency
@@ -12,9 +12,14 @@ def values_for(n):
     return {pid: b"val-%d" % pid for pid in range(1, n + 1)}
 
 
+def gradecast_once(n, t, values, adversary=None, seed=0):
+    """({honest pid: {sender pid: GradedValue}}, transcript) of one invocation."""
+    return run_machines(n, t, lambda pid: gradecast_all(n, t, pid, values[pid]), adversary, seed)
+
+
 def test_honest_senders_deliver_grade_two():
     n = 4
-    outputs, transcript = run_gradecast(n, 1, values_for(n))
+    outputs, transcript = gradecast_once(n, 1, values_for(n))
     assert transcript.rounds_used == 3
     for receiver in range(1, n + 1):
         for sender in range(1, n + 1):
@@ -28,7 +33,7 @@ class SilentByz(Adversary):
 
 def test_silent_sender_yields_bottom_grade_zero():
     n = 4
-    outputs, transcript = run_gradecast(n, 1, values_for(n), SilentByz())
+    outputs, transcript = gradecast_once(n, 1, values_for(n), SilentByz())
     assert transcript.rounds_used == 3
     for receiver in (1, 2, 3):
         assert outputs[receiver][4] == GradedValue(None, 0)
@@ -47,21 +52,21 @@ def test_receivers_share_one_immutable_vector():
         got[pid] = received_vectors(n, inbox, TAG_ECHO)
         return None
 
-    run_simulation(n, 1, [GeneratorProgram(machine(pid)) for pid in range(1, n + 1)])
+    run_machines(n, 1, machine)
     shared = got[1][0]
     assert shared == (b"a", None, b"c", b"d")
     assert all(vec is shared for vectors in got.values() for vec in vectors)
 
 
 def test_each_receiver_gets_its_own_output_dict():
-    outputs, _ = run_gradecast(4, 1, values_for(4))
+    outputs, _ = gradecast_once(4, 1, values_for(4))
     outputs[1][1] = GradedValue(None, 0)
     assert outputs[2][1] == GradedValue(b"val-1", 2)
 
 
 def test_three_rounds_regardless_of_adversary():
     script = InstanceScript(4, 4, {1: b"x"}, {2: b"y"}, {3: None})
-    _, transcript = run_gradecast(4, 1, values_for(4), script)
+    _, transcript = gradecast_once(4, 1, values_for(4), script)
     assert transcript.rounds_used == 3
 
 
@@ -73,7 +78,7 @@ def test_equivocating_round_one_consistency():
         r1 = {q + 1: combo[q] for q in range(3)}
         honest_echo = {q: r1[q] for q in (1, 2, 3)}  # echoes what it sent
         script = InstanceScript(4, 4, r1, honest_echo, {})
-        outputs, _ = run_gradecast(n, 1, values_for(n), script, seed=3)
+        outputs, _ = gradecast_once(n, 1, values_for(n), script, seed=3)
         check_consistency(outputs, n)
         for receiver in (1, 2, 3):
             for sender in (1, 2, 3):
@@ -92,16 +97,12 @@ def test_byzantine_echo_cannot_break_honest_integrity():
             r2={1: echo_choice, 2: None, 3: echo_choice},
             r3={1: vote_choice, 2: vote_choice, 3: None},
         )
-        outputs, _ = run_gradecast(n, 1, values_for(n), script)
+        outputs, _ = gradecast_once(n, 1, values_for(n), script)
         for receiver in (1, 2, 3):
             assert outputs[receiver][target] == GradedValue(b"val-%d" % target, 2)
 
 
 def test_registry_adversaries_preserve_consistency():
-    from treeaa.adversaries import REGISTRY, AdversaryContext
-    from treeaa.gradecast import gradecast_all
-    from treeaa.simnet import GeneratorProgram
-
     n, t = 7, 2
     values = values_for(n)
     for name in sorted(REGISTRY):
@@ -113,7 +114,7 @@ def test_registry_adversaries_preserve_consistency():
                 planned_rounds=3,
             )
             adversary = REGISTRY[name](ctx)
-            outputs, transcript = run_gradecast(n, t, values, adversary, seed=seed)
+            outputs, transcript = gradecast_once(n, t, values, adversary, seed=seed)
             assert transcript.rounds_used == 3
             check_consistency(outputs, n)
             honest = set(outputs)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import treeaa
 from treeaa import generate_tree
 from treeaa.errors import InvalidParams
 from treeaa.harness import (
@@ -149,6 +150,12 @@ class TestRunExperiment:
             assert report.outputs[pid] in hull
         assert report.valid
 
+    def test_run_one_rejects_unknown_mode(self):
+        tree, kind = resolve_tree("path:20")
+        inputs = assign_inputs(tree, 4, "random", random.Random(0))
+        with pytest.raises(InvalidParams, match="fast"):
+            run_one(tree, kind, 4, 1, "fast", "silent", inputs, seed=0)
+
 
 class TestEmitReport:
     def make_reports(self):
@@ -178,3 +185,7 @@ class TestEmitReport:
     def test_empty_list_is_error(self):
         with pytest.raises(InvalidParams):
             emit_report([], "json")
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in treeaa.__all__ if not hasattr(treeaa, name)] == []

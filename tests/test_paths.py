@@ -8,8 +8,6 @@ from treeaa import (
     generate_tree,
     is_prefix,
     longest_common_prefix,
-    run_legacy_path_finder,
-    run_prefix_path_finder,
     supported_prefix,
 )
 from treeaa.adversaries import REGISTRY, AdversaryContext
@@ -20,11 +18,16 @@ from treeaa.paths import (
     legacy_rounds,
     prefix_path_finder_machine,
 )
-from treeaa.simnet import GeneratorProgram
+from treeaa.simnet import GeneratorProgram, run_machines
 from treeaa.trees import LabeledTree
 from treeaa.wire import encode_path
 
 import oracles
+
+
+def run_finder(machine, tree, n, t, inputs, adversary=None, seed=0):
+    """({honest pid: finder output}, transcript) of one finder invocation."""
+    return run_machines(n, t, lambda pid: machine(tree, n, t, pid, inputs[pid]), adversary, seed)
 
 
 class TestSupportedPrefix:
@@ -147,7 +150,7 @@ class TestDecodeTreePath:
         tree = generate_tree("path", 1000)
         far = max(tree.vertices, key=tree.depth)
         inputs = {1: far, 2: far, 3: far, 4: tree.root}
-        outputs, _ = run_prefix_path_finder(tree, 4, 1, inputs)
+        outputs, _ = run_finder(prefix_path_finder_machine, tree, 4, 1, inputs)
         assert all(pair.q == tree.path_from_root(far) for pair in outputs.values())
         assert "_wire_path_cache" not in tree.__dict__
 
@@ -195,7 +198,9 @@ def check_prefix_finder_outputs(tree, pairs, honest_inputs):
 class TestPrefixPathFinder:
     def test_unanimous_inputs(self, eight_vertex_tree):
         inputs = {pid: "v8" for pid in range(1, 5)}
-        pairs, transcript = run_prefix_path_finder(eight_vertex_tree, 4, 1, inputs)
+        pairs, transcript = run_finder(
+            prefix_path_finder_machine, eight_vertex_tree, 4, 1, inputs
+        )
         expected = eight_vertex_tree.path_between("v1", "v8")
         assert transcript.rounds_used == 3
         for pair in pairs.values():
@@ -203,7 +208,7 @@ class TestPrefixPathFinder:
 
     def test_two_honest_inputs_meet_at_lcp(self, eight_vertex_tree):
         inputs = {1: "v6", 2: "v8", 3: "v6", 4: "v8"}
-        pairs, _ = run_prefix_path_finder(eight_vertex_tree, 4, 0, inputs)
+        pairs, _ = run_finder(prefix_path_finder_machine, eight_vertex_tree, 4, 0, inputs)
         for pair in pairs.values():
             assert pair.p == ("v1", "v2")
             assert pair.q == ("v1", "v2")
@@ -217,7 +222,9 @@ class TestPrefixPathFinder:
                 rng = random.Random(f"fox:{name}:{seed}")
                 inputs = {pid: rng.choice(labels) for pid in range(1, n + 1)}
                 adversary = REGISTRY[name](prefix_ctx(tree, n, t))
-                pairs, transcript = run_prefix_path_finder(tree, n, t, inputs, adversary, seed)
+                pairs, transcript = run_finder(
+                    prefix_path_finder_machine, tree, n, t, inputs, adversary, seed
+                )
                 assert transcript.rounds_used == 3
                 honest_inputs = [inputs[pid] for pid in pairs]
                 check_prefix_finder_outputs(tree, pairs, honest_inputs)
@@ -239,7 +246,9 @@ def check_legacy_outputs(tree, results, honest_inputs):
 class TestLegacyPathFinder:
     def test_unanimous_inputs(self, eight_vertex_tree):
         inputs = {pid: "v7" for pid in range(1, 5)}
-        results, transcript = run_legacy_path_finder(eight_vertex_tree, 4, 1, inputs)
+        results, transcript = run_finder(
+            legacy_path_finder_machine, eight_vertex_tree, 4, 1, inputs
+        )
         expected = eight_vertex_tree.path_between("v1", "v7")
         assert transcript.rounds_used == legacy_rounds(eight_vertex_tree, 4, 1)
         for res in results.values():
@@ -249,7 +258,7 @@ class TestLegacyPathFinder:
         # honest inputs v3, v6, v5 enter with indices within {3..13}; every
         # reachable endpoint's path crosses the hull member v2.
         inputs = {1: "v3", 2: "v6", 3: "v5", 4: "v3"}
-        results, _ = run_legacy_path_finder(eight_vertex_tree, 4, 0, inputs)
+        results, _ = run_finder(legacy_path_finder_machine, eight_vertex_tree, 4, 0, inputs)
         euler = eight_vertex_tree.euler
         assert euler.index_of["v3"][0] == 3
         assert euler.index_of["v6"] == (4,)
@@ -282,7 +291,9 @@ class TestLegacyPathFinder:
                 rng = random.Random(f"legacy:{name}:{seed}")
                 inputs = {pid: rng.choice(labels) for pid in range(1, n + 1)}
                 adversary = REGISTRY[name](legacy_ctx(tree, n, t))
-                results, transcript = run_legacy_path_finder(tree, n, t, inputs, adversary, seed)
+                results, transcript = run_finder(
+                    legacy_path_finder_machine, tree, n, t, inputs, adversary, seed
+                )
                 assert transcript.rounds_used == legacy_rounds(tree, n, t)
                 honest_inputs = [inputs[pid] for pid in results]
                 check_legacy_outputs(tree, results, honest_inputs)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from treeaa import plan_iterations, run_real_aa, trim_mean_update
+from treeaa import plan_iterations, run_machines, trim_mean_update
 from treeaa.adversaries import REGISTRY, context_for_real_aa
 from treeaa.errors import InsufficientValues, InvalidParams, NonFinite
 from treeaa.gradecast import GradedValue
@@ -13,9 +13,19 @@ from treeaa.real_aa import (
     closed_form_iterations,
     closest_int,
     convergence_factor,
+    real_aa_machine,
 )
 
 MATRIX_NT = [(4, 1), (7, 2), (10, 3)]
+
+
+def real_aa_once(n, t, inputs, d_bound, epsilon, adversary=None, seed=0):
+    """({honest pid: value}, transcript, {honest pid: RealAAResult}) of one run."""
+    results, transcript = run_machines(
+        n, t, lambda pid: real_aa_machine(n, t, pid, inputs[pid], d_bound, epsilon),
+        adversary, seed,
+    )
+    return {pid: res.value for pid, res in results.items()}, transcript, results
 
 
 class TestPlanIterations:
@@ -155,7 +165,7 @@ class TestTrimMeanUpdate:
 class TestRunRealAA:
     def test_unanimous_inputs_fixpoint(self):
         inputs = {pid: 7.0 for pid in range(1, 5)}
-        outputs, transcript, _ = run_real_aa(4, 1, inputs, 100.0, 1.0)
+        outputs, transcript, _ = real_aa_once(4, 1, inputs, 100.0, 1.0)
         assert all(v == 7.0 for v in outputs.values())
 
     def test_unanimous_inputs_fixpoint_exact(self):
@@ -164,18 +174,18 @@ class TestRunRealAA:
         rng = random.Random("unanimous")
         for _ in range(300):
             x = rng.uniform(0, 1e6)
-            outputs, _, _ = run_real_aa(7, 2, {pid: x for pid in range(1, 8)}, 1e6, 1.0)
+            outputs, _, _ = real_aa_once(7, 2, {pid: x for pid in range(1, 8)}, 1e6, 1.0)
             assert set(outputs.values()) == {x}
 
     def test_zero_fault_average_in_one_iteration(self):
         inputs = {1: 0.0, 2: 4.0, 3: 8.0, 4: 12.0}
-        outputs, transcript, _ = run_real_aa(4, 0, inputs, 12.0, 1.0)
+        outputs, transcript, _ = real_aa_once(4, 0, inputs, 12.0, 1.0)
         assert outputs == {1: 6.0, 2: 6.0, 3: 6.0, 4: 6.0}
         assert transcript.rounds_used == 3  # exactly one 3-round iteration
 
     def test_round_accounting_exact(self):
         inputs = {pid: float(pid) for pid in range(1, 5)}
-        outputs, transcript, _ = run_real_aa(4, 1, inputs, 1000.0, 1.0)
+        outputs, transcript, _ = real_aa_once(4, 1, inputs, 1000.0, 1.0)
         assert transcript.rounds_used == 3 * plan_iterations(4, 1, 1000.0, 1.0)
 
     def test_registry_property_run(self):
@@ -186,7 +196,7 @@ class TestRunRealAA:
             for seed in range(50):
                 ctx = context_for_real_aa(n, t, d, 1.0)
                 adversary = REGISTRY[name](ctx)
-                outputs, transcript, results = run_real_aa(
+                outputs, transcript, results = real_aa_once(
                     n, t, base_inputs, d, 1.0, adversary, seed
                 )
                 honest = sorted(outputs)

@@ -6,14 +6,15 @@ from treeaa.errors import (
     NonTermination,
     StrategyViolation,
 )
+from treeaa.gradecast import gradecast_all
 from treeaa.simnet import (
     Adversary,
     Envelope,
-    GeneratorProgram,
     Program,
     Transcript,
     broadcast,
     replay_transcript,
+    run_machines,
     run_memo,
     run_simulation,
 )
@@ -131,8 +132,7 @@ class GeneratorEcho:
 
 def test_generator_program_adapter():
     n = 3
-    programs = [GeneratorProgram(GeneratorEcho.machine(n, pid)) for pid in range(1, n + 1)]
-    outputs, transcript = run_simulation(n, 0, programs)
+    outputs, transcript = run_machines(n, 0, lambda pid: GeneratorEcho.machine(n, pid))
     assert transcript.rounds_used == 1
     assert outputs[2] == tuple(sorted(b"gen-%d" % pid for pid in (1, 2, 3)))
 
@@ -142,8 +142,7 @@ def test_instant_output_takes_zero_rounds():
         return 42
         yield  # pragma: no cover
 
-    programs = [GeneratorProgram(instant()) for _ in range(3)]
-    outputs, transcript = run_simulation(3, 0, programs)
+    outputs, transcript = run_machines(3, 0, lambda pid: instant())
     assert outputs == {1: 42, 2: 42, 3: 42}
     assert transcript.rounds_used == 0
     assert transcript.envelopes == []
@@ -154,8 +153,7 @@ def test_generator_returning_none_finishes():
         yield broadcast(n, b"x")
         return None
 
-    programs = [GeneratorProgram(returns_none(4)) for _ in range(4)]
-    outputs, transcript = run_simulation(4, 1, programs, round_cap=50)
+    outputs, transcript = run_machines(4, 1, lambda pid: returns_none(4), round_cap=50)
     assert outputs == {1: None, 2: None, 3: None, 4: None}
     assert transcript.rounds_used == 1
 
@@ -174,11 +172,11 @@ class TestRunMemo:
             seen.append(run_memo("t"))
             return None
 
-        run_simulation(2, 0, [GeneratorProgram(machine()) for _ in range(2)])
+        run_machines(2, 0, lambda pid: machine())
         assert seen[0] is seen[1] is seen[2] is seen[3]
         assert seen[0] == {"k": "v"}
         assert run_memo("t") is None
-        run_simulation(2, 0, [GeneratorProgram(machine()) for _ in range(2)])
+        run_machines(2, 0, lambda pid: machine())
         assert seen[4] is not seen[0]
 
     def test_dropped_when_the_run_raises(self):
@@ -202,11 +200,11 @@ class TestRunMemo:
 
         def outer():
             run_memo("t")["who"] = "outer"
-            outputs, _ = run_simulation(1, 0, [GeneratorProgram(inner())])
+            outputs, _ = run_machines(1, 0, lambda pid: inner())
             yield []
             return outputs[1], run_memo("t")["who"]
 
-        outputs, _ = run_simulation(1, 0, [GeneratorProgram(outer())])
+        outputs, _ = run_machines(1, 0, lambda pid: outer())
         assert outputs == {1: ("inner-done", "outer")}
         assert inner_seen == [{}]
 
@@ -219,10 +217,7 @@ class TestTranscript:
         assert [env.sender for env in inboxes[1][2]] == [1, 2, 3]
 
     def test_replay_three_round_run(self):
-        from treeaa import run_gradecast
-
-        values = {pid: b"x" for pid in range(1, 5)}
-        _, tr = run_gradecast(4, 1, values)
+        _, tr = run_machines(4, 1, lambda pid: gradecast_all(4, 1, pid, b"x"))
         inboxes = replay_transcript(tr)
         assert set(inboxes) == {1, 2, 3}
         for rnd in inboxes:

@@ -4,9 +4,9 @@ import pytest
 
 from treeaa import (
     PathPair,
-    final_rounds,
     generate_tree,
-    old_rounds,
+    plan_iterations,
+    planned_rounds,
     run_final_tree_aa,
     run_tree_aa,
     run_tree_aa_old,
@@ -15,20 +15,20 @@ from treeaa.adversaries import REGISTRY, AdversaryContext
 from treeaa.errors import InvalidParams
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
 from treeaa.simnet import Adversary, Envelope, GeneratorProgram
-from treeaa.tree_aa import TreeAAConfig, final_tree_aa_machine, tree_aa_old_machine
+from treeaa.paths import legacy_rounds
+from treeaa.tree_aa import MACHINES
 from treeaa.trees import LabeledTree, is_prefix
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_double, encode_vector, frame
 
 
 def tree_ctx(tree, n, t, mode):
-    machine = final_tree_aa_machine if mode == "final" else tree_aa_old_machine
-    planned = final_rounds(tree, n, t) if mode == "final" else old_rounds(tree, n, t)
+    machine = MACHINES[mode].machine
     hi = max(tree.vertices, key=lambda v: (tree.depth(v), v))
     return AdversaryContext(
         program_factory=lambda pid, v: GeneratorProgram(machine(tree, n, t, pid, v)),
         lo_input=tree.root,
         hi_input=hi,
-        planned_rounds=planned,
+        planned_rounds=planned_rounds(tree, n, t, mode),
     )
 
 
@@ -46,13 +46,17 @@ def check_agreement(tree, inputs, outputs):
 class TestConfig:
     def test_rejects_bad_threshold(self, eight_vertex_tree):
         with pytest.raises(InvalidParams):
-            TreeAAConfig(eight_vertex_tree, 6, 2)
+            planned_rounds(eight_vertex_tree, 6, 2, "final")
         with pytest.raises(InvalidParams):
-            TreeAAConfig(eight_vertex_tree, 4, 1, mode="fast")
+            plan_iterations(6, 2, 10.0, 1.0)
+        with pytest.raises(InvalidParams):
+            planned_rounds(eight_vertex_tree, 4, 1, "fast")
 
     def test_accepts_valid(self, eight_vertex_tree):
-        cfg = TreeAAConfig(eight_vertex_tree, 4, 1, mode="legacy")
-        assert cfg.t == 1
+        agree = 3 * plan_iterations(4, 1, float(eight_vertex_tree.diameter), 1.0)
+        assert planned_rounds(eight_vertex_tree, 4, 1, "final") == 3 + agree
+        legacy = planned_rounds(eight_vertex_tree, 4, 1, "legacy")
+        assert legacy == legacy_rounds(eight_vertex_tree, 4, 1) + agree
 
 
 class TestTreeAAGivenPaths:
@@ -115,13 +119,13 @@ class TestEndToEnd:
         inputs = {pid: "v6" for pid in range(1, 5)}
         outputs, transcript, _ = run_final_tree_aa(eight_vertex_tree, 4, 1, inputs)
         assert set(outputs.values()) == {"v6"}
-        assert transcript.rounds_used == final_rounds(eight_vertex_tree, 4, 1)
+        assert transcript.rounds_used == planned_rounds(eight_vertex_tree, 4, 1, "final")
 
     def test_unanimous_legacy(self, eight_vertex_tree):
         inputs = {pid: "v6" for pid in range(1, 5)}
         outputs, transcript, _ = run_tree_aa_old(eight_vertex_tree, 4, 1, inputs)
         assert set(outputs.values()) == {"v6"}
-        assert transcript.rounds_used == old_rounds(eight_vertex_tree, 4, 1)
+        assert transcript.rounds_used == planned_rounds(eight_vertex_tree, 4, 1, "legacy")
 
     def test_path_endpoints_with_silent_faults(self):
         tree = generate_tree("path", 50)
@@ -130,7 +134,7 @@ class TestEndToEnd:
         adversary = REGISTRY["silent"](tree_ctx(tree, 4, 1, "final"))
         outputs, transcript, _ = run_final_tree_aa(tree, 4, 1, inputs, adversary, seed=1)
         check_agreement(tree, inputs, outputs)
-        assert transcript.rounds_used == final_rounds(tree, 4, 1)
+        assert transcript.rounds_used == planned_rounds(tree, 4, 1, "final")
 
     def test_thousand_edge_path_endpoints(self):
         # Inputs at the two ends of a 1001-vertex path: outputs must be
@@ -141,7 +145,7 @@ class TestEndToEnd:
         adversary = REGISTRY["silent"](tree_ctx(tree, 4, 1, "final"))
         outputs, transcript, _ = run_final_tree_aa(tree, 4, 1, inputs, adversary, seed=5)
         check_agreement(tree, inputs, outputs)
-        assert transcript.rounds_used == final_rounds(tree, 4, 1)
+        assert transcript.rounds_used == planned_rounds(tree, 4, 1, "final")
 
     def test_trivial_diameter_short_circuit(self):
         tree = LabeledTree([("a", "b")])
@@ -172,7 +176,7 @@ class TestEndToEnd:
         tree = eight_vertex_tree
         labels = sorted(tree.vertices)
         for mode, runner in (("final", run_final_tree_aa), ("legacy", run_tree_aa_old)):
-            expected = final_rounds(tree, 4, 1) if mode == "final" else old_rounds(tree, 4, 1)
+            expected = planned_rounds(tree, 4, 1, mode)
             for name in sorted(REGISTRY):
                 for seed in range(5):
                     rng = random.Random(f"e2e:{mode}:{name}:{seed}")
@@ -246,7 +250,7 @@ class TestLegacyClampBranch:
         outputs, transcript, results = run_tree_aa_old(
             tree, n, t, inputs, ClampFixture(), seed=0
         )
-        assert transcript.rounds_used == old_rounds(tree, n, t) == 12
+        assert transcript.rounds_used == planned_rounds(tree, n, t, "legacy") == 12
         # The finder really split: 1..3 hold (a,b,c), 4..5 hold (a,b,c,d).
         for pid in (1, 2, 3):
             assert results[pid].finder.path == ("a", "b", "c")

@@ -58,7 +58,12 @@ def run(config_path, tree_file, gen_spec, n, t, inputs, adversary, seeds, mode,
     """Run a protocol experiment; exit 0 iff every run was valid and 1-close."""
     data: dict = {}
     if config_path:
-        data.update(json.loads(FilePath(config_path).read_text(encoding="utf-8")))
+        try:
+            data = json.loads(FilePath(config_path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise click.BadParameter(f"not a JSON document: {exc}", param_hint="--config") from None
+        if not isinstance(data, dict):
+            raise click.BadParameter("the top level must be a JSON object", param_hint="--config")
     if tree_file and gen_spec:
         raise click.UsageError("--tree and --gen are mutually exclusive")
     if tree_file:

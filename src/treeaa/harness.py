@@ -25,6 +25,10 @@ from .trees import LabeledTree, parse_tree
 CSV_HEADER = "seed,mode,n,t,tree_kind,vertices,diameter,rounds,lb_rounds,max_dist,valid"
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     tree_source: str  # "kind:size[:seed]" generator spec or a file path
@@ -38,6 +42,20 @@ class ExperimentConfig:
     emit_transcripts: str | None = None
 
     def __post_init__(self):
+        # A JSON config can hold any type; refuse wrong ones before they are used.
+        for name in ("n", "t"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidParams(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.seeds, (list, tuple)) or not all(map(_is_int, self.seeds)):
+            raise InvalidParams(f"seeds must be a list of integers, got {self.seeds!r}")
+        for name in ("tree_source", "adversary", "mode", "out_format"):
+            if not isinstance(getattr(self, name), str):
+                raise InvalidParams(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not (isinstance(self.inputs, str) or isinstance(self.inputs, (list, tuple))
+                and all(isinstance(label, str) for label in self.inputs)):
+            raise InvalidParams(f"inputs must be a string or a list of labels, got {self.inputs!r}")
+        if not (self.emit_transcripts is None or isinstance(self.emit_transcripts, str)):
+            raise InvalidParams(f"emit_transcripts must be a directory name, got {self.emit_transcripts!r}")
         check_resilience(self.n, self.t)
         protocol(self.mode)  # InvalidParams for an unknown mode
         if self.out_format not in ("json", "csv"):

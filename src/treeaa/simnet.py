@@ -20,13 +20,15 @@ simulation is strictly single-threaded, distinct simulations share nothing.
 One run memoises decoding (``run_memo``): honest parties receive
 byte-identical broadcasts, so its machines and adversary shadows decode and
 tally each distinct input once.  The memo is keyed by value and dropped
-when the run ends.
+when the run ends.  A transcript file is one canonical JSON line per
+envelope, each ending in a newline (``Transcript.to_jsonl``); ``from_jsonl``
+accepts exactly those lines and raises CorruptTranscript on anything else.
 """
 
 from __future__ import annotations
 
-import json
 import random
+import re
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -67,6 +69,13 @@ def memoised(table: str, key: Any, compute: Callable[[], Any]) -> Any:
     return value
 
 
+# One to_jsonl line; [0-9], not \d, which also matches non-ASCII digits.
+_RECORD = re.compile(
+    r'\{"round":(0|[1-9][0-9]*),"sender":(0|[1-9][0-9]*),"receiver":(0|[1-9][0-9]*),'
+    r'"payload_hex":"([0-9a-f]*)"\}\n'
+)
+
+
 class Envelope(NamedTuple):
     round: int
     sender: int
@@ -89,39 +98,30 @@ class Transcript:
         return {pid for kind, _, pid in self.events if kind == "corrupt"}
 
     def to_jsonl(self) -> str:
-        """Line-delimited JSON, one envelope per line, stable field order."""
-        lines = []
-        for env in self.envelopes:
-            lines.append(
-                json.dumps(
-                    {
-                        "round": env.round,
-                        "sender": env.sender,
-                        "receiver": env.receiver,
-                        "payload_hex": env.payload.hex(),
-                    },
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One canonical JSON line per envelope, each ending in a newline."""
+        return "".join([
+            f'{{"round":{e.round},"sender":{e.sender},"receiver":{e.receiver},'
+            f'"payload_hex":"{e.payload.hex()}"}}\n'
+            for e in self.envelopes
+        ])
 
     @classmethod
     def from_jsonl(cls, text: str, n: int | None = None, t: int = 0, seed: int = 0) -> "Transcript":
+        """Parse exactly what ``to_jsonl`` writes; CorruptTranscript names the first other line."""
         envelopes = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                env = Envelope(
-                    int(rec["round"]),
-                    int(rec["sender"]),
-                    int(rec["receiver"]),
-                    bytes.fromhex(rec["payload_hex"]),
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise CorruptTranscript(f"bad record: {line!r}") from exc
-            envelopes.append(env)
+        end = 0
+        for m in _RECORD.finditer(text):
+            if m.start() != end:
+                break
+            try:  # odd-length hex, or an int too long for int()
+                envelopes.append(Envelope(int(m[1]), int(m[2]), int(m[3]), bytes.fromhex(m[4])))
+            except ValueError:
+                break
+            end = m.end()
+        if end != len(text):
+            line = text.count("\n", 0, end) + 1
+            bad = text[end:end + 80].partition("\n")[0]
+            raise CorruptTranscript(f"line {line} is not a canonical envelope record: {bad!r}")
         inferred = n or max((max(e.sender, e.receiver) for e in envelopes), default=0)
         rounds = max((e.round for e in envelopes), default=0)
         return cls(inferred, t, seed, envelopes, [], rounds)
@@ -295,9 +295,9 @@ def _run(n, t, programs, adversary, seed, round_cap):
             outbox = programs[pid - 1].on_round(rnd, inboxes[pid])
             envs = []
             for receiver, payload in outbox:
-                if not 1 <= receiver <= n:
-                    raise ProtocolViolation(f"party {pid} addressed invalid receiver {receiver}")
-                envs.append(Envelope(rnd, pid, receiver, bytes(payload)))
+                if type(receiver) is not int or not 1 <= receiver <= n:
+                    raise ProtocolViolation(f"party {pid} addressed invalid receiver {receiver!r}")
+                envs.append(Envelope(rnd, pid, receiver, payload if type(payload) is bytes else bytes(payload)))
             pending[pid] = envs
             if programs[pid - 1].done and pid not in reported:
                 reported.add(pid)
@@ -334,8 +334,8 @@ def _run(n, t, programs, adversary, seed, round_cap):
                     raise StrategyViolation(f"byzantine envelope for round {env.round} in round {rnd}")
                 if env.sender != pid:
                     raise StrategyViolation(f"party {pid} tried to spoof sender {env.sender}")
-                if not 1 <= env.receiver <= n:
-                    raise StrategyViolation(f"byzantine receiver {env.receiver} out of range")
+                if type(env.receiver) is not int or not 1 <= env.receiver <= n:
+                    raise StrategyViolation(f"byzantine receiver {env.receiver!r} is not a party id")
                 env = Envelope(rnd, pid, env.receiver, bytes(env.payload))
                 round_envs.append(env)
                 tr.envelopes.append(env)

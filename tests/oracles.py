@@ -7,6 +7,7 @@ so the two sides can legitimately disagree when the package is wrong.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 
@@ -166,3 +167,20 @@ def supported_prefix_by_depth(entries, min_grade: int, threshold: int):
     if not prefix:
         raise NoSupport(f"no prefix supported by {threshold} entries")
     return tuple(prefix)
+
+
+def to_jsonl_by_json(envelopes) -> str:
+    """The original Transcript.to_jsonl: one json.dumps call per envelope."""
+    lines = [
+        json.dumps(
+            {
+                "round": env.round,
+                "sender": env.sender,
+                "receiver": env.receiver,
+                "payload_hex": env.payload.hex(),
+            },
+            separators=(",", ":"),
+        )
+        for env in envelopes
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from treeaa.cli import main
@@ -68,6 +69,46 @@ def test_run_with_config_file(tmp_path):
     result = runner.invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 0, result.output
     assert len(json.loads(result.output)) == 3
+
+
+CONFIG = {"tree_source": "path:8", "n": 4, "t": 1, "seeds": [0, 1]}
+
+
+@pytest.mark.parametrize("override", [
+    {"seeds": "0:2"},
+    {"seeds": [0, "1"]},
+    {"seeds": [0, True]},
+    {"seeds": 3},
+    {"seeds": []},
+    {"n": 4.5},
+    {"n": True},
+    {"t": "1"},
+    {"tree_source": 8},
+    {"adversary": ["silent"]},
+    {"mode": None},
+    {"out_format": 1},
+    {"inputs": 5},
+    {"inputs": ["v0", 1]},
+    {"emit_transcripts": 1},
+])
+def test_run_config_rejects_wrong_types(tmp_path, override):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, **override}), encoding="utf-8")
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output
+    assert '"valid"' not in result.output
+
+
+@pytest.mark.parametrize("document", ['{"n": 4,', "[1,2]", '"path:8"', "\xff"])
+def test_run_config_must_be_a_json_object(tmp_path, document):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(document.encode("latin-1"))
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "--config" in result.output
 
 
 def test_gen_tree_roundtrips_through_run(tmp_path):

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import to_jsonl_by_json
 from treeaa.errors import (
     CorruptTranscript,
     InvalidParams,
     NonTermination,
+    ProtocolViolation,
     StrategyViolation,
 )
 from treeaa.gradecast import gradecast_all
@@ -94,6 +97,42 @@ def test_uncorrupting_is_violation():
 def test_sender_spoofing_is_violation():
     with pytest.raises(StrategyViolation):
         echo_run(n=4, adversary=Forger())
+
+
+class SendsOnceTo(Program):
+    def __init__(self, receiver):
+        self.receiver = receiver
+        self.result = None
+
+    def on_round(self, round, inbox):
+        if round == 1:
+            return [(self.receiver, b"x")]
+        self.result = "done"
+        return []
+
+
+class ByzantineSendsTo(Adversary):
+    def __init__(self, receiver):
+        self.receiver = receiver
+
+    def corrupt_decision(self, round, view):
+        return {1}
+
+    def byzantine_send(self, round, pid, view):
+        return [Envelope(round, pid, self.receiver, b"x")]
+
+
+# True and 2.0 compare as party ids 1 and 2 but would be written as true and 2.0.
+@pytest.mark.parametrize("receiver", [True, 2.0, "2", None, 0, 4])
+def test_honest_receiver_must_be_an_int_party_id(receiver):
+    with pytest.raises(ProtocolViolation):
+        run_simulation(3, 0, [SendsOnceTo(receiver) for _ in range(3)])
+
+
+@pytest.mark.parametrize("receiver", [True, 2.0, "2", None, 0, 5])
+def test_byzantine_receiver_must_be_an_int_party_id(receiver):
+    with pytest.raises(StrategyViolation):
+        echo_run(n=4, adversary=ByzantineSendsTo(receiver))
 
 
 def test_round_cap_turns_liveness_bug_into_error():
@@ -254,6 +293,52 @@ class TestTranscript:
     def test_jsonl_rejects_garbage(self):
         with pytest.raises(CorruptTranscript):
             Transcript.from_jsonl('{"round": 1}\n')
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(Envelope, st.integers(0, 10**6), st.integers(0, 10**6),
+                              st.integers(0, 10**6), st.binary(max_size=300)), max_size=20))
+    @example([])
+    def test_jsonl_matches_json_oracle_and_round_trips(self, envelopes):
+        text = Transcript(3, 0, 0, envelopes).to_jsonl()
+        assert text == to_jsonl_by_json(envelopes)
+        back = Transcript.from_jsonl(text)
+        assert back.envelopes == envelopes
+        assert back.to_jsonl() == text
+        assert back.rounds_used == max((e.round for e in envelopes), default=0)
+        assert back.n == max((max(e.sender, e.receiver) for e in envelopes), default=0)
+
+    CANONICAL = '{"round":1,"sender":2,"receiver":3,"payload_hex":"0aff"}\n'
+
+    @pytest.mark.parametrize("text", [
+        '{"round": 1, "sender": 2, "receiver": 3, "payload_hex": "0aff"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"0aff"} \n',
+        '{"sender":2,"round":1,"receiver":3,"payload_hex":"0aff"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"0AFF"}\n',
+        CANONICAL + "\n" + CANONICAL,
+        "\n" + CANONICAL,
+        "\n",
+        CANONICAL + CANONICAL[:-1],
+        CANONICAL[:-1] + "\r\n",
+        '{"round":01,"sender":2,"receiver":3,"payload_hex":"0aff"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"0af"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"\\u0030aff"}\n',
+        '{"\\u0072ound":1,"sender":2,"receiver":3,"payload_hex":"0aff"}\n',
+        '{"round":\u0661,"sender":2,"receiver":3,"payload_hex":"0aff"}\n',
+        '{"round":1,"sender":\uff12,"receiver":3,"payload_hex":"0aff"}\n',
+        '{"round":1,"sender":2,"receiver":-3,"payload_hex":"0aff"}\n',
+        '{"round":1,"sender":2,"receiver":true,"payload_hex":"0aff"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"0a ff"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"0aff","x":0}\n',
+    ])
+    def test_jsonl_refuses_non_canonical_lines(self, text):
+        assert Transcript.from_jsonl(self.CANONICAL).envelopes == [Envelope(1, 2, 3, b"\n\xff")]
+        with pytest.raises(CorruptTranscript):
+            Transcript.from_jsonl(text)
+
+    def test_jsonl_error_names_the_first_bad_line(self):
+        text = self.CANONICAL * 2 + self.CANONICAL.upper() + self.CANONICAL[:-1]
+        with pytest.raises(CorruptTranscript, match="line 3"):
+            Transcript.from_jsonl(text)
 
     def test_jsonl_stable_field_order(self):
         _, tr = echo_run()

@@ -150,12 +150,6 @@ def assign_inputs(tree: LabeledTree, n: int, spec: str | Sequence[str],
     return {pid: labels[(pid - 1) % len(labels)] for pid in range(1, n + 1)}
 
 
-def _extreme_inputs(tree: LabeledTree) -> tuple[str, str]:
-    # Low extreme: the start vertex itself; high: a deepest vertex.
-    hi = max(tree.vertices, key=lambda v: (tree.depth(v), v))
-    return tree.root, hi
-
-
 def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
             adversary_name: str, inputs: dict[int, str], seed: int,
             emit_dir: str | None = None) -> RunReport:
@@ -164,11 +158,10 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
     planned = planned_rounds(tree, n, t, mode)
     # Module globals looked up per call, so a wrapper installed on either is seen.
     runner = run_final_tree_aa if mode == "final" else run_tree_aa_old
-    lo, hi = _extreme_inputs(tree)
     ctx = AdversaryContext(
         program_factory=lambda pid, value: GeneratorProgram(machine(tree, n, t, pid, value)),
-        lo_input=lo,
-        hi_input=hi,
+        lo_input=tree.root,  # the extremes: the start vertex and a deepest vertex
+        hi_input=tree.deepest,
         planned_rounds=planned,
     )
     adversary = make_adversary(adversary_name, ctx)

@@ -3,7 +3,7 @@
 Two ways for the parties to converge on (nearly) the same path of the
 input tree:
 
-* the prefix finder gradecasts every party's path from the start vertex to
+* the prefix finder gradecasts every party's path from the root to
   its input and keeps the longest prefix supported by n - t senders, once
   at grade 2 (the party's own path P) and once at grade >= 1 (the more
   permissive path Q every honest P is a prefix of);
@@ -24,27 +24,49 @@ from .gradecast import gradecast_all
 from .real_aa import RealAAResult, closest_int, plan_iterations, real_aa_machine
 from .simnet import memoised
 from .trees import LabeledTree, Path
-from .wire import decode_path, encode_path
+# decode_path and encode_path go unused here; perfbench traces them at this name.
+from .wire import _MAX_PATH_VERTICES, _U32, decode_path, encode_path
 
 Entry = tuple[Path | None, int]  # decoded path (None when invalid) and its grade
 
 
-def decode_tree_path(tree: LabeledTree, data: bytes, start: str) -> Path | None:
-    """Decode and validate a wire path: simple, adjacent, starting at start.
+def root_path_bytes(tree: LabeledTree, v: str) -> bytes:
+    """``encode_path(tree.path_from_root(v))``, joined from the tree's records."""
+    path = tree.path_from_root(v)
+    return _U32.pack(len(path)) + b"".join(map(tree.wire_records[0].__getitem__, path))
 
-    Anything else is None; a Byzantine sender's malformed bytes count for
-    nothing.  A run decodes each (tree, bytes, start) once for all
-    receivers (``simnet.memoised``); the run holds the tree alive, so the
-    tree itself is a sound key while the memo lives.
+
+def decode_tree_path(tree: LabeledTree, data: bytes) -> Path | None:
+    """Decode and validate a wire path: simple, adjacent, starting at the root.
+
+    Anything else, the empty path included, is None; a Byzantine sender's
+    malformed bytes count for nothing.  A run decodes each (tree, bytes)
+    once for all receivers (``simnet.memoised``); the run holds the tree
+    alive, so the tree itself is a sound key while the memo lives.
     """
-    return memoised("tree_path", (tree, data, start), lambda: _checked_path(tree, data, start))
+    return memoised("tree_path", (tree, data), lambda: _root_path(tree, data))
 
 
-def _checked_path(tree: LabeledTree, data: bytes, start: str) -> Path | None:
-    path = decode_path(data)
-    if path is not None and (path[0] != start or not tree.is_path(path)):
+def _root_path(tree: LabeledTree, data: bytes) -> Path | None:
+    """The path from the root to the v with ``data == root_path_bytes(tree, v)``.
+
+    A non-empty simple path of adjacent vertices from the root is exactly
+    ``path_from_root`` of its last vertex, and the encoding is canonical
+    (exact lengths, strict UTF-8), so this is decode_path + root check +
+    is_path.  The last vertex's record ends the data; every record length
+    is tried, as one label's bytes may end in another label's record.
+    """
+    if len(data) < 4:
         return None
-    return path
+    (size,) = _U32.unpack_from(data)
+    if not 0 < size <= _MAX_PATH_VERTICES:
+        return None
+    _, labels, lengths = tree.wire_records
+    for length in lengths:
+        v = labels.get(data[-length:])
+        if v is not None and tree.depth(v) == size - 1 and root_path_bytes(tree, v) == data:
+            return tree.path_from_root(v)
+    return None
 
 
 def supported_prefix(entries: Sequence[Entry], min_grade: int, threshold: int) -> Path:
@@ -99,18 +121,14 @@ class PathPair:
 
 def prefix_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
     """3-round machine returning a PathPair (one gradecast invocation)."""
-    start = tree.root
-    own = memoised(
-        "own_path", (tree, input_vertex),
-        lambda: encode_path(tree.path_from_root(input_vertex)),
-    )
+    own = memoised("own_path", (tree, input_vertex), lambda: root_path_bytes(tree, input_vertex))
     graded = yield from gradecast_all(n, t, pid, own)
     entries: list[Entry] = []
     for sender in range(1, n + 1):
         value, grade = graded[sender]
         path = None
         if grade > 0 and value is not None:
-            path = decode_tree_path(tree, value, start)
+            path = decode_tree_path(tree, value)
         entries.append((path, grade if path is not None else 0))
     p = supported_prefix(entries, min_grade=2, threshold=n - t)
     q = supported_prefix(entries, min_grade=1, threshold=n - t)

@@ -19,6 +19,8 @@ returning each party's own input in zero rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Callable, NamedTuple
 
 from .errors import InvalidParams, ProtocolViolation
@@ -58,11 +60,8 @@ def _projection_index(tree: LabeledTree, path: Path, vertex: str) -> int:
     """
     if path[0] == tree.root:
         mine = tree.path_from_root(vertex)
-        limit = min(len(mine), len(path))
-        i = 0
-        while i < limit and mine[i] == path[i]:
-            i += 1
-        return i
+        # First mismatch, found by C iterators as in paths.supported_prefix.
+        return next(compress(count(), map(ne, mine, path)), min(len(mine), len(path)))
     return path.index(tree.project_onto_path(path, vertex)) + 1
 
 

@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     UnknownVertex,
 )
+from .wire import path_entry
 
 Path = tuple[str, ...]
 
@@ -236,6 +237,15 @@ class LabeledTree:
             self._from_root_cache[v] = cached
         return cached
 
+    @cached_property
+    def wire_records(self) -> tuple[dict[str, bytes], dict[bytes, str], tuple[int, ...]]:
+        """Each label's ``wire.path_entry``, the reverse map, and the distinct
+        entry lengths; built on first use, so trees never sent as paths do
+        not pay for it."""
+        records = {v: path_entry(v) for v in self._order}
+        lengths = tuple(sorted({len(r) for r in records.values()}))
+        return records, {r: v for v, r in records.items()}, lengths
+
     def is_path(self, seq: tuple[str, ...]) -> bool:
         """True iff seq is a non-empty simple path of adjacent vertices."""
         if not seq or len(set(seq)) != len(seq):
@@ -358,6 +368,12 @@ class LabeledTree:
         a = self._farthest_from(self.root)
         b = self._farthest_from(a)
         return (a, b) if a <= b else (b, a)
+
+    @cached_property
+    def deepest(self) -> str:
+        """A vertex of maximum depth; the largest label among ties."""
+        depth = self._depth
+        return max(self._order, key=lambda v: (depth[v], v))
 
     def _farthest_from(self, s: str) -> str:
         dist = {s: 0}

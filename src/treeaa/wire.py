@@ -12,13 +12,16 @@ length, body.  Bodies:
   big-endian length and the UTF-8 label bytes.
 
 Decoders never raise on foreign bytes: anything malformed decodes to None,
-which protocol layers treat as an absent or grade-0 message.
+which protocol layers treat as an absent or grade-0 message.  A label
+longer than a path entry's 2-byte length field can hold cannot be sent.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+
+from .errors import InvalidParams
 
 TAG_VALUE = 0x01
 TAG_ECHO = 0x02
@@ -105,6 +108,15 @@ def encode_path(path: tuple[str, ...]) -> bytes:
         parts.append(_U16.pack(len(raw)))
         parts.append(raw)
     return b"".join(parts)
+
+
+def path_entry(label: str) -> bytes:
+    """One label of a tree path; InvalidParams if its length does not fit."""
+    raw = label.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise InvalidParams(f"a label of {len(raw)} UTF-8 bytes cannot be sent as a "
+                            "path entry; the limit is 65535 bytes")
+    return _U16.pack(len(raw)) + raw
 
 
 def decode_path(data: bytes) -> tuple[str, ...] | None:

@@ -12,7 +12,7 @@ import random
 from collections import deque
 
 from treeaa.errors import NoSupport
-
+from treeaa.wire import decode_path
 
 
 def adjacency(tree) -> dict[str, set[str]]:
@@ -167,6 +167,17 @@ def supported_prefix_by_depth(entries, min_grade: int, threshold: int):
     if not prefix:
         raise NoSupport(f"no prefix supported by {threshold} entries")
     return tuple(prefix)
+
+
+def checked_path_by_decode(tree, data: bytes):
+    """The original decode_tree_path check: reference decode, root, is_path.
+
+    The empty path is None too (the original raised IndexError on it).
+    """
+    path = decode_path(data)
+    if not path or path[0] != tree.root or not tree.is_path(path):
+        return None
+    return path
 
 
 def to_jsonl_by_json(envelopes) -> str:

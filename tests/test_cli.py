@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 from click.testing import CliRunner
@@ -121,6 +122,22 @@ def test_gen_tree_roundtrips_through_run(tmp_path):
         "run", "--tree", str(doc), "--n", "4", "--t", "1", "--seeds", "0:2",
     ])
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("mode,exit_code", [("final", 1), ("legacy", 0)])
+def test_label_too_long_to_send(tmp_path, mode, exit_code):
+    # Only final mode sends labels; their length field holds 65,535 bytes.
+    doc = tmp_path / "tree.txt"
+    doc.write_text("a b\nb " + "x" * 70_000 + "\n")
+    result = CliRunner().invoke(main, [
+        "run", "--tree", str(doc), "--n", "4", "--t", "1", "--inputs", "endpoints",
+        "--mode", mode,
+    ])
+    assert result.exit_code == exit_code, result.output
+    assert not isinstance(result.exception, struct.error)
+    if exit_code:
+        assert "Error: a label of 70000 UTF-8 bytes" in result.output
+        assert "Traceback" not in result.output
 
 
 def test_bounds_command():

@@ -14,6 +14,7 @@ from treeaa.adversaries import REGISTRY, AdversaryContext
 from treeaa.errors import NoSupport
 from treeaa.paths import (
     decode_tree_path,
+    root_path_bytes,
     legacy_path_finder_machine,
     legacy_rounds,
     prefix_path_finder_machine,
@@ -136,15 +137,27 @@ def test_supported_prefix_matches_per_depth_reference(case):
 class TestDecodeTreePath:
     def test_valid(self, eight_vertex_tree):
         path = eight_vertex_tree.path_between("v1", "v8")
-        assert decode_tree_path(eight_vertex_tree, encode_path(path), "v1") == path
+        assert decode_tree_path(eight_vertex_tree, encode_path(path)) == path
 
     def test_wrong_start(self, eight_vertex_tree):
         path = eight_vertex_tree.path_between("v2", "v8")
-        assert decode_tree_path(eight_vertex_tree, encode_path(path), "v1") is None
+        assert decode_tree_path(eight_vertex_tree, encode_path(path)) is None
 
     def test_non_path(self, eight_vertex_tree):
-        assert decode_tree_path(eight_vertex_tree, encode_path(("v1", "v3")), "v1") is None
-        assert decode_tree_path(eight_vertex_tree, b"\xde\xad", "v1") is None
+        assert decode_tree_path(eight_vertex_tree, encode_path(("v1", "v3"))) is None
+        assert decode_tree_path(eight_vertex_tree, b"\xde\xad") is None
+
+    def test_empty_path_is_refused(self, eight_vertex_tree):
+        assert decode_tree_path(eight_vertex_tree, encode_path(())) is None
+
+    def test_label_ending_in_another_labels_record(self):
+        # "x\0\1a" ends in the record of "a", the shortest record length:
+        # trying that length alone would find "a" and refuse the path.
+        tree = LabeledTree([("a", "b"), ("b", "x\x00\x01a")])
+        path = tree.path_from_root("x\x00\x01a")
+        assert encode_path(path).endswith(tree.wire_records[0]["a"])
+        assert decode_tree_path(tree, encode_path(path)) == path
+        assert decode_tree_path(tree, encode_path(("a",))) == ("a",)
 
     def test_run_leaves_no_memo_on_the_tree(self):
         tree = generate_tree("path", 1000)
@@ -153,6 +166,70 @@ class TestDecodeTreePath:
         outputs, _ = run_finder(prefix_path_finder_machine, tree, 4, 1, inputs)
         assert all(pair.q == tree.path_from_root(far) for pair in outputs.values())
         assert "_wire_path_cache" not in tree.__dict__
+
+
+LABELS = st.text(st.characters(codec="utf-8"), max_size=5)  # NUL, controls, multi-byte
+
+
+@st.composite
+def wire_trees(draw):
+    """A random tree over arbitrary UTF-8 labels, sometimes with a label whose
+    bytes end in another label's record."""
+    labels = draw(st.lists(LABELS, min_size=1, max_size=30, unique=True))
+    if draw(st.booleans()):
+        raw = labels[0].encode("utf-8")
+        shadow = draw(LABELS) + (len(raw).to_bytes(2, "big") + raw).decode("utf-8")
+        if shadow not in labels:
+            labels.append(shadow)
+    labels = draw(st.permutations(labels))
+    edges = [(labels[draw(st.integers(0, i - 1))], labels[i]) for i in range(1, len(labels))]
+    return LabeledTree(edges, vertices=labels)
+
+
+@st.composite
+def wire_inputs(draw, tree):
+    """Bytes near a valid root path: the path itself or one corruption of it."""
+    labels = sorted(tree.vertices)
+    path = tree.path_from_root(draw(st.sampled_from(labels)))
+    good = encode_path(path)
+    kind = draw(st.sampled_from([
+        "valid", "truncated", "appended", "flipped", "shuffled", "non-root",
+        "non-adjacent", "count off by one", "count over limit", "empty", "random",
+    ]))
+    if kind == "valid":
+        return good
+    if kind == "truncated":
+        return good[: draw(st.integers(0, len(good) - 1))]
+    if kind == "appended":
+        return good + draw(st.binary(min_size=1, max_size=8))
+    if kind == "flipped":
+        i = draw(st.integers(0, len(good) - 1))
+        return good[:i] + bytes([good[i] ^ draw(st.integers(1, 255))]) + good[i + 1:]
+    if kind == "shuffled":
+        return encode_path(tuple(draw(st.permutations(path))))
+    if kind == "non-root":
+        u, w = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+        return encode_path(tree.path_between(u, w))
+    if kind == "non-adjacent":
+        return encode_path(tuple(draw(st.lists(st.sampled_from(labels), min_size=1, max_size=6))))
+    if kind == "count off by one":
+        return (len(path) + draw(st.sampled_from([-1, 1]))).to_bytes(4, "big") + good[4:]
+    if kind == "count over limit":
+        return ((1 << 20) + draw(st.integers(1, 1 << 11))).to_bytes(4, "big") + good[4:]
+    if kind == "empty":
+        return encode_path(())
+    return draw(st.binary(max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decode_tree_path_matches_reference_decode(data):
+    tree = data.draw(wire_trees())
+    for v in tree.vertices:
+        assert root_path_bytes(tree, v) == encode_path(tree.path_from_root(v))
+    for _ in range(5):
+        raw = data.draw(wire_inputs(tree))
+        assert decode_tree_path(tree, raw) == oracles.checked_path_by_decode(tree, raw)
 
 
 def prefix_ctx(tree, n, t):

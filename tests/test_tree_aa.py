@@ -11,7 +11,7 @@ from treeaa import (
     run_tree_aa,
     run_tree_aa_old,
 )
-from treeaa.adversaries import REGISTRY, AdversaryContext
+from treeaa.adversaries import REGISTRY, AdversaryContext, RegistryAdversary
 from treeaa.errors import InvalidParams
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
 from treeaa.simnet import Adversary, Envelope, GeneratorProgram
@@ -266,6 +266,32 @@ class TestLegacyClampBranch:
             assert results[pid].landed_index == 4
             assert not results[pid].clamped
             assert outputs[pid] == "d"
+        check_agreement(tree, inputs, outputs)
+
+
+class EmptyPathSender(RegistryAdversary):
+    """Party 1 runs an honest shadow but gradecasts the empty path."""
+
+    def corrupt_decision(self, round, view):
+        return {1}
+
+    def outbox(self, round, pid, view):
+        honest = self.shadow(pid, pid, self.ctx.lo_input).advance(pid, view, round)
+        if round == 1:
+            return [(receiver, frame(TAG_VALUE, b"\x00\x00\x00\x00")) for receiver, _ in honest]
+        return honest
+
+
+class TestByzantinePathBytes:
+    def test_empty_path_counts_as_absent(self):
+        tree = generate_tree("path", 20)
+        n, t = 4, 1
+        a, b = tree.diameter_endpoints
+        inputs = {1: a, 2: a, 3: b, 4: b}
+        adversary = EmptyPathSender(tree_ctx(tree, n, t, "final"))
+        outputs, transcript, _ = run_final_tree_aa(tree, n, t, inputs, adversary, seed=0)
+        assert sorted(outputs) == [2, 3, 4]
+        assert transcript.rounds_used == planned_rounds(tree, n, t, "final")
         check_agreement(tree, inputs, outputs)
 
 

@@ -10,6 +10,7 @@ from treeaa.errors import (
     DuplicateEdge,
     EmptyInput,
     EmptySet,
+    InvalidParams,
     InvalidPath,
     ParseError,
     UnknownVertex,
@@ -294,3 +295,25 @@ class TestPrefixes:
             lcp = longest_common_prefix(p, q)
             assert lcp
             assert lcp[-1] in tree.convex_hull({a, b})
+
+
+class TestWireTables:
+    def test_deepest_is_the_largest_label_at_maximum_depth(self):
+        for seed in range(40):
+            tree, _ = random_tree(seed)
+            parent = oracles.rooted_parents(oracles.adjacency(tree), tree.root)
+            depth = {v: len(oracles.ancestors(parent, v)) - 1 for v in tree.vertices}
+            assert tree.deepest == max(tree.vertices, key=lambda v: (depth[v], v))
+
+    def test_records_round_trip(self):
+        tree = LabeledTree([("a", "\x00"), ("a", "\u00e9\u4e2d")])
+        records, labels, lengths = tree.wire_records
+        assert records["\u00e9\u4e2d"] == b"\x00\x05\xc3\xa9\xe4\xb8\xad"
+        assert {labels[r]: r for r in records.values()} == records
+        assert lengths == (3, 7)
+
+    def test_label_too_long_for_a_path_entry(self):
+        tree = LabeledTree([("a", "b"), ("b", "x" * 70_000)])  # building is fine
+        with pytest.raises(InvalidParams, match="70000 UTF-8 bytes.*65535"):
+            tree.wire_records
+        assert LabeledTree([("a", "x" * 65_535)]).wire_records[2] == (3, 65_537)

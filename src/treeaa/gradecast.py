@@ -18,9 +18,11 @@ so the per-instance output is well defined; the guarantees themselves
 (integrity for honest senders, grade/value consistency across honest
 receivers) are established by the adversarial test suites, not assumed.
 
-Inside a simulation each distinct echo or vote frame is decoded once and
-each distinct inbox tallied once (``simnet.memoised``); a Byzantine
-sender's per-receiver frames differ, so they are still decoded apart.
+Inside a simulation each distinct echo or vote frame is decoded once, and
+each distinct inbox (its first payload per sender) gets its echo outbox,
+vote outbox and grades built once (``simnet.memoised``); outboxes are
+tuples, so the parties sharing one cannot alter it.  A Byzantine sender's
+per-receiver frames differ, so the inboxes they reach are still told apart.
 """
 
 from __future__ import annotations
@@ -114,23 +116,23 @@ def grade_votes(n: int, t: int, votes: list[Vector | None]) -> dict[int, GradedV
     return outputs
 
 
-def _tallied(n: int, t: int, inbox: Iterable[Envelope], tag: int, tally):
-    """tally(n, t, received_vectors(...)), once per distinct inbox in a run.
-
-    A tally reads only each sender's first payload, so those are the key.
-    """
-    payloads = first_payload_by_sender(inbox)
-    key = (n, t, tag, tuple(payloads.get(s) for s in range(1, n + 1)))
-    return memoised("tally", key, lambda: tally(n, t, received_vectors(n, inbox, tag)))
+def _inbox_key(n: int, inbox: Iterable[Envelope]) -> tuple[bytes | None, ...]:
+    """Each sender's first payload, senders 1..n: all that a reply reads."""
+    return tuple(map(first_payload_by_sender(inbox).get, range(1, n + 1)))
 
 
 def gradecast_all(n: int, t: int, pid: int, value: bytes):
-    """3-round machine; returns {sender pid: GradedValue} for all n instances."""
+    """3-round machine; returns {sender pid: GradedValue} for all n instances.
+
+    Past round 1 a party's messages and output depend only on its inbox
+    key, so each is built once per distinct key in a run and shared.
+    """
     inbox = yield broadcast(n, frame(TAG_VALUE, value))
-    mine = received_values(n, inbox)
-    inbox = yield broadcast(n, frame(TAG_ECHO, encode_vector(mine)))
-    # Tallies are shared with every receiver of the same inbox: the
-    # candidates are only read, the grades are copied before they leave.
-    candidates = _tallied(n, t, inbox, TAG_ECHO, compute_candidates)
-    inbox = yield broadcast(n, frame(TAG_VOTE, encode_vector(candidates)))
-    return dict(_tallied(n, t, inbox, TAG_VOTE, grade_votes))
+    inbox = yield memoised("echo", (n, _inbox_key(n, inbox)), lambda: broadcast(
+        n, frame(TAG_ECHO, encode_vector(received_values(n, inbox)))))
+    inbox = yield memoised("vote", (n, t, _inbox_key(n, inbox)), lambda: broadcast(
+        n, frame(TAG_VOTE, encode_vector(
+            compute_candidates(n, t, received_vectors(n, inbox, TAG_ECHO))))))
+    # The grades are shared too; each party gets its own copy of the dict.
+    return dict(memoised("grades", (n, t, _inbox_key(n, inbox)),
+                         lambda: grade_votes(n, t, received_vectors(n, inbox, TAG_VOTE))))

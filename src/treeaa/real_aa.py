@@ -67,18 +67,6 @@ def plan_iterations(n: int, t: int, d_bound: float, epsilon: float) -> int:
             raise InvalidParams("iteration search diverged")
 
 
-def closed_form_iterations(delta: float) -> int:
-    """ceil(20/9 * log2(delta) / log2(log2(delta))); defined for delta > 2.
-
-    Only used as a cross-check ceiling on plan_iterations in tests; the
-    plan itself comes from the exact search, which is total for any d/eps.
-    """
-    if delta <= 2:
-        raise InvalidParams("closed form needs delta > 2")
-    lg = math.log2(delta)
-    return math.ceil(20.0 / 9.0 * lg / math.log2(lg))
-
-
 def convergence_factor(n: int, t: int, r: int) -> float:
     """t^R / (R^R (n-2t)^R), the guaranteed range shrink after R iterations."""
     if r == 0:

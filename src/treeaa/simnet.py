@@ -18,9 +18,10 @@ communication round, so a 3-round protocol consumes exactly 3 rounds.
 Everything is a pure function of (n, t, programs, adversary, seed): one
 simulation is strictly single-threaded, distinct simulations share nothing.
 One run memoises decoding (``run_memo``): honest parties receive
-byte-identical broadcasts, so its machines and adversary shadows decode and
-tally each distinct input once.  The memo is keyed by value and dropped
-when the run ends.  A transcript file is one canonical JSON line per
+byte-identical broadcasts, so its machines and adversary shadows decode
+each distinct input once and build the outbox answering each distinct
+inbox once.  The memo is keyed by value and dropped when the run ends; its
+values are shared by parties, so they are immutable (an outbox is a tuple).  A transcript file is one canonical JSON line per
 envelope, each ending in a newline (``Transcript.to_jsonl``); ``from_jsonl``
 accepts exactly those lines and raises CorruptTranscript on anything else.
 """
@@ -69,10 +70,12 @@ def memoised(table: str, key: Any, compute: Callable[[], Any]) -> Any:
     return value
 
 
-# One to_jsonl line; [0-9], not \d, which also matches non-ASCII digits.
+# One to_jsonl line; [0-9], not \d, which also matches non-ASCII digits.  The
+# hex is checked after the match (see from_jsonl): scanning it with
+# [0-9a-f]* here costs twice as much.
 _RECORD = re.compile(
     r'\{"round":(0|[1-9][0-9]*),"sender":(0|[1-9][0-9]*),"receiver":(0|[1-9][0-9]*),'
-    r'"payload_hex":"([0-9a-f]*)"\}\n'
+    r'"payload_hex":"([^"]*)"\}\n'
 )
 
 
@@ -81,6 +84,11 @@ class Envelope(NamedTuple):
     sender: int
     receiver: int
     payload: bytes
+
+
+# Envelope's own __new__ is a Python function; the hot loops build through
+# tuple.__new__ directly, at about half the cost, with the same result.
+_new = tuple.__new__
 
 
 @dataclass
@@ -113,10 +121,13 @@ class Transcript:
         for m in _RECORD.finditer(text):
             if m.start() != end:
                 break
-            try:  # odd-length hex, or an int too long for int()
-                envelopes.append(Envelope(int(m[1]), int(m[2]), int(m[3]), bytes.fromhex(m[4])))
+            try:  # bad hex, or an int too long for int()
+                env = _new(Envelope, (int(m[1]), int(m[2]), int(m[3]), bytes.fromhex(m[4])))
             except ValueError:
                 break
+            if env.payload.hex() != m[4]:  # fromhex also takes whitespace and upper case
+                break
+            envelopes.append(env)
             end = m.end()
         if end != len(text):
             line = text.count("\n", 0, end) + 1
@@ -297,7 +308,8 @@ def _run(n, t, programs, adversary, seed, round_cap):
             for receiver, payload in outbox:
                 if type(receiver) is not int or not 1 <= receiver <= n:
                     raise ProtocolViolation(f"party {pid} addressed invalid receiver {receiver!r}")
-                envs.append(Envelope(rnd, pid, receiver, payload if type(payload) is bytes else bytes(payload)))
+                envs.append(_new(Envelope, (rnd, pid, receiver,
+                                            payload if type(payload) is bytes else bytes(payload))))
             pending[pid] = envs
             if programs[pid - 1].done and pid not in reported:
                 reported.add(pid)
@@ -336,7 +348,7 @@ def _run(n, t, programs, adversary, seed, round_cap):
                     raise StrategyViolation(f"party {pid} tried to spoof sender {env.sender}")
                 if type(env.receiver) is not int or not 1 <= env.receiver <= n:
                     raise StrategyViolation(f"byzantine receiver {env.receiver!r} is not a party id")
-                env = Envelope(rnd, pid, env.receiver, bytes(env.payload))
+                env = _new(Envelope, (rnd, pid, env.receiver, bytes(env.payload)))
                 round_envs.append(env)
                 tr.envelopes.append(env)
 
@@ -366,9 +378,10 @@ def run_machines(n: int, t: int, machine: Callable[[int], Any],
     return run_simulation(n, t, programs, adversary, seed, round_cap)
 
 
-def broadcast(n: int, payload: bytes) -> list[tuple[int, bytes]]:
-    """Outbox addressing every party (including the sender) with one payload."""
-    return [(pid, payload) for pid in range(1, n + 1)]
+def broadcast(n: int, payload: bytes) -> tuple[tuple[int, bytes], ...]:
+    """Outbox addressing every party (the sender too) with one payload; a
+    tuple, so the parties sending the same outbox can share it."""
+    return tuple([(pid, payload) for pid in range(1, n + 1)])
 
 
 def first_payload_by_sender(inbox: Iterable[Envelope]) -> dict[int, bytes]:

@@ -28,6 +28,11 @@ from .wire import path_entry
 
 Path = tuple[str, ...]
 
+FROM_ROOT_CACHE_LABELS = 1 << 18
+"""Most labels ``path_from_root`` keeps cached per tree (2 MB of tuple slots):
+131 whole paths of path:2000, more than one run of a few dozen parties asks
+for, so a run's paths stay shared objects; past it the cache starts over."""
+
 
 @dataclass(frozen=True)
 class EulerList:
@@ -87,6 +92,7 @@ class LabeledTree:
         self.root: str = min(self._adj)
         self._rooted()
         self._from_root_cache: dict[str, Path] = {}
+        self._from_root_labels = 0  # total length of the cached paths
 
     # -- construction helpers -------------------------------------------------
 
@@ -230,11 +236,17 @@ class LabeledTree:
         return tuple(left)
 
     def path_from_root(self, v: str) -> Path:
-        """Path from the canonical root to v; memoised, protocols call it often."""
+        """Path from the canonical root to v; memoised up to
+        ``FROM_ROOT_CACHE_LABELS`` labels, protocols call it often."""
         cached = self._from_root_cache.get(v)
         if cached is None:
             cached = self.path_between(self.root, v)
-            self._from_root_cache[v] = cached
+            if self._from_root_labels + len(cached) > FROM_ROOT_CACHE_LABELS:
+                self._from_root_cache.clear()
+                self._from_root_labels = 0
+            if len(cached) <= FROM_ROOT_CACHE_LABELS:
+                self._from_root_cache[v] = cached
+                self._from_root_labels += len(cached)
         return cached
 
     @cached_property

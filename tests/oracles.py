@@ -8,10 +8,11 @@ so the two sides can legitimately disagree when the package is wrong.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 
-from treeaa.errors import NoSupport
+from treeaa.errors import InvalidParams, NoSupport
 from treeaa.wire import decode_path
 
 
@@ -195,3 +196,15 @@ def to_jsonl_by_json(envelopes) -> str:
         for env in envelopes
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def closed_form_iterations(delta: float) -> int:
+    """ceil(20/9 * log2(delta) / log2(log2(delta))); defined for delta > 2.
+
+    A cross-check ceiling on ``plan_iterations``; the plan itself comes from
+    the exact search, which is total for any d/eps.
+    """
+    if delta <= 2:
+        raise InvalidParams("closed form needs delta > 2")
+    lg = math.log2(delta)
+    return math.ceil(20.0 / 9.0 * lg / math.log2(lg))

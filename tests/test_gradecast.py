@@ -1,9 +1,28 @@
 from itertools import product
 
-from treeaa.adversaries import REGISTRY, AdversaryContext
-from treeaa.gradecast import GradedValue, gradecast_all, received_vectors
-from treeaa.simnet import Adversary, GeneratorProgram, broadcast, run_machines
-from treeaa.wire import TAG_ECHO, encode_vector, frame
+import pytest
+
+from treeaa import gradecast
+from treeaa.adversaries import REGISTRY, AdversaryContext, make_adversary
+from treeaa.gradecast import (
+    GradedValue,
+    compute_candidates,
+    grade_votes,
+    gradecast_all,
+    received_values,
+    received_vectors,
+)
+from treeaa.harness import resolve_tree
+from treeaa.simnet import (
+    Adversary,
+    GeneratorProgram,
+    broadcast,
+    first_payload_by_sender,
+    replay_transcript,
+    run_machines,
+)
+from treeaa.tree_aa import run_tree_aa_old
+from treeaa.wire import TAG_ECHO, TAG_VOTE, encode_vector, frame
 
 from byzhelpers import InstanceScript, check_consistency
 
@@ -121,3 +140,66 @@ def test_registry_adversaries_preserve_consistency():
             for receiver in honest:
                 for sender in honest:
                     assert outputs[receiver][sender] == GradedValue(values[sender], 2)
+
+
+def test_each_distinct_inbox_is_answered_once(monkeypatch):
+    # Honest parties of a silent-adversary run share every inbox, so each
+    # echo and vote round encodes one vector, not one per party.
+    calls = []
+    real_encode = gradecast.encode_vector
+    monkeypatch.setattr(gradecast, "encode_vector",
+                        lambda entries: calls.append(1) or real_encode(entries))
+    n, t = 10, 3
+    tree, _ = resolve_tree("caterpillar:40")
+    labels = sorted(tree.vertices)
+    inputs = {pid: labels[(7 * pid) % len(labels)] for pid in range(1, n + 1)}
+    ctx = AdversaryContext(lambda pid, v: None, labels[0], labels[-1], 0)
+    outputs, transcript, _ = run_tree_aa_old(tree, n, t, inputs, make_adversary("silent", ctx), seed=5)
+    inboxes = replay_transcript(transcript)
+    distinct = {
+        (rnd, tuple(map(first_payload_by_sender(inboxes[rnd][pid]).get, range(1, n + 1))))
+        for rnd in inboxes if rnd % 3 != 0 for pid in outputs
+    }
+    assert transcript.rounds_used >= 15
+    assert len(distinct) == 2 * transcript.rounds_used // 3
+    assert len(calls) <= len(distinct)
+
+
+def _registry(name, n, t):
+    return REGISTRY[name](AdversaryContext(
+        program_factory=lambda pid, v: GeneratorProgram(gradecast_all(n, t, pid, v)),
+        lo_input=b"lo",
+        hi_input=b"hi",
+        planned_rounds=3,
+    ))
+
+
+# Registry shadows replay the corrupted party's one real inbox, so their
+# echo and vote frames are single-faced: the honest vote frames and vote
+# inboxes agree.  The script gives six honest parties "v" and its own echo
+# of "v" (the seventh, n - t) to parties 1..6 only, so only they vote "v";
+# its own vote of "v" (again the seventh) reaches parties 1..3 only, so only
+# they grade it 2.
+@pytest.mark.parametrize("make, vote_frames", [
+    (lambda n, t: _registry("equivocator", n, t), 1),
+    (lambda n, t: _registry("split-world", n, t), 1),
+    (lambda n, t: InstanceScript(n, n, {q: b"v" if q <= 6 else b"w" for q in range(1, n)},
+                                 {q: b"v" if q <= 6 else None for q in range(1, n)},
+                                 {q: b"v" if q <= 3 else None for q in range(1, n)}), 2),
+], ids=["equivocator", "split-world", "script"])
+def test_shared_replies_never_merge_distinct_inboxes(make, vote_frames):
+    # Every honest frame and output equals what the party computes alone
+    # from its own inbox, while the two camps' inboxes really differ.
+    n, t = 10, 3
+    outputs, transcript = gradecast_once(n, t, values_for(n), make(n, t), seed=1)
+    inboxes = replay_transcript(transcript)
+    sent = {(e.round, e.sender): e.payload for e in transcript.envelopes if e.sender in outputs}
+    for pid in outputs:  # outside a run nothing is memoised
+        echoes = received_vectors(n, inboxes[2][pid], TAG_ECHO)
+        assert sent[2, pid] == frame(TAG_ECHO, encode_vector(received_values(n, inboxes[1][pid])))
+        assert sent[3, pid] == frame(TAG_VOTE, encode_vector(compute_candidates(n, t, echoes)))
+        assert outputs[pid] == grade_votes(n, t, received_vectors(n, inboxes[3][pid], TAG_VOTE))
+    assert len({sent[2, pid] for pid in outputs}) == 2
+    assert len({sent[3, pid] for pid in outputs}) == vote_frames
+    assert len({tuple(e.payload for e in inboxes[3][pid]) for pid in outputs}) == vote_frames
+    assert len({tuple(outputs[pid].values()) for pid in outputs}) == vote_frames

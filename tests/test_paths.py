@@ -374,3 +374,23 @@ class TestLegacyPathFinder:
                 assert transcript.rounds_used == legacy_rounds(tree, n, t)
                 honest_inputs = [inputs[pid] for pid in results]
                 check_legacy_outputs(tree, results, honest_inputs)
+
+
+def test_root_path_cache_stays_under_its_cap():
+    # Random inputs on one long path ask for far more root-path labels than
+    # the cache may keep; it starts over instead of growing, and every run
+    # still grades valid.
+    from treeaa.harness import run_one
+    from treeaa.trees import FROM_ROOT_CACHE_LABELS
+
+    tree = generate_tree("path", 2000, 0)
+    rng = random.Random("root-path-cache")
+    labels = sorted(tree.vertices)
+    asked = set()
+    for seed in range(150):
+        inputs = {pid: rng.choice(labels) for pid in range(1, 5)}
+        asked.update(inputs.values())
+        report = run_one(tree, "path(2000)", 4, 1, "final", "split-world", inputs, seed)
+        assert report.valid and report.max_dist <= 1
+        assert sum(map(len, tree._from_root_cache.values())) <= FROM_ROOT_CACHE_LABELS
+    assert sum(tree.depth(v) + 1 for v in asked) > FROM_ROOT_CACHE_LABELS

@@ -10,11 +10,12 @@ from treeaa.errors import InsufficientValues, InvalidParams, NonFinite
 from treeaa.gradecast import GradedValue
 from treeaa.real_aa import (
     CLOSE_SLACK,
-    closed_form_iterations,
     closest_int,
     convergence_factor,
     real_aa_machine,
 )
+
+from oracles import closed_form_iterations
 
 MATRIX_NT = [(4, 1), (7, 2), (10, 3)]
 

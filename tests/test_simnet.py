@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -329,11 +331,26 @@ class TestTranscript:
         '{"round":1,"sender":2,"receiver":true,"payload_hex":"0aff"}\n',
         '{"round":1,"sender":2,"receiver":3,"payload_hex":"0a ff"}\n',
         '{"round":1,"sender":2,"receiver":3,"payload_hex":"0aff","x":0}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"ab cd"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"0aFf"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"0a\\"ff"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"0a\nff"}\n',
+        '{"round":1,"sender":2,"receiver":3,"payload_hex":"0a\tff"}\n',
     ])
     def test_jsonl_refuses_non_canonical_lines(self, text):
         assert Transcript.from_jsonl(self.CANONICAL).envelopes == [Envelope(1, 2, 3, b"\n\xff")]
         with pytest.raises(CorruptTranscript):
             Transcript.from_jsonl(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("0af9AF \t\n\\\"", max_size=8))
+    def test_jsonl_accepts_exactly_even_lowercase_hex(self, hexed):
+        text = self.CANONICAL.replace("0aff", hexed)
+        if re.fullmatch("(?:[0-9a-f]{2})*", hexed):
+            assert Transcript.from_jsonl(text).envelopes == [Envelope(1, 2, 3, bytes.fromhex(hexed))]
+        else:
+            with pytest.raises(CorruptTranscript):
+                Transcript.from_jsonl(text)
 
     def test_jsonl_error_names_the_first_bad_line(self):
         text = self.CANONICAL * 2 + self.CANONICAL.upper() + self.CANONICAL[:-1]

@@ -12,6 +12,7 @@ from treeaa import (
 )
 from treeaa.adversaries import REGISTRY, AdversaryContext
 from treeaa.errors import NoSupport
+from treeaa.harness import run_one
 from treeaa.paths import (
     decode_tree_path,
     root_path_bytes,
@@ -20,7 +21,7 @@ from treeaa.paths import (
     prefix_path_finder_machine,
 )
 from treeaa.simnet import GeneratorProgram, run_machines
-from treeaa.trees import LabeledTree
+from treeaa.trees import FROM_ROOT_CACHE_LABELS, LabeledTree
 from treeaa.wire import encode_path
 
 import oracles
@@ -380,9 +381,6 @@ def test_root_path_cache_stays_under_its_cap():
     # Random inputs on one long path ask for far more root-path labels than
     # the cache may keep; it starts over instead of growing, and every run
     # still grades valid.
-    from treeaa.harness import run_one
-    from treeaa.trees import FROM_ROOT_CACHE_LABELS
-
     tree = generate_tree("path", 2000, 0)
     rng = random.Random("root-path-cache")
     labels = sorted(tree.vertices)

@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from .errors import InvalidParams
 from .real_aa import plan_iterations, real_aa_machine
-from .simnet import Adversary, Envelope, GeneratorProgram, Program, SimulationView
+from .simnet import Adversary, Envelope, GeneratorProgram, Program, SimulationView, _new
 
 
 @dataclass
@@ -73,7 +73,7 @@ class RegistryAdversary(Adversary):
 
     def byzantine_send(self, round: int, pid: int, view: SimulationView) -> list[Envelope]:
         return [
-            Envelope(round, pid, receiver, payload)
+            _new(Envelope, (round, pid, receiver, payload))
             for receiver, payload in self.outbox(round, pid, view)
         ]
 

@@ -19,6 +19,7 @@ from typing import Mapping
 
 from .errors import InsufficientValues, InvalidParams, NonFinite
 from .gradecast import GradedValue, gradecast_all
+from .simnet import memoised
 from .wire import decode_double, encode_double
 
 CLOSE_SLACK = 2.0 ** -40
@@ -86,7 +87,7 @@ def _pairwise_sum(xs: list[float]) -> float:
 
 def trim_mean_update(
     received: Mapping[int, GradedValue],
-    prior_blacklist: set[int],
+    prior_blacklist: set[int] | frozenset[int],
     n: int,
     t: int,
 ) -> tuple[float, set[int]]:
@@ -129,18 +130,26 @@ class RealAAResult:
 def real_aa_machine(n: int, t: int, pid: int, value: float, d_bound: float, epsilon: float):
     """Protocol machine: plan_iterations(n,t,d,eps) iterations of 3 rounds."""
     plan = plan_iterations(n, t, d_bound, epsilon)
-    blacklist: set[int] = set()
+    blacklist: frozenset[int] = frozenset()
     current = float(value)
     history = [current]
     for _ in range(plan):
         graded = yield from gradecast_all(n, t, pid, encode_double(current))
-        decoded = {
-            sender: GradedValue(
-                decode_double(gv.value) if gv.value is not None else None, gv.grade
-            )
-            for sender, gv in graded.items()
-            if sender not in blacklist
-        }
-        current, blacklist = trim_mean_update(decoded, blacklist, n, t)
+        # Honest parties mostly share grades and blacklist: one update each.
+        current, blacklist = memoised(
+            "real_aa", (n, t, tuple(graded.values()), blacklist),
+            lambda: _update(graded, blacklist, n, t))
         history.append(current)
-    return RealAAResult(current, frozenset(blacklist), tuple(history), plan)
+    return RealAAResult(current, blacklist, tuple(history), plan)
+
+
+def _update(graded: Mapping[int, GradedValue], blacklist: frozenset[int],
+            n: int, t: int) -> tuple[float, frozenset[int]]:
+    """trim_mean_update on the decoded grades of the senders not blacklisted."""
+    decoded = {
+        sender: GradedValue(decode_double(gv.value) if gv.value is not None else None, gv.grade)
+        for sender, gv in graded.items()
+        if sender not in blacklist
+    }
+    value, grown = trim_mean_update(decoded, blacklist, n, t)
+    return value, frozenset(grown)

@@ -21,9 +21,16 @@ One run memoises decoding (``run_memo``): honest parties receive
 byte-identical broadcasts, so its machines and adversary shadows decode
 each distinct input once and build the outbox answering each distinct
 inbox once.  The memo is keyed by value and dropped when the run ends; its
-values are shared by parties, so they are immutable (an outbox is a tuple).  A transcript file is one canonical JSON line per
-envelope, each ending in a newline (``Transcript.to_jsonl``); ``from_jsonl``
-accepts exactly those lines and raises CorruptTranscript on anything else.
+values are shared by parties, so they are immutable (an outbox is a tuple).
+Adversary shadows read each finished round's inboxes as delivered, and
+only the round being sent is scanned (the rushing view).
+
+A transcript file is one canonical JSON line per envelope, each ending in
+a newline (``Transcript.to_jsonl``); ``from_jsonl`` accepts exactly those
+lines and raises CorruptTranscript on anything else.  Broadcasts repeat
+each payload n times, so the writer hexes and the reader decodes each
+distinct payload once; read-back envelopes with equal payloads share one
+bytes object.
 """
 
 from __future__ import annotations
@@ -70,12 +77,12 @@ def memoised(table: str, key: Any, compute: Callable[[], Any]) -> Any:
     return value
 
 
-# One to_jsonl line; [0-9], not \d, which also matches non-ASCII digits.  The
-# hex is checked after the match (see from_jsonl): scanning it with
-# [0-9a-f]* here costs twice as much.
-_RECORD = re.compile(
+# The head of one to_jsonl line, up to the payload's opening quote; [0-9],
+# not \d, which also matches non-ASCII digits.  from_jsonl finds the closing
+# quote and checks the hex itself, once per distinct hex string.
+_HEAD = re.compile(
     r'\{"round":(0|[1-9][0-9]*),"sender":(0|[1-9][0-9]*),"receiver":(0|[1-9][0-9]*),'
-    r'"payload_hex":"([^"]*)"\}\n'
+    r'"payload_hex":"'
 )
 
 
@@ -107,28 +114,45 @@ class Transcript:
 
     def to_jsonl(self) -> str:
         """One canonical JSON line per envelope, each ending in a newline."""
+        hexed: dict[bytes, str] = {}
         return "".join([
-            f'{{"round":{e.round},"sender":{e.sender},"receiver":{e.receiver},'
-            f'"payload_hex":"{e.payload.hex()}"}}\n'
-            for e in self.envelopes
+            f'{{"round":{r},"sender":{s},"receiver":{q},'
+            f'"payload_hex":"{hexed.get(p) or hexed.setdefault(p, p.hex())}"}}\n'
+            for r, s, q, p in self.envelopes
         ])
 
     @classmethod
     def from_jsonl(cls, text: str, n: int | None = None, t: int = 0, seed: int = 0) -> "Transcript":
         """Parse exactly what ``to_jsonl`` writes; CorruptTranscript names the first other line."""
         envelopes = []
+        payloads: dict[str, bytes] = {}
+        head, find, startswith = _HEAD.match, text.find, text.startswith
+        prev_hex, prev_width = "", -1
         end = 0
-        for m in _RECORD.finditer(text):
-            if m.start() != end:
+        while end < len(text):
+            m = head(text, end)
+            if m is None:
                 break
-            try:  # bad hex, or an int too long for int()
-                env = _new(Envelope, (int(m[1]), int(m[2]), int(m[3]), bytes.fromhex(m[4])))
+            start = m.end()
+            close = find('"', start)
+            if close < 0 or not startswith("}\n", close + 1):
+                break
+            if close - start != prev_width or not startswith(prev_hex, start):
+                prev_hex, prev_width = text[start:close], close - start
+                payload = payloads.get(prev_hex)
+                if payload is None:
+                    try:
+                        payload = bytes.fromhex(prev_hex)
+                    except ValueError:
+                        break
+                    if payload.hex() != prev_hex:  # fromhex also takes whitespace and upper case
+                        break
+                    payloads[prev_hex] = payload
+            try:  # an int too long for int()
+                envelopes.append(_new(Envelope, (int(m[1]), int(m[2]), int(m[3]), payload)))
             except ValueError:
                 break
-            if env.payload.hex() != m[4]:  # fromhex also takes whitespace and upper case
-                break
-            envelopes.append(env)
-            end = m.end()
+            end = close + 3
         if end != len(text):
             line = text.count("\n", 0, end) + 1
             bad = text[end:end + 80].partition("\n")[0]
@@ -178,6 +202,9 @@ class SimulationView:
 
     def inbox_of(self, pid: int, round: int) -> list[Envelope]:
         """Messages sent to pid in `round` (delivered at that round's end)."""
+        delivered = self._sim.delivered.get(round)
+        if delivered is not None:
+            return list(delivered.get(pid, ()))
         return [e for e in self._sim.by_round.get(round, ()) if e.receiver == pid]
 
 
@@ -256,7 +283,10 @@ class _Simulation:
         self.round = 0
         self.corrupted: set[int] = set()
         self.transcript = Transcript(n, t, seed)
+        # The round being sent (the rushing view), then every finished
+        # round's inboxes as delivered to the parties.
         self.by_round: dict[int, list[Envelope]] = {}
+        self.delivered: dict[int, dict[int, tuple[Envelope, ...]]] = {}
 
 
 def run_simulation(
@@ -338,7 +368,7 @@ def _run(n, t, programs, adversary, seed, round_cap):
         for pid in sorted(pending):
             round_envs.extend(pending[pid])
         tr.envelopes.extend(round_envs)
-        sim.by_round[rnd] = round_envs
+        sim.by_round = {rnd: round_envs}
 
         for pid in sorted(sim.corrupted):
             for env in adversary.byzantine_send(rnd, pid, view):
@@ -348,7 +378,10 @@ def _run(n, t, programs, adversary, seed, round_cap):
                     raise StrategyViolation(f"party {pid} tried to spoof sender {env.sender}")
                 if type(env.receiver) is not int or not 1 <= env.receiver <= n:
                     raise StrategyViolation(f"byzantine receiver {env.receiver!r} is not a party id")
-                env = _new(Envelope, (rnd, pid, env.receiver, bytes(env.payload)))
+                # Rebuilt with rnd and pid: a bool round or sender passes the
+                # checks above (True == 1) but must be written as 1.
+                payload = env.payload if type(env.payload) is bytes else bytes(env.payload)
+                env = _new(Envelope, (rnd, pid, env.receiver, payload))
                 round_envs.append(env)
                 tr.envelopes.append(env)
 
@@ -356,6 +389,7 @@ def _run(n, t, programs, adversary, seed, round_cap):
         for env in round_envs:
             next_inboxes[env.receiver].append(env)
         inboxes = {pid: tuple(envs) for pid, envs in next_inboxes.items()}
+        sim.delivered[rnd] = inboxes
         tr.rounds_used = rnd
 
     outputs = {

@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import deque
 
-from treeaa.errors import InvalidParams, NoSupport
+from treeaa.errors import CorruptTranscript, InvalidParams, NoSupport
+from treeaa.simnet import Envelope
 from treeaa.wire import decode_path
 
 
@@ -196,6 +198,37 @@ def to_jsonl_by_json(envelopes) -> str:
         for env in envelopes
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+_RECORD = re.compile(
+    r'\{"round":(0|[1-9][0-9]*),"sender":(0|[1-9][0-9]*),"receiver":(0|[1-9][0-9]*),'
+    r'"payload_hex":"([^"]*)"\}\n'
+)
+
+
+def from_jsonl_by_regex(text: str) -> list:
+    """The previous Transcript.from_jsonl: one whole-line pattern, every hex decoded.
+
+    Returns the envelopes; raises CorruptTranscript naming the first other line.
+    """
+    envelopes = []
+    end = 0
+    for m in _RECORD.finditer(text):
+        if m.start() != end:
+            break
+        try:
+            env = Envelope(int(m[1]), int(m[2]), int(m[3]), bytes.fromhex(m[4]))
+        except ValueError:
+            break
+        if env.payload.hex() != m[4]:
+            break
+        envelopes.append(env)
+        end = m.end()
+    if end != len(text):
+        line = text.count("\n", 0, end) + 1
+        bad = text[end:end + 80].partition("\n")[0]
+        raise CorruptTranscript(f"line {line} is not a canonical envelope record: {bad!r}")
+    return envelopes
 
 
 def closed_form_iterations(delta: float) -> int:

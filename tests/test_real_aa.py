@@ -14,6 +14,7 @@ from treeaa.real_aa import (
     convergence_factor,
     real_aa_machine,
 )
+from treeaa.wire import encode_double
 
 from oracles import closed_form_iterations
 
@@ -218,6 +219,31 @@ class TestRunRealAA:
                 for pid in honest:
                     assert not (results[pid].blacklist & honest_set)
                 assert transcript.rounds_used == 3 * plan
+
+    def test_shared_update_is_keyed_by_the_blacklist(self, monkeypatch):
+        # Iteration 2 hands every party equal grades, but party 1 blacklisted
+        # sender 4 in iteration 1; an update shared on the grades alone would
+        # give one party the other's value and blacklist.
+        from treeaa import real_aa
+
+        def grades(*values_and_grades):
+            return {s: GradedValue(encode_double(v), g)
+                    for s, (v, g) in enumerate(values_and_grades, 1)}
+
+        second = grades((0.0, 2), (0.0, 2), (3.0, 2), (9.0, 2))
+        scripts = {pid: iter([grades((0.0, 2), (0.0, 2), (0.0, 2), (0.0, 1 if pid == 1 else 2)),
+                              second]) for pid in range(1, 5)}
+
+        def scripted_gradecast(n, t, pid, value):
+            yield ()
+            return dict(next(scripts[pid]))
+
+        monkeypatch.setattr(real_aa, "gradecast_all", scripted_gradecast)
+        assert plan_iterations(4, 1, 10.0, 1.0) == 2
+        results, _ = run_machines(4, 1, lambda pid: real_aa_machine(4, 1, pid, 0.0, 10.0, 1.0))
+        assert (results[1].value, results[1].blacklist) == (0.0, frozenset({4}))
+        for pid in (2, 3, 4):
+            assert (results[pid].value, results[pid].blacklist) == (1.5, frozenset())
 
 
 def test_pairwise_sum_matches_fsum():

@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import to_jsonl_by_json
+from oracles import from_jsonl_by_regex, to_jsonl_by_json
 from treeaa.errors import (
     CorruptTranscript,
     InvalidParams,
@@ -357,6 +357,45 @@ class TestTranscript:
         with pytest.raises(CorruptTranscript, match="line 3"):
             Transcript.from_jsonl(text)
 
+    MUTATIONS = ("none", "shorter", "longer", "upper", "space", "escaped-quote", "no-newline")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_jsonl_reader_matches_the_regex_reader(self, data):
+        # A small pool makes equal payloads meet both on adjacent lines and apart.
+        pool = data.draw(st.lists(st.binary(max_size=4), min_size=1, max_size=3, unique=True))
+        small = st.integers(0, 3)
+        envelopes = data.draw(st.lists(
+            st.builds(Envelope, small, small, small, st.sampled_from(pool)), max_size=12))
+        lines = Transcript(3, 0, 0, envelopes).to_jsonl().splitlines(keepends=True)
+        mutation = data.draw(st.sampled_from(self.MUTATIONS))
+        if lines and mutation != "none":
+            i = data.draw(st.integers(0, len(lines) - 1))
+            head, key, hexed = lines[i].partition('"payload_hex":"')
+            hexed = hexed[:-len('"}\n')]
+            at = data.draw(st.integers(0, len(hexed)))
+            hexed = hexed[:at] + {
+                "shorter": hexed[at + 2:],
+                "longer": "0a" + hexed[at:],
+                "upper": hexed[at:at + 1].upper() + hexed[at + 1:],
+                "space": " " + hexed[at:],
+                "escaped-quote": '\\"' + hexed[at:],
+                "no-newline": hexed[at:],
+            }[mutation]
+            lines[i] = head + key + hexed + ('"}' if mutation == "no-newline" else '"}\n')
+        text = "".join(lines)
+
+        def outcome(read):
+            try:
+                return read(text)
+            except CorruptTranscript as exc:
+                return str(exc)
+
+        got = outcome(lambda text: Transcript.from_jsonl(text).envelopes)
+        assert got == outcome(from_jsonl_by_regex)
+        if isinstance(got, list):  # read-back envelopes share one object per payload
+            assert len({id(e.payload) for e in got}) == len({e.payload for e in got})
+
     def test_jsonl_stable_field_order(self):
         _, tr = echo_run()
         line = tr.to_jsonl().splitlines()[0]
@@ -380,6 +419,47 @@ class RecordingEcho(Program):
             return broadcast(self.n, b"r%d-%d" % (round, self.pid))
         self.result = "done"
         return []
+
+
+def test_inbox_of_equals_a_scan_of_the_round():
+    n, t = 4, 1
+    checked = []
+
+    class Checker(Adversary):
+        def check(self, view, round):
+            sent = view._sim.transcript.envelopes
+            for rnd in range(round + 2):
+                for pid in range(n + 2):
+                    scan = [e for e in sent if e.round == rnd and e.receiver == pid]
+                    assert view.inbox_of(pid, rnd) == scan
+            checked.append(round)
+
+        def corrupt_decision(self, round, view):
+            self.check(view, round)
+            return {4} if round >= 2 else set()
+
+        def byzantine_send(self, round, pid, view):
+            self.check(view, round)  # the current round: honest messages only
+            return [Envelope(round, pid, q, b"byz-%d" % q) for q in range(1, n + 1)]
+
+    _, tr = run_machines(n, t, lambda pid: gradecast_all(n, t, pid, b"v%d" % pid), Checker())
+    assert tr.rounds_used == 3
+    assert checked == [1, 2, 2, 3, 3]
+
+
+def test_byzantine_envelope_is_rebuilt_with_the_round_and_sender():
+    class BoolFields(Adversary):
+        def corrupt_decision(self, round, view):
+            return {1}
+
+        def byzantine_send(self, round, pid, view):
+            # True == 1, so the round and sender checks pass.
+            return [Envelope(True, True, 2, bytearray(b"x"))] if round == 1 else []
+
+    _, tr = echo_run(adversary=BoolFields())
+    (env,) = [e for e in tr.envelopes if e.sender == 1]
+    assert type(env.round) is int and type(env.sender) is int and type(env.payload) is bytes
+    assert '{"round":1,"sender":1,"receiver":2,"payload_hex":"78"}\n' in tr.to_jsonl()
 
 
 def test_replay_matches_live_inboxes():

@@ -17,7 +17,6 @@ from .real_aa import check_resilience, closest_int, plan_iterations, trim_mean_u
 from .simnet import (
     Adversary,
     Envelope,
-    GeneratorProgram,
     Transcript,
     replay_transcript,
     run_machines,
@@ -47,7 +46,6 @@ __all__ = [
     "Envelope",
     "EulerList",
     "ExperimentConfig",
-    "GeneratorProgram",
     "GradedValue",
     "LabeledTree",
     "MACHINES",

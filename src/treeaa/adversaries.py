@@ -22,36 +22,34 @@ Every choice is driven by the simulation seed, so runs replay bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Generator, Sequence
 
 from .errors import InvalidParams
 from .real_aa import plan_iterations, real_aa_machine
-from .simnet import Adversary, Envelope, GeneratorProgram, Program, SimulationView, _new
+from .simnet import Adversary, Envelope, GeneratorProgram, SimulationView, _new
 
 
 @dataclass
 class AdversaryContext:
     """What a strategy needs to know about the protocol under attack."""
 
-    program_factory: Callable[[int, Any], Program]  # (pid, input) -> honest machine
+    machine: Callable[[int, Any], Generator]  # (pid, input) -> honest machine
     lo_input: Any
     hi_input: Any
     planned_rounds: int
 
 
 class _Shadow:
-    """An honest program replayed against a corrupted party's history."""
+    """An honest machine replayed against a corrupted party's history."""
 
-    def __init__(self, program: Program):
-        self.program = program
+    def __init__(self, machine: Generator):
+        self.program = GeneratorProgram(machine)
         self.next_round = 1
 
-    def advance(self, pid: int, view: SimulationView, upto: int) -> list[tuple[int, bytes]]:
-        out: list[tuple[int, bytes]] = []
+    def advance(self, pid: int, view: SimulationView, upto: int) -> Sequence[tuple[int, bytes]]:
+        out: Sequence[tuple[int, bytes]] = ()
         while self.next_round <= upto:
-            rnd = self.next_round
-            inbox = view.inbox_of(pid, rnd - 1) if rnd > 1 else []
-            out = self.program.on_round(rnd, inbox)
+            out = self.program.on_round(view.inbox_of(pid, self.next_round - 1))
             self.next_round += 1
         return out
 
@@ -83,7 +81,7 @@ class RegistryAdversary(Adversary):
     def shadow(self, key: Any, pid: int, input_value: Any) -> _Shadow:
         sh = self._shadows.get(key)
         if sh is None:
-            sh = _Shadow(self.ctx.program_factory(pid, input_value))
+            sh = _Shadow(self.ctx.machine(pid, input_value))
             self._shadows[key] = sh
         return sh
 
@@ -167,9 +165,7 @@ def context_for_real_aa(n: int, t: int, d_bound: float, epsilon: float,
                         hi_input: float | None = None) -> AdversaryContext:
     """Context for attacking a bare real-valued agreement run."""
     return AdversaryContext(
-        program_factory=lambda pid, value: GeneratorProgram(
-            real_aa_machine(n, t, pid, value, d_bound, epsilon)
-        ),
+        machine=lambda pid, value: real_aa_machine(n, t, pid, value, d_bound, epsilon),
         lo_input=-2.0 * abs(d_bound) if lo_input is None else lo_input,
         hi_input=2.0 * abs(d_bound) if hi_input is None else hi_input,
         planned_rounds=3 * plan_iterations(n, t, d_bound, epsilon),

@@ -18,18 +18,21 @@ so the per-instance output is well defined; the guarantees themselves
 (integrity for honest senders, grade/value consistency across honest
 receivers) are established by the adversarial test suites, not assumed.
 
-Inside a simulation each distinct echo or vote frame is decoded once, and
-each distinct inbox (its first payload per sender) gets its echo outbox,
-vote outbox and grades built once (``simnet.memoised``); outboxes are
-tuples, so the parties sharing one cannot alter it.  A Byzantine sender's
-per-receiver frames differ, so the inboxes they reach are still told apart.
+A party's inbox is the simulator's per-sender payload tuple (the first
+payload from each sender, None where it sent nothing), so it is read by
+position and serves directly as a memo key.  Inside a simulation each
+distinct echo or vote frame is decoded once, and each distinct inbox gets
+its echo outbox, vote outbox and grades built once (``simnet.memoised``);
+outboxes are tuples, so the parties sharing one cannot alter it.  A
+Byzantine sender's per-receiver frames differ, so the inboxes they reach
+are still told apart.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .simnet import Envelope, broadcast, first_payload_by_sender, memoised
+from .simnet import Inbox, broadcast, memoised
 from .wire import (
     TAG_ECHO,
     TAG_VALUE,
@@ -48,13 +51,13 @@ class GradedValue(NamedTuple):
     grade: int
 
 
-def received_values(n: int, inbox: Iterable[Envelope]) -> list[bytes | None]:
+def received_values(n: int, inbox: Inbox) -> list[bytes | None]:
     """Per-sender value from round-1 frames (index s-1 for sender s)."""
     out: list[bytes | None] = [None] * n
-    for sender, payload in first_payload_by_sender(inbox).items():
-        parsed = parse_frame(payload)
+    for s, payload in enumerate(inbox):
+        parsed = None if payload is None else parse_frame(payload)
         if parsed is not None and parsed[0] == TAG_VALUE:
-            out[sender - 1] = parsed[1]
+            out[s] = parsed[1]
     return out
 
 
@@ -69,14 +72,13 @@ def _decoded_vector(n: int, tag: int, payload: bytes) -> Vector | None:
     return None if entries is None else tuple(entries)
 
 
-def received_vectors(n: int, inbox: Iterable[Envelope], tag: int) -> list[Vector | None]:
+def received_vectors(n: int, inbox: Inbox, tag: int) -> list[Vector | None]:
     """Per-sender decoded entry vectors for echo or vote rounds."""
-    out: list[Vector | None] = [None] * n
-    for sender, payload in first_payload_by_sender(inbox).items():
-        out[sender - 1] = memoised(
-            "vector", (n, tag, payload), lambda: _decoded_vector(n, tag, payload)
-        )
-    return out
+    return [
+        None if payload is None else memoised(
+            "vector", (n, tag, payload), lambda: _decoded_vector(n, tag, payload))
+        for payload in inbox
+    ]
 
 
 def _tally(column: Iterable[bytes | None]) -> dict[bytes, int]:
@@ -116,23 +118,18 @@ def grade_votes(n: int, t: int, votes: list[Vector | None]) -> dict[int, GradedV
     return outputs
 
 
-def _inbox_key(n: int, inbox: Iterable[Envelope]) -> tuple[bytes | None, ...]:
-    """Each sender's first payload, senders 1..n: all that a reply reads."""
-    return tuple(map(first_payload_by_sender(inbox).get, range(1, n + 1)))
-
-
 def gradecast_all(n: int, t: int, pid: int, value: bytes):
     """3-round machine; returns {sender pid: GradedValue} for all n instances.
 
-    Past round 1 a party's messages and output depend only on its inbox
-    key, so each is built once per distinct key in a run and shared.
+    Past round 1 a party's messages and output depend only on its inbox,
+    so each is built once per distinct inbox in a run and shared.
     """
     inbox = yield broadcast(n, frame(TAG_VALUE, value))
-    inbox = yield memoised("echo", (n, _inbox_key(n, inbox)), lambda: broadcast(
+    inbox = yield memoised("echo", (n, inbox), lambda: broadcast(
         n, frame(TAG_ECHO, encode_vector(received_values(n, inbox)))))
-    inbox = yield memoised("vote", (n, t, _inbox_key(n, inbox)), lambda: broadcast(
+    inbox = yield memoised("vote", (n, t, inbox), lambda: broadcast(
         n, frame(TAG_VOTE, encode_vector(
             compute_candidates(n, t, received_vectors(n, inbox, TAG_ECHO))))))
     # The grades are shared too; each party gets its own copy of the dict.
-    return dict(memoised("grades", (n, t, _inbox_key(n, inbox)),
+    return dict(memoised("grades", (n, t, inbox),
                          lambda: grade_votes(n, t, received_vectors(n, inbox, TAG_VOTE))))

@@ -18,7 +18,6 @@ from .adversaries import REGISTRY, AdversaryContext, make_adversary
 from .errors import InvalidParams
 from .generators import KINDS, generate_tree
 from .real_aa import check_resilience
-from .simnet import GeneratorProgram
 from .tree_aa import planned_rounds, protocol, run_final_tree_aa, run_tree_aa_old
 from .trees import LabeledTree, parse_tree
 
@@ -121,10 +120,12 @@ def resolve_tree(source: str) -> tuple[LabeledTree, str]:
     """A tree plus its short kind string, from a generator spec or a file."""
     parts = source.split(":")
     if parts[0] in KINDS:
-        if len(parts) not in (2, 3):
-            raise InvalidParams(f"generator spec must be kind:size[:seed], got {source!r}")
-        size = int(parts[1])
-        seed = int(parts[2]) if len(parts) == 3 else 0
+        fields = parts[1:] if len(parts) == 3 else parts[1:] + ["0"]
+        try:
+            size, seed = map(int, fields)
+        except ValueError:  # not two or three fields, or a field is no integer
+            raise InvalidParams(
+                f"generator spec must be kind:size[:seed] with integers, got {source!r}") from None
         return generate_tree(parts[0], size, seed), f"{parts[0]}({size})"
     path = FilePath(source)
     if not path.exists():
@@ -159,7 +160,7 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
     # Module globals looked up per call, so a wrapper installed on either is seen.
     runner = run_final_tree_aa if mode == "final" else run_tree_aa_old
     ctx = AdversaryContext(
-        program_factory=lambda pid, value: GeneratorProgram(machine(tree, n, t, pid, value)),
+        machine=lambda pid, value: machine(tree, n, t, pid, value),
         lo_input=tree.root,  # the extremes: the start vertex and a deepest vertex
         hi_input=tree.deepest,
         planned_rounds=planned,

@@ -22,9 +22,6 @@ from .gradecast import GradedValue, gradecast_all
 from .simnet import memoised
 from .wire import decode_double, encode_double
 
-CLOSE_SLACK = 2.0 ** -40
-"""Absolute slack absorbing float rounding in closeness assertions."""
-
 
 def closest_int(j: float) -> int:
     """Nearest integer to j; an exact half rounds up."""

@@ -5,25 +5,30 @@ point-to-point channels: an envelope's sender field always names the true
 origin, and everything sent in round k is delivered exactly at the end of
 round k, before round k+1 begins.
 
-Round structure.  In round k every non-corrupted party is stepped with
-``on_round(k, inbox)`` where inbox holds the messages sent to it in round
-k-1 (empty for k=1); the call returns the messages the party sends in
-round k.  The adversary then picks additional parties to corrupt (their
+A party is a generator (``GeneratorProgram`` runs it).  Its inbox is an
+n-tuple indexed by sender: entry s-1 is the first payload sender s sent the
+party in the previous round, or None; later payloads from the same sender
+in that round are recorded in the transcript but not delivered.  One rule
+(``_deliver``) builds every inbox: the ones parties are stepped with, the
+ones adversary shadows read (``SimulationView.inbox_of``) and the ones
+``replay_transcript`` rebuilds.
+
+Round structure.  In round k every non-corrupted party is resumed with the
+inbox from round k-1 (all None for k=1) and yields the messages it sends
+in round k.  The adversary then picks additional parties to corrupt (their
 round-k messages are suppressed, as if corrupted at the start of the
 round) and finally crafts Byzantine round-k messages after seeing every
 honest round-k message (rushing).  A final step in which all remaining
 honest parties report their outputs and send nothing does not count as a
 communication round, so a 3-round protocol consumes exactly 3 rounds.
 
-Everything is a pure function of (n, t, programs, adversary, seed): one
+Everything is a pure function of (n, t, machines, adversary, seed): one
 simulation is strictly single-threaded, distinct simulations share nothing.
 One run memoises decoding (``run_memo``): honest parties receive
 byte-identical broadcasts, so its machines and adversary shadows decode
 each distinct input once and build the outbox answering each distinct
 inbox once.  The memo is keyed by value and dropped when the run ends; its
 values are shared by parties, so they are immutable (an outbox is a tuple).
-Adversary shadows read each finished round's inboxes as delivered, and
-only the round being sent is scanned (the rushing view).
 
 A transcript file is one canonical JSON line per envelope, each ending in
 a newline (``Transcript.to_jsonl``); ``from_jsonl`` accepts exactly those
@@ -39,7 +44,7 @@ import random
 import re
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Iterable, NamedTuple, Sequence
 
 from .errors import (
     CorruptTranscript,
@@ -96,6 +101,9 @@ class Envelope(NamedTuple):
 # Envelope's own __new__ is a Python function; the hot loops build through
 # tuple.__new__ directly, at about half the cost, with the same result.
 _new = tuple.__new__
+
+# Entry s-1 holds the first payload sender s sent this round, or None.
+Inbox = tuple[bytes | None, ...]
 
 
 @dataclass
@@ -162,16 +170,15 @@ class Transcript:
         return cls(inferred, t, seed, envelopes, [], rounds)
 
 
-def replay_transcript(tr: Transcript) -> dict[int, dict[int, list[Envelope]]]:
-    """Rebuild every party's per-round inbox from a transcript.
+def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
+    """Every party's inbox per round, as the simulator delivered it.
 
-    Returns {round: {pid: [envelopes delivered at the end of that round]}}
-    for rounds 1..rounds_used.  Raises CorruptTranscript on structural
-    damage: out-of-range rounds or party ids, or round order regressions.
+    Returns {round: {pid: inbox}} for rounds 1..rounds_used, where inbox is
+    the per-sender payload tuple ``_deliver`` builds (the first payload
+    wins).  Raises CorruptTranscript on structural damage: out-of-range
+    rounds or party ids, or round order regressions.
     """
-    inboxes: dict[int, dict[int, list[Envelope]]] = {
-        r: {pid: [] for pid in range(1, tr.n + 1)} for r in range(1, tr.rounds_used + 1)
-    }
+    sent: dict[int, list[Envelope]] = {r: [] for r in range(1, tr.rounds_used + 1)}
     last = 1
     for env in tr.envelopes:
         if not 1 <= env.round <= tr.rounds_used:
@@ -181,8 +188,19 @@ def replay_transcript(tr: Transcript) -> dict[int, dict[int, list[Envelope]]]:
         last = env.round
         if not (1 <= env.sender <= tr.n and 1 <= env.receiver <= tr.n):
             raise CorruptTranscript(f"party id out of range in {env}")
-        inboxes[env.round][env.receiver].append(env)
-    return inboxes
+        sent[env.round].append(env)
+    return {r: dict(enumerate(_deliver(tr.n, envs), 1)) for r, envs in sent.items()}
+
+
+def _deliver(n: int, envelopes: Iterable[Envelope]) -> list[Inbox]:
+    """The inbox of each party 1..n: entry s-1 is the first payload sender s
+    sent it, or None.  The one place envelopes become inboxes."""
+    rows: list[list[bytes | None]] = [[None] * n for _ in range(n)]
+    for _, s, q, p in envelopes:
+        row = rows[q - 1]
+        if row[s - 1] is None:
+            row[s - 1] = p
+    return [tuple(row) for row in rows]
 
 
 class SimulationView:
@@ -200,12 +218,20 @@ class SimulationView:
     def corrupted(self) -> frozenset[int]:
         return frozenset(self._sim.corrupted)
 
-    def inbox_of(self, pid: int, round: int) -> list[Envelope]:
-        """Messages sent to pid in `round` (delivered at that round's end)."""
-        delivered = self._sim.delivered.get(round)
-        if delivered is not None:
-            return list(delivered.get(pid, ()))
-        return [e for e in self._sim.by_round.get(round, ()) if e.receiver == pid]
+    def inbox_of(self, pid: int, round: int) -> Inbox:
+        """pid's inbox from `round` (delivered at that round's end), per sender.
+
+        The round being sent reads its messages so far (rushing); a pid
+        outside 1..n or a round with nothing sent gets all None.
+        """
+        sim = self._sim
+        n = sim.transcript.n
+        if not 1 <= pid <= n:
+            return (None,) * n
+        inboxes = sim.delivered.get(round)
+        if inboxes is None:
+            inboxes = _deliver(n, sim.by_round.get(round, ()))
+        return inboxes[pid - 1]
 
 
 class Adversary:
@@ -231,51 +257,33 @@ class Adversary:
         return []
 
 
-class Program:
-    """Per-party state machine driven by the simulator.
+class GeneratorProgram:
+    """One party: a protocol machine written as a generator.
 
-    A party is finished once ``done`` is true; its output is ``result``.
-    Hand-written programs finish by setting a non-None ``result``.
-    """
-
-    result: Any = None
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None
-
-    def on_round(self, round: int, inbox: Sequence[Envelope]) -> list[tuple[int, bytes]]:
-        raise NotImplementedError
-
-
-class GeneratorProgram(Program):
-    """Adapter running a protocol written as a generator.
-
-    The generator yields the outbox for the next round (a list of
+    The generator yields the outbox for the next round (a sequence of
     (receiver, payload) pairs) and is resumed with the inbox delivered at
     the end of that round.  Its return value, None included, becomes the
     party's output.
     """
 
-    done = False
-
-    def __init__(self, gen):
+    def __init__(self, gen: Generator):
         self._gen = gen
         self._started = False
-        self.result = None
+        self.done = False
+        self.result: Any = None
 
-    def on_round(self, round: int, inbox: Sequence[Envelope]) -> list[tuple[int, bytes]]:
+    def on_round(self, inbox: Inbox) -> Sequence[tuple[int, bytes]]:
         if self.done:
-            return []
+            return ()
         try:
             if not self._started:
                 self._started = True
                 return self._gen.send(None)
-            return self._gen.send(tuple(inbox))
+            return self._gen.send(inbox)
         except StopIteration as stop:
             self.done = True
             self.result = stop.value
-            return []
+            return ()
 
 
 class _Simulation:
@@ -284,44 +292,46 @@ class _Simulation:
         self.corrupted: set[int] = set()
         self.transcript = Transcript(n, t, seed)
         # The round being sent (the rushing view), then every finished
-        # round's inboxes as delivered to the parties.
+        # round's inboxes as delivered to the parties 1..n.
         self.by_round: dict[int, list[Envelope]] = {}
-        self.delivered: dict[int, dict[int, tuple[Envelope, ...]]] = {}
+        self.delivered: dict[int, list[Inbox]] = {}
 
 
 def run_simulation(
     n: int,
     t: int,
-    programs: Sequence[Program],
+    machines: Sequence[Generator],
     adversary: Adversary | None = None,
     seed: int = 0,
     round_cap: int = DEFAULT_ROUND_CAP,
 ) -> tuple[dict[int, Any], Transcript]:
     """Run the lockstep loop until every non-corrupted party has an output.
 
+    ``machines[pid - 1]`` is party pid's generator (see GeneratorProgram).
     Returns ({pid: output} over parties that were never corrupted, transcript).
     The run's memo lives until it returns or raises; a nested run gets its
     own and leaves this one's in place.
     """
     if not 0 <= t < n:
         raise InvalidParams(f"need 0 <= t < n, got n={n} t={t}")
-    if len(programs) != n:
-        raise InvalidParams(f"expected {n} programs, got {len(programs)}")
+    if len(machines) != n:
+        raise InvalidParams(f"expected {n} machines, got {len(machines)}")
+    parties = [GeneratorProgram(gen) for gen in machines]
     token = _RUN_MEMO.set({})
     try:
-        return _run(n, t, programs, adversary, seed, round_cap)
+        return _run(n, t, parties, adversary, seed, round_cap)
     finally:
         _RUN_MEMO.reset(token)
 
 
-def _run(n, t, programs, adversary, seed, round_cap):
+def _run(n, t, parties, adversary, seed, round_cap):
     """run_simulation's lockstep loop, run inside the memo it set up."""
     adversary = adversary if adversary is not None else Adversary()
     adversary.begin(n, t, random.Random(f"adversary:{seed}"))
     sim = _Simulation(n, t, seed)
     view = SimulationView(sim)
     tr = sim.transcript
-    inboxes: dict[int, tuple[Envelope, ...]] = {pid: () for pid in range(1, n + 1)}
+    inboxes: list[Inbox] = [(None,) * n] * n
     reported: set[int] = set()
 
     while True:
@@ -333,7 +343,8 @@ def _run(n, t, programs, adversary, seed, round_cap):
         for pid in range(1, n + 1):
             if pid in sim.corrupted:
                 continue
-            outbox = programs[pid - 1].on_round(rnd, inboxes[pid])
+            party = parties[pid - 1]
+            outbox = party.on_round(inboxes[pid - 1])
             envs = []
             for receiver, payload in outbox:
                 if type(receiver) is not int or not 1 <= receiver <= n:
@@ -341,11 +352,11 @@ def _run(n, t, programs, adversary, seed, round_cap):
                 envs.append(_new(Envelope, (rnd, pid, receiver,
                                             payload if type(payload) is bytes else bytes(payload))))
             pending[pid] = envs
-            if programs[pid - 1].done and pid not in reported:
+            if party.done and pid not in reported:
                 reported.add(pid)
                 tr.events.append(("output", rnd - 1, pid))
 
-        if all(programs[pid - 1].done for pid in range(1, n + 1) if pid not in sim.corrupted):
+        if all(parties[pid - 1].done for pid in range(1, n + 1) if pid not in sim.corrupted):
             # The protocol finished on the previous round's deliveries; this
             # round never takes place.
             assert all(not envs for envs in pending.values())
@@ -364,9 +375,7 @@ def _run(n, t, programs, adversary, seed, round_cap):
             tr.events.append(("corrupt", rnd, pid))
             pending.pop(pid, None)  # corruption suppresses this round's sends
 
-        round_envs: list[Envelope] = []
-        for pid in sorted(pending):
-            round_envs.extend(pending[pid])
+        round_envs = [env for envs in pending.values() for env in envs]  # pending is in pid order
         tr.envelopes.extend(round_envs)
         sim.by_round = {rnd: round_envs}
 
@@ -385,43 +394,30 @@ def _run(n, t, programs, adversary, seed, round_cap):
                 round_envs.append(env)
                 tr.envelopes.append(env)
 
-        next_inboxes: dict[int, list[Envelope]] = {pid: [] for pid in range(1, n + 1)}
-        for env in round_envs:
-            next_inboxes[env.receiver].append(env)
-        inboxes = {pid: tuple(envs) for pid, envs in next_inboxes.items()}
-        sim.delivered[rnd] = inboxes
+        inboxes = sim.delivered[rnd] = _deliver(n, round_envs)
         tr.rounds_used = rnd
 
     outputs = {
-        pid: programs[pid - 1].result
+        pid: parties[pid - 1].result
         for pid in range(1, n + 1)
         if pid not in sim.corrupted
     }
     return outputs, tr
 
 
-def run_machines(n: int, t: int, machine: Callable[[int], Any],
+def run_machines(n: int, t: int, machine: Callable[[int], Generator],
                  adversary: Adversary | None = None, seed: int = 0,
                  round_cap: int = DEFAULT_ROUND_CAP) -> tuple[dict[int, Any], Transcript]:
     """Run one protocol: ``machine(pid)`` is party pid's generator, pids 1..n.
 
-    The one entry point for generator machines; returns run_simulation's
+    The entry point the protocols use; returns run_simulation's
     ({pid: output}, transcript).
     """
-    programs = [GeneratorProgram(machine(pid)) for pid in range(1, n + 1)]
-    return run_simulation(n, t, programs, adversary, seed, round_cap)
+    return run_simulation(n, t, [machine(pid) for pid in range(1, n + 1)],
+                          adversary, seed, round_cap)
 
 
 def broadcast(n: int, payload: bytes) -> tuple[tuple[int, bytes], ...]:
     """Outbox addressing every party (the sender too) with one payload; a
     tuple, so the parties sending the same outbox can share it."""
     return tuple([(pid, payload) for pid in range(1, n + 1)])
-
-
-def first_payload_by_sender(inbox: Iterable[Envelope]) -> dict[int, bytes]:
-    """First payload per sender; duplicates within a round are ignored."""
-    seen: dict[int, bytes] = {}
-    for env in inbox:
-        if env.sender not in seen:
-            seen[env.sender] = env.payload
-    return seen

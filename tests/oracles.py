@@ -17,6 +17,9 @@ from treeaa.errors import CorruptTranscript, InvalidParams, NoSupport
 from treeaa.simnet import Envelope
 from treeaa.wire import decode_path
 
+CLOSE_SLACK = 2.0 ** -40
+"""Absolute slack absorbing float rounding in closeness assertions."""
+
 
 def adjacency(tree) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {v: set() for v in tree.vertices}

@@ -18,6 +18,7 @@ from itertools import product
 import pytest
 
 import oracles
+from oracles import CLOSE_SLACK
 from byzhelpers import InstanceScript, check_consistency
 
 from treeaa import (
@@ -31,7 +32,7 @@ from treeaa.adversaries import REGISTRY, context_for_real_aa
 from treeaa.bounds import k_bound, k_bound_simple, lb_rounds, max_product_partition
 from treeaa.harness import assign_inputs, resolve_tree, run_one
 from treeaa.gradecast import gradecast_all
-from treeaa.real_aa import CLOSE_SLACK, convergence_factor, real_aa_machine
+from treeaa.real_aa import convergence_factor, real_aa_machine
 from treeaa.simnet import Transcript
 from treeaa.trees import LabeledTree
 

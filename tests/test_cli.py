@@ -112,6 +112,22 @@ def test_run_config_must_be_a_json_object(tmp_path, document):
     assert "--config" in result.output
 
 
+@pytest.mark.parametrize("source", [["--gen", "path:abc"], ["--gen", "path:5:x"], "path:1e3"],
+                         ids=["gen-size", "gen-seed", "config-size"])
+def test_run_rejects_malformed_generator_specs(tmp_path, source):
+    if isinstance(source, str):  # through a config file
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**CONFIG, "tree_source": source}), encoding="utf-8")
+        args, spec = ["--config", str(path)], source
+    else:
+        args, spec = [*source, "--n", "4", "--t", "1"], source[1]
+    result = CliRunner().invoke(main, ["run", *args])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and repr(spec) in result.output
+    assert "Traceback" not in result.output
+
+
 def test_gen_tree_roundtrips_through_run(tmp_path):
     runner = CliRunner()
     doc = tmp_path / "tree.txt"

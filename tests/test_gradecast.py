@@ -15,14 +15,13 @@ from treeaa.gradecast import (
 from treeaa.harness import resolve_tree
 from treeaa.simnet import (
     Adversary,
-    GeneratorProgram,
+    Envelope,
     broadcast,
-    first_payload_by_sender,
     replay_transcript,
     run_machines,
 )
 from treeaa.tree_aa import run_tree_aa_old
-from treeaa.wire import TAG_ECHO, TAG_VOTE, encode_vector, frame
+from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_vector, frame
 
 from byzhelpers import InstanceScript, check_consistency
 
@@ -127,7 +126,7 @@ def test_registry_adversaries_preserve_consistency():
     for name in sorted(REGISTRY):
         for seed in range(10):
             ctx = AdversaryContext(
-                program_factory=lambda pid, v: GeneratorProgram(gradecast_all(n, t, pid, v)),
+                machine=lambda pid, v: gradecast_all(n, t, pid, v),
                 lo_input=b"lo",
                 hi_input=b"hi",
                 planned_rounds=3,
@@ -156,10 +155,7 @@ def test_each_distinct_inbox_is_answered_once(monkeypatch):
     ctx = AdversaryContext(lambda pid, v: None, labels[0], labels[-1], 0)
     outputs, transcript, _ = run_tree_aa_old(tree, n, t, inputs, make_adversary("silent", ctx), seed=5)
     inboxes = replay_transcript(transcript)
-    distinct = {
-        (rnd, tuple(map(first_payload_by_sender(inboxes[rnd][pid]).get, range(1, n + 1))))
-        for rnd in inboxes if rnd % 3 != 0 for pid in outputs
-    }
+    distinct = {(rnd, inboxes[rnd][pid]) for rnd in inboxes if rnd % 3 != 0 for pid in outputs}
     assert transcript.rounds_used >= 15
     assert len(distinct) == 2 * transcript.rounds_used // 3
     assert len(calls) <= len(distinct)
@@ -167,7 +163,7 @@ def test_each_distinct_inbox_is_answered_once(monkeypatch):
 
 def _registry(name, n, t):
     return REGISTRY[name](AdversaryContext(
-        program_factory=lambda pid, v: GeneratorProgram(gradecast_all(n, t, pid, v)),
+        machine=lambda pid, v: gradecast_all(n, t, pid, v),
         lo_input=b"lo",
         hi_input=b"hi",
         planned_rounds=3,
@@ -201,5 +197,41 @@ def test_shared_replies_never_merge_distinct_inboxes(make, vote_frames):
         assert outputs[pid] == grade_votes(n, t, received_vectors(n, inboxes[3][pid], TAG_VOTE))
     assert len({sent[2, pid] for pid in outputs}) == 2
     assert len({sent[3, pid] for pid in outputs}) == vote_frames
-    assert len({tuple(e.payload for e in inboxes[3][pid]) for pid in outputs}) == vote_frames
+    assert len({inboxes[3][pid] for pid in outputs}) == vote_frames
     assert len({tuple(outputs[pid].values()) for pid in outputs}) == vote_frames
+
+
+class DuplicateValueFrame(Adversary):
+    """Party 4 sends "v" to everyone in round 1, but party 1 gets "w" first.
+
+    It is silent afterwards.  If party 1 kept the later "v", all three honest
+    parties would echo "v" (n - t = 3 echoes) and grade it 2; with the first
+    payload kept, instance 4 has no candidate and grades 0 everywhere.
+    """
+
+    def corrupt_decision(self, round, view):
+        return {4}
+
+    def byzantine_send(self, round, pid, view):
+        if round != 1:
+            return []
+        first = [Envelope(1, pid, 1, frame(TAG_VALUE, b"w"))]
+        return first + [Envelope(1, pid, q, frame(TAG_VALUE, b"v")) for q in range(1, 5)]
+
+
+def test_duplicate_value_frame_first_one_counts():
+    n, t = 4, 1
+    outputs, transcript = gradecast_once(n, t, values_for(n), DuplicateValueFrame())
+    to_one = [e.payload for e in transcript.envelopes if e.sender == 4 and e.receiver == 1]
+    assert to_one == [frame(TAG_VALUE, b"w"), frame(TAG_VALUE, b"v")]
+    inboxes = replay_transcript(transcript)
+    assert inboxes[1][1][3] == frame(TAG_VALUE, b"w")
+    sent = {(e.round, e.sender): e.payload for e in transcript.envelopes if e.sender in outputs}
+    for pid in outputs:  # outside a run nothing is memoised
+        echoes = received_vectors(n, inboxes[2][pid], TAG_ECHO)
+        assert sent[2, pid] == frame(TAG_ECHO, encode_vector(received_values(n, inboxes[1][pid])))
+        assert sent[3, pid] == frame(TAG_VOTE, encode_vector(compute_candidates(n, t, echoes)))
+        assert outputs[pid] == grade_votes(n, t, received_vectors(n, inboxes[3][pid], TAG_VOTE))
+    assert received_values(n, inboxes[1][1])[3] == b"w"
+    assert all(outputs[pid][4] == GradedValue(None, 0) for pid in outputs)
+    check_consistency(outputs, n)

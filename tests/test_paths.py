@@ -20,7 +20,7 @@ from treeaa.paths import (
     legacy_rounds,
     prefix_path_finder_machine,
 )
-from treeaa.simnet import GeneratorProgram, run_machines
+from treeaa.simnet import run_machines
 from treeaa.trees import FROM_ROOT_CACHE_LABELS, LabeledTree
 from treeaa.wire import encode_path
 
@@ -236,9 +236,7 @@ def test_decode_tree_path_matches_reference_decode(data):
 def prefix_ctx(tree, n, t):
     hi = max(tree.vertices, key=lambda v: (tree.depth(v), v))
     return AdversaryContext(
-        program_factory=lambda pid, v: GeneratorProgram(
-            prefix_path_finder_machine(tree, n, t, pid, v)
-        ),
+        machine=lambda pid, v: prefix_path_finder_machine(tree, n, t, pid, v),
         lo_input=tree.root,
         hi_input=hi,
         planned_rounds=3,
@@ -248,9 +246,7 @@ def prefix_ctx(tree, n, t):
 def legacy_ctx(tree, n, t):
     hi = max(tree.vertices, key=lambda v: (tree.depth(v), v))
     return AdversaryContext(
-        program_factory=lambda pid, v: GeneratorProgram(
-            legacy_path_finder_machine(tree, n, t, pid, v)
-        ),
+        machine=lambda pid, v: legacy_path_finder_machine(tree, n, t, pid, v),
         lo_input=tree.root,
         hi_input=hi,
         planned_rounds=legacy_rounds(tree, n, t),

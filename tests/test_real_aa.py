@@ -9,14 +9,13 @@ from treeaa.adversaries import REGISTRY, context_for_real_aa
 from treeaa.errors import InsufficientValues, InvalidParams, NonFinite
 from treeaa.gradecast import GradedValue
 from treeaa.real_aa import (
-    CLOSE_SLACK,
     closest_int,
     convergence_factor,
     real_aa_machine,
 )
 from treeaa.wire import encode_double
 
-from oracles import closed_form_iterations
+from oracles import CLOSE_SLACK, closed_form_iterations
 
 MATRIX_NT = [(4, 1), (7, 2), (10, 3)]
 

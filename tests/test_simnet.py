@@ -1,4 +1,5 @@
 import re
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,6 @@ from treeaa.gradecast import gradecast_all
 from treeaa.simnet import (
     Adversary,
     Envelope,
-    Program,
     Transcript,
     broadcast,
     replay_transcript,
@@ -25,30 +25,21 @@ from treeaa.simnet import (
 )
 
 
-class EchoProgram(Program):
-    """Round 1: broadcast a tag.  Round 2: output the payloads received."""
-
-    def __init__(self, n, pid):
-        self.n = n
-        self.pid = pid
-        self.result = None
-
-    def on_round(self, round, inbox):
-        if round == 1:
-            return broadcast(self.n, b"hello-%d" % self.pid)
-        self.result = tuple(sorted(env.payload for env in inbox))
-        return []
+def echo_program(n, pid):
+    """Round 1: broadcast a tag.  Then output the inbox received."""
+    inbox = yield broadcast(n, b"hello-%d" % pid)
+    return inbox
 
 
 def echo_run(n=3, adversary=None, seed=0):
     return run_simulation(n, 0 if adversary is None else 1,
-                          [EchoProgram(n, pid) for pid in range(1, n + 1)],
+                          [echo_program(n, pid) for pid in range(1, n + 1)],
                           adversary, seed)
 
 
 def test_echo_delivers_all_payloads_next_round():
     outputs, transcript = echo_run()
-    expected = tuple(sorted(b"hello-%d" % pid for pid in (1, 2, 3)))
+    expected = (b"hello-1", b"hello-2", b"hello-3")
     assert outputs == {1: expected, 2: expected, 3: expected}
     assert transcript.rounds_used == 1
     assert len(transcript.envelopes) == 9
@@ -85,15 +76,15 @@ class Forger(Adversary):
         return [Envelope(round, 2, 3, b"spoof")]  # claims to be party 2
 
 
-class NeverEnds(Program):
-    def on_round(self, round, inbox):
-        return []
+def never_ends():
+    while True:
+        yield ()
 
 
 def test_uncorrupting_is_violation():
-    programs = [NeverEnds(), NeverEnds(), NeverEnds(), NeverEnds()]
+    machines = [never_ends(), never_ends(), never_ends(), never_ends()]
     with pytest.raises(StrategyViolation):
-        run_simulation(4, 1, programs, UnCorrupt())
+        run_simulation(4, 1, machines, UnCorrupt())
 
 
 def test_sender_spoofing_is_violation():
@@ -101,16 +92,9 @@ def test_sender_spoofing_is_violation():
         echo_run(n=4, adversary=Forger())
 
 
-class SendsOnceTo(Program):
-    def __init__(self, receiver):
-        self.receiver = receiver
-        self.result = None
-
-    def on_round(self, round, inbox):
-        if round == 1:
-            return [(self.receiver, b"x")]
-        self.result = "done"
-        return []
+def sends_once_to(receiver):
+    yield [(receiver, b"x")]
+    return "done"
 
 
 class ByzantineSendsTo(Adversary):
@@ -128,7 +112,7 @@ class ByzantineSendsTo(Adversary):
 @pytest.mark.parametrize("receiver", [True, 2.0, "2", None, 0, 4])
 def test_honest_receiver_must_be_an_int_party_id(receiver):
     with pytest.raises(ProtocolViolation):
-        run_simulation(3, 0, [SendsOnceTo(receiver) for _ in range(3)])
+        run_simulation(3, 0, [sends_once_to(receiver) for _ in range(3)])
 
 
 @pytest.mark.parametrize("receiver", [True, 2.0, "2", None, 0, 5])
@@ -138,16 +122,16 @@ def test_byzantine_receiver_must_be_an_int_party_id(receiver):
 
 
 def test_round_cap_turns_liveness_bug_into_error():
-    programs = [NeverEnds(), NeverEnds()]
+    machines = [never_ends(), never_ends()]
     with pytest.raises(NonTermination):
-        run_simulation(2, 0, programs, round_cap=25)
+        run_simulation(2, 0, machines, round_cap=25)
 
 
 def test_param_validation():
     with pytest.raises(InvalidParams):
-        run_simulation(2, 2, [NeverEnds(), NeverEnds()])
+        run_simulation(2, 2, [never_ends(), never_ends()])
     with pytest.raises(InvalidParams):
-        run_simulation(3, 0, [NeverEnds()])
+        run_simulation(3, 0, [never_ends()])
 
 
 class SilentOne(Adversary):
@@ -158,7 +142,7 @@ class SilentOne(Adversary):
 def test_corrupted_party_messages_are_suppressed():
     outputs, transcript = echo_run(n=4, adversary=SilentOne())
     assert set(outputs) == {2, 3, 4}
-    expected = tuple(sorted(b"hello-%d" % pid for pid in (2, 3, 4)))
+    expected = (None, b"hello-2", b"hello-3", b"hello-4")
     assert all(out == expected for out in outputs.values())
     assert ("corrupt", 1, 1) in transcript.events
     assert all(env.sender != 1 for env in transcript.envelopes)
@@ -168,14 +152,14 @@ class GeneratorEcho:
     @staticmethod
     def machine(n, pid):
         inbox = yield broadcast(n, b"gen-%d" % pid)
-        return tuple(sorted(env.payload for env in inbox))
+        return inbox
 
 
 def test_generator_program_adapter():
     n = 3
     outputs, transcript = run_machines(n, 0, lambda pid: GeneratorEcho.machine(n, pid))
     assert transcript.rounds_used == 1
-    assert outputs[2] == tuple(sorted(b"gen-%d" % pid for pid in (1, 2, 3)))
+    assert outputs[2] == (b"gen-1", b"gen-2", b"gen-3")
 
 
 def test_instant_output_takes_zero_rounds():
@@ -221,13 +205,13 @@ class TestRunMemo:
         assert seen[4] is not seen[0]
 
     def test_dropped_when_the_run_raises(self):
-        class Touches(Program):
-            def on_round(self, round, inbox):
+        def touches():
+            for round in count(1):
                 run_memo("t")[round] = round
-                return []
+                yield ()
 
         with pytest.raises(NonTermination):
-            run_simulation(2, 0, [Touches(), Touches()], round_cap=5)
+            run_simulation(2, 0, [touches(), touches()], round_cap=5)
         assert run_memo("t") is None
 
     def test_nested_run_has_its_own_memo(self):
@@ -255,7 +239,7 @@ class TestTranscript:
         _, tr = echo_run()
         inboxes = replay_transcript(tr)
         assert set(inboxes) == {1}
-        assert [env.sender for env in inboxes[1][2]] == [1, 2, 3]
+        assert inboxes[1][2] == (b"hello-1", b"hello-2", b"hello-3")
 
     def test_replay_three_round_run(self):
         _, tr = run_machines(4, 1, lambda pid: gradecast_all(4, 1, pid, b"x"))
@@ -264,6 +248,7 @@ class TestTranscript:
         for rnd in inboxes:
             for pid in range(1, 5):
                 assert len(inboxes[rnd][pid]) == 4
+                assert None not in inboxes[rnd][pid]
 
     def test_replay_empty(self):
         tr = Transcript(3, 0, 0)
@@ -404,21 +389,11 @@ class TestTranscript:
         assert line.index('"receiver"') < line.index('"payload_hex"')
 
 
-class RecordingEcho(Program):
-    """Echo program that also records every inbox it was given."""
-
-    def __init__(self, n, pid):
-        self.n = n
-        self.pid = pid
-        self.result = None
-        self.inboxes = {}
-
-    def on_round(self, round, inbox):
-        self.inboxes[round] = tuple(inbox)
-        if round <= 2:
-            return broadcast(self.n, b"r%d-%d" % (round, self.pid))
-        self.result = "done"
-        return []
+def recording_echo(n, pid, inboxes):
+    """Broadcasts in rounds 1 and 2; records in inboxes[k] what it was resumed with in round k."""
+    inboxes[2] = yield broadcast(n, b"r1-%d" % pid)
+    inboxes[3] = yield broadcast(n, b"r2-%d" % pid)
+    return "done"
 
 
 def test_inbox_of_equals_a_scan_of_the_round():
@@ -430,8 +405,11 @@ def test_inbox_of_equals_a_scan_of_the_round():
             sent = view._sim.transcript.envelopes
             for rnd in range(round + 2):
                 for pid in range(n + 2):
-                    scan = [e for e in sent if e.round == rnd and e.receiver == pid]
-                    assert view.inbox_of(pid, rnd) == scan
+                    scan = [None] * n  # the first payload per sender
+                    for e in sent:
+                        if e.round == rnd and e.receiver == pid and scan[e.sender - 1] is None:
+                            scan[e.sender - 1] = e.payload
+                    assert view.inbox_of(pid, rnd) == tuple(scan)
             checked.append(round)
 
         def corrupt_decision(self, round, view):
@@ -464,15 +442,15 @@ def test_byzantine_envelope_is_rebuilt_with_the_round_and_sender():
 
 def test_replay_matches_live_inboxes():
     n = 3
-    programs = [RecordingEcho(n, pid) for pid in range(1, n + 1)]
-    _, tr = run_simulation(n, 0, programs)
+    live = {pid: {} for pid in range(1, n + 1)}
+    _, tr = run_simulation(n, 0, [recording_echo(n, pid, live[pid]) for pid in range(1, n + 1)])
     assert tr.rounds_used == 2
     replayed = replay_transcript(tr)
     for pid in range(1, n + 1):
         for rnd in (1, 2):
-            # on_round(rnd+1) consumed what was sent in round rnd
-            live = programs[pid - 1].inboxes[rnd + 1]
-            assert tuple(replayed[rnd][pid]) == live
+            # round rnd+1 resumed the party with what was sent in round rnd
+            assert live[pid][rnd + 1] == tuple(b"r%d-%d" % (rnd, s) for s in range(1, n + 1))
+            assert replayed[rnd][pid] == live[pid][rnd + 1]
 
 
 def test_events_reproduce_with_seed():
@@ -489,3 +467,37 @@ def test_events_reproduce_with_seed():
         runs.append(tr)
     assert runs[0].envelopes == runs[1].envelopes
     assert runs[0].events == runs[1].events
+
+
+def test_first_payload_per_sender_wins():
+    # Party 4 sends party 1 two different payloads in round 1: the transcript
+    # keeps both lines in order, and every view of party 1's inbox holds
+    # only the first.
+    n, t = 4, 1
+    seen = []
+
+    class SendsTwice(Adversary):
+        def corrupt_decision(self, round, view):
+            if round == 2:
+                seen.append(view.inbox_of(1, 1))
+            return {4}
+
+        def byzantine_send(self, round, pid, view):
+            if round != 1:
+                return []
+            return [Envelope(1, 4, 1, b"first"), Envelope(1, 4, 2, b"other"),
+                    Envelope(1, 4, 1, b"second")]
+
+    live = {pid: {} for pid in range(1, n)}
+    machines = [recording_echo(n, pid, live[pid]) for pid in range(1, n)] + [never_ends()]
+    _, tr = run_simulation(n, t, machines, SendsTwice())
+    assert [e for e in tr.envelopes if e.sender == 4] == [
+        Envelope(1, 4, 1, b"first"), Envelope(1, 4, 2, b"other"), Envelope(1, 4, 1, b"second")]
+    lines = tr.to_jsonl()
+    assert lines.index(b"first".hex()) < lines.index(b"other".hex()) < lines.index(b"second".hex())
+    expected = (b"r1-1", b"r1-2", b"r1-3", b"first")
+    assert live[1][2] == expected
+    assert seen == [expected]
+    assert replay_transcript(tr)[1][1] == expected
+    assert replay_transcript(Transcript.from_jsonl(lines, n=n))[1][1] == expected
+    assert live[2][2] == (b"r1-1", b"r1-2", b"r1-3", b"other")

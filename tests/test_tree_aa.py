@@ -14,7 +14,7 @@ from treeaa import (
 from treeaa.adversaries import REGISTRY, AdversaryContext, RegistryAdversary
 from treeaa.errors import InvalidParams
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
-from treeaa.simnet import Adversary, Envelope, GeneratorProgram
+from treeaa.simnet import Adversary, Envelope
 from treeaa.paths import legacy_rounds
 from treeaa.tree_aa import MACHINES
 from treeaa.trees import LabeledTree, is_prefix
@@ -25,7 +25,7 @@ def tree_ctx(tree, n, t, mode):
     machine = MACHINES[mode].machine
     hi = max(tree.vertices, key=lambda v: (tree.depth(v), v))
     return AdversaryContext(
-        program_factory=lambda pid, v: GeneratorProgram(machine(tree, n, t, pid, v)),
+        machine=lambda pid, v: machine(tree, n, t, pid, v),
         lo_input=tree.root,
         hi_input=hi,
         planned_rounds=planned_rounds(tree, n, t, mode),

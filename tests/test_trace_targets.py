@@ -37,8 +37,7 @@ def _load_targets() -> tuple:
 TARGETS = _load_targets()
 
 
-def test_the_table_is_not_empty():
-    assert len(TARGETS) >= 30
+def test_the_table_was_read():
     assert any(t.span == "simnet.program_step" for t in TARGETS)
 
 

@@ -39,15 +39,29 @@ def _check(n: int, t: int, r: int, d: float) -> None:
         raise InvalidParams(f"need finite d > 0, got {d!r}")
 
 
+def _underflows(n: int, t: int, r: int) -> bool:
+    """Whether t^r / (r (n+t))^r is provably below 2^-1075, half the
+    smallest subnormal double, so that it and every smaller ratio round to
+    0.0; decided from bit lengths, without forming the powers."""
+    # t < 2^len(t) and r (n+t) >= 2^(len(r (n+t)) - 1).
+    return r * (t.bit_length() - (r * (n + t)).bit_length() + 1) <= -1075
+
+
 def k_bound(n: int, t: int, r: int, d: float) -> float:
     """Divergence bound d * max{prod T_i : sum <= t, T_i >= 1} / (n+t)^r."""
     _check(n, t, r, d)
+    # The product is 0 when r > t, and at most (t/r)^r, so it underflows
+    # whenever k_bound_simple's ratio does.
+    if r > t or _underflows(n, t, r):
+        return 0.0
     return d * float(Fraction(max_product_partition(t, r), (n + t) ** r))
 
 
 def k_bound_simple(n: int, t: int, r: int, d: float) -> float:
     """The closed-form variant d * t^r / (r^r (n+t)^r)."""
     _check(n, t, r, d)
+    if _underflows(n, t, r):
+        return 0.0
     return d * float(Fraction(t**r, (r * (n + t)) ** r))
 
 

@@ -1,17 +1,26 @@
 """Deterministic lockstep simulator for synchronous round protocols.
 
-Parties are numbered 1..n and exchange envelopes over authenticated
-point-to-point channels: an envelope's sender field always names the true
-origin, and everything sent in round k is delivered exactly at the end of
-round k, before round k+1 begins.
+Parties are numbered 1..n and exchange messages over authenticated
+point-to-point channels: a message's sender always names its true origin,
+and everything sent in round k is delivered exactly at the end of round k,
+before round k+1 begins.
 
-A party is a generator (``GeneratorProgram`` runs it).  Its inbox is an
-n-tuple indexed by sender: entry s-1 is the first payload sender s sent the
-party in the previous round, or None; later payloads from the same sender
-in that round are recorded in the transcript but not delivered.  One rule
-(``_deliver``) builds every inbox: the ones parties are stepped with, the
-ones adversary shadows read (``SimulationView.inbox_of``) and the ones
-``replay_transcript`` rebuilds.
+A party is a generator (``GeneratorProgram`` runs it).  It yields its
+outbox, a sequence of (receiver, payload) pairs, and is resumed with its
+inbox: an n-tuple indexed by sender whose entry s-1 is the first payload
+sender s sent the party in the previous round, or None; later payloads
+from the same sender in that round are recorded in the transcript but not
+delivered.
+
+A transcript is stored as per-sender outbox records: one record (round,
+sender, pairs) per sender that sent in a round, in sending order.
+Everything else is derived from the records: the envelopes (one per pair),
+the JSONL lines, the inboxes, the adversary's view
+(``SimulationView.inbox_of``) and ``replay_transcript``.  Each record gives
+its sender's column, the n-tuple of its first payload to each receiver;
+a round's inboxes are its columns transposed.  Honest parties share
+memoised outbox tuples, so each distinct honest outbox object is checked
+once per run and then kept as its records' pairs without a copy.
 
 Round structure.  In round k every non-corrupted party is resumed with the
 inbox from round k-1 (all None for k=1) and yields the messages it sends
@@ -31,11 +40,12 @@ inbox once.  The memo is keyed by value and dropped when the run ends; its
 values are shared by parties, so they are immutable (an outbox is a tuple).
 
 A transcript file is one canonical JSON line per envelope, each ending in
-a newline (``Transcript.to_jsonl``); ``from_jsonl`` accepts exactly those
-lines and raises CorruptTranscript on anything else.  Broadcasts repeat
-each payload n times, so the writer hexes and the reader decodes each
-distinct payload once; read-back envelopes with equal payloads share one
-bytes object.
+a newline (``Transcript.to_jsonl``); the lines of one record share one
+head.  ``from_jsonl`` accepts exactly those lines, groups consecutive lines
+of one round and sender into one record, and raises CorruptTranscript on
+anything else.  Broadcasts repeat each payload n times, so the writer
+hexes and the reader decodes each distinct payload once; read-back pairs
+with equal payloads share one bytes object.
 """
 
 from __future__ import annotations
@@ -98,8 +108,16 @@ class Envelope(NamedTuple):
     payload: bytes
 
 
-# Envelope's own __new__ is a Python function; the hot loops build through
-# tuple.__new__ directly, at about half the cost, with the same result.
+class Record(NamedTuple):
+    """What one sender sent in one round: its (receiver, payload) pairs, in order."""
+
+    round: int
+    sender: int
+    pairs: Sequence[tuple[int, bytes]]
+
+
+# The NamedTuples' own __new__ is a Python function; the hot loops build
+# through tuple.__new__ directly, at about half the cost, with the same result.
 _new = tuple.__new__
 
 # Entry s-1 holds the first payload sender s sent this round, or None.
@@ -108,14 +126,35 @@ Inbox = tuple[bytes | None, ...]
 
 @dataclass
 class Transcript:
-    """Full record of one simulation, replayable bit-exactly."""
+    """Full record of one simulation, replayable bit-exactly.
+
+    ``records`` is the only stored form; ``envelopes`` and the JSONL lines
+    are derived from it each time they are read.
+    """
 
     n: int
     t: int
     seed: int
-    envelopes: list[Envelope] = field(default_factory=list)
+    records: list[Record] = field(default_factory=list)
     events: list[tuple[str, int, int]] = field(default_factory=list)
     rounds_used: int = 0
+
+    @classmethod
+    def from_envelopes(cls, n: int, t: int, seed: int, envelopes: Iterable[Envelope],
+                       rounds_used: int = 0) -> "Transcript":
+        """The transcript of ``envelopes`` in order; consecutive envelopes of
+        one round and sender share a record."""
+        records: list[Record] = []
+        for r, s, q, p in envelopes:
+            if not records or records[-1][:2] != (r, s):
+                records.append(Record(r, s, []))
+            records[-1].pairs.append((q, p))
+        return cls(n, t, seed, records, [], rounds_used)
+
+    @property
+    def envelopes(self) -> list[Envelope]:
+        """Every envelope in sending order, flattened from the records."""
+        return [_new(Envelope, (r, s, q, p)) for r, s, pairs in self.records for q, p in pairs]
 
     def corrupted(self) -> set[int]:
         return {pid for kind, _, pid in self.events if kind == "corrupt"}
@@ -123,19 +162,26 @@ class Transcript:
     def to_jsonl(self) -> str:
         """One canonical JSON line per envelope, each ending in a newline."""
         hexed: dict[bytes, str] = {}
-        return "".join([
-            f'{{"round":{r},"sender":{s},"receiver":{q},'
-            f'"payload_hex":"{hexed.get(p) or hexed.setdefault(p, p.hex())}"}}\n'
-            for r, s, q, p in self.envelopes
-        ])
+        lines = []
+        for r, s, pairs in self.records:
+            if pairs:
+                head = f'{{"round":{r},"sender":{s},"receiver":'
+                lines.append(head + head.join([
+                    f'{q},"payload_hex":"{hexed.get(p) or hexed.setdefault(p, p.hex())}"}}\n'
+                    for q, p in pairs]))
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str, n: int | None = None, t: int = 0, seed: int = 0) -> "Transcript":
-        """Parse exactly what ``to_jsonl`` writes; CorruptTranscript names the first other line."""
-        envelopes = []
+        """Parse exactly what ``to_jsonl`` writes; CorruptTranscript names the first other line.
+
+        Consecutive lines of one round and sender become one record.
+        """
+        records: list[Record] = []
+        pairs: list[tuple[int, bytes]] = []  # the last record's
         payloads: dict[str, bytes] = {}
         head, find, startswith = _HEAD.match, text.find, text.startswith
-        prev_hex, prev_width = "", -1
+        prev_hex, prev_width, prev_key = "", -1, None
         end = 0
         while end < len(text):
             m = head(text, end)
@@ -157,7 +203,12 @@ class Transcript:
                         break
                     payloads[prev_hex] = payload
             try:  # an int too long for int()
-                envelopes.append(_new(Envelope, (int(m[1]), int(m[2]), int(m[3]), payload)))
+                key = m.group(1, 2)  # the round and sender digits
+                if key != prev_key:
+                    pairs = []
+                    records.append(_new(Record, (int(key[0]), int(key[1]), pairs)))
+                    prev_key = key
+                pairs.append((int(m[3]), payload))
             except ValueError:
                 break
             end = close + 3
@@ -165,42 +216,38 @@ class Transcript:
             line = text.count("\n", 0, end) + 1
             bad = text[end:end + 80].partition("\n")[0]
             raise CorruptTranscript(f"line {line} is not a canonical envelope record: {bad!r}")
-        inferred = n or max((max(e.sender, e.receiver) for e in envelopes), default=0)
-        rounds = max((e.round for e in envelopes), default=0)
-        return cls(inferred, t, seed, envelopes, [], rounds)
+        inferred = n or max((max(s, *[q for q, _ in pairs]) for _, s, pairs in records), default=0)
+        rounds = max((r for r, _, _ in records), default=0)
+        return cls(inferred, t, seed, records, [], rounds)
 
 
 def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
     """Every party's inbox per round, as the simulator delivered it.
 
-    Returns {round: {pid: inbox}} for rounds 1..rounds_used, where inbox is
-    the per-sender payload tuple ``_deliver`` builds (the first payload
-    wins).  Raises CorruptTranscript on structural damage: out-of-range
-    rounds or party ids, or round order regressions.
+    Returns {round: {pid: inbox}} for rounds 1..rounds_used: each round's
+    sender columns (first payload per receiver) transposed, as in the run.
+    Raises CorruptTranscript on structural damage: out-of-range rounds or
+    party ids, or round order regressions.
     """
-    sent: dict[int, list[Envelope]] = {r: [] for r in range(1, tr.rounds_used + 1)}
+    n = tr.n
+    columns: dict[int, list] = {r: [None] * n for r in range(1, tr.rounds_used + 1)}
     last = 1
-    for env in tr.envelopes:
-        if not 1 <= env.round <= tr.rounds_used:
-            raise CorruptTranscript(f"round {env.round} outside 1..{tr.rounds_used}")
-        if env.round < last:
-            raise CorruptTranscript(f"round order regression at {env}")
-        last = env.round
-        if not (1 <= env.sender <= tr.n and 1 <= env.receiver <= tr.n):
-            raise CorruptTranscript(f"party id out of range in {env}")
-        sent[env.round].append(env)
-    return {r: dict(enumerate(_deliver(tr.n, envs), 1)) for r, envs in sent.items()}
-
-
-def _deliver(n: int, envelopes: Iterable[Envelope]) -> list[Inbox]:
-    """The inbox of each party 1..n: entry s-1 is the first payload sender s
-    sent it, or None.  The one place envelopes become inboxes."""
-    rows: list[list[bytes | None]] = [[None] * n for _ in range(n)]
-    for _, s, q, p in envelopes:
-        row = rows[q - 1]
-        if row[s - 1] is None:
-            row[s - 1] = p
-    return [tuple(row) for row in rows]
+    for r, s, pairs in tr.records:
+        for q, p in pairs:
+            if not 1 <= r <= tr.rounds_used:
+                raise CorruptTranscript(f"round {r} outside 1..{tr.rounds_used}")
+            if r < last:
+                raise CorruptTranscript(f"round order regression at {Envelope(r, s, q, p)}")
+            last = r
+            if not (1 <= s <= n and 1 <= q <= n):
+                raise CorruptTranscript(f"party id out of range in {Envelope(r, s, q, p)}")
+            column = columns[r][s - 1]
+            if column is None:
+                column = columns[r][s - 1] = [None] * n
+            if column[q - 1] is None:
+                column[q - 1] = p
+    silent = (None,) * n
+    return {r: dict(enumerate(zip(*[c or silent for c in cols]), 1)) for r, cols in columns.items()}
 
 
 class SimulationView:
@@ -229,9 +276,12 @@ class SimulationView:
         if not 1 <= pid <= n:
             return (None,) * n
         inboxes = sim.delivered.get(round)
-        if inboxes is None:
-            inboxes = _deliver(n, sim.by_round.get(round, ()))
-        return inboxes[pid - 1]
+        if inboxes is not None:
+            return inboxes[pid - 1]
+        columns = sim.sending.get(round)
+        if columns is None:
+            return (None,) * n
+        return tuple([column[pid - 1] for column in columns])
 
 
 class Adversary:
@@ -291,9 +341,10 @@ class _Simulation:
         self.round = 0
         self.corrupted: set[int] = set()
         self.transcript = Transcript(n, t, seed)
-        # The round being sent (the rushing view), then every finished
+        # The round being sent (the rushing view): each sender's column so
+        # far, entry q-1 its first payload to party q.  Then every finished
         # round's inboxes as delivered to the parties 1..n.
-        self.by_round: dict[int, list[Envelope]] = {}
+        self.sending: dict[int, list[Sequence[bytes | None]]] = {}
         self.delivered: dict[int, list[Inbox]] = {}
 
 
@@ -324,6 +375,31 @@ def run_simulation(
         _RUN_MEMO.reset(token)
 
 
+def _check_outbox(n: int, pid: int, outbox: Iterable) -> tuple[Sequence[tuple[int, bytes]], Inbox]:
+    """(pairs, column) of party pid's outbox; the column holds its first
+    payload to each receiver, or None.
+
+    A tuple of (int, bytes) tuples cannot change, so it is its own pairs;
+    anything else is copied, with each payload made bytes.
+    """
+    column: list[bytes | None] = [None] * n
+    pairs = []
+    same = type(outbox) is tuple
+    for pair in outbox:
+        receiver, payload = pair
+        if type(receiver) is not int or not 1 <= receiver <= n:
+            raise ProtocolViolation(f"party {pid} addressed invalid receiver {receiver!r}")
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+            same = False
+        elif type(pair) is not tuple:
+            same = False
+        pairs.append((receiver, payload))
+        if column[receiver - 1] is None:
+            column[receiver - 1] = payload
+    return (outbox if same else tuple(pairs)), tuple(column)
+
+
 def _run(n, t, parties, adversary, seed, round_cap):
     """run_simulation's lockstep loop, run inside the memo it set up."""
     adversary = adversary if adversary is not None else Adversary()
@@ -331,27 +407,31 @@ def _run(n, t, parties, adversary, seed, round_cap):
     sim = _Simulation(n, t, seed)
     view = SimulationView(sim)
     tr = sim.transcript
-    inboxes: list[Inbox] = [(None,) * n] * n
+    records = tr.records
+    silent: Inbox = (None,) * n
+    inboxes: list[Inbox] = [silent] * n
     reported: set[int] = set()
+    # id(outbox) -> (outbox, column) for each immutable honest outbox checked
+    # this run; holding the outbox keeps its id from being reused.
+    checked: dict[int, tuple[Sequence[tuple[int, bytes]], Inbox]] = {}
 
     while True:
         rnd = sim.round + 1
         if rnd > round_cap:
             raise NonTermination(f"round cap {round_cap} exceeded")
 
-        pending: dict[int, list[Envelope]] = {}
+        sent: dict[int, tuple[Sequence[tuple[int, bytes]], Inbox]] = {}
         for pid in range(1, n + 1):
             if pid in sim.corrupted:
                 continue
             party = parties[pid - 1]
             outbox = party.on_round(inboxes[pid - 1])
-            envs = []
-            for receiver, payload in outbox:
-                if type(receiver) is not int or not 1 <= receiver <= n:
-                    raise ProtocolViolation(f"party {pid} addressed invalid receiver {receiver!r}")
-                envs.append(_new(Envelope, (rnd, pid, receiver,
-                                            payload if type(payload) is bytes else bytes(payload))))
-            pending[pid] = envs
+            hit = checked.get(id(outbox))
+            if hit is None:
+                hit = _check_outbox(n, pid, outbox)
+                if hit[0] is outbox:  # it cannot change: checked once per run
+                    checked[id(outbox)] = hit
+            sent[pid] = hit
             if party.done and pid not in reported:
                 reported.add(pid)
                 tr.events.append(("output", rnd - 1, pid))
@@ -359,7 +439,7 @@ def _run(n, t, parties, adversary, seed, round_cap):
         if all(parties[pid - 1].done for pid in range(1, n + 1) if pid not in sim.corrupted):
             # The protocol finished on the previous round's deliveries; this
             # round never takes place.
-            assert all(not envs for envs in pending.values())
+            assert all(not pairs for pairs, _ in sent.values())
             break
 
         sim.round = rnd
@@ -373,28 +453,39 @@ def _run(n, t, parties, adversary, seed, round_cap):
         for pid in sorted(requested - sim.corrupted):
             sim.corrupted.add(pid)
             tr.events.append(("corrupt", rnd, pid))
-            pending.pop(pid, None)  # corruption suppresses this round's sends
+            sent.pop(pid, None)  # corruption suppresses this round's sends
 
-        round_envs = [env for envs in pending.values() for env in envs]  # pending is in pid order
-        tr.envelopes.extend(round_envs)
-        sim.by_round = {rnd: round_envs}
+        columns: list[Sequence[bytes | None]] = [silent] * n
+        for pid, (pairs, column) in sent.items():  # sent is in pid order
+            if pairs:
+                records.append(_new(Record, (rnd, pid, pairs)))
+            columns[pid - 1] = column
+        sim.sending = {rnd: columns}
 
         for pid in sorted(sim.corrupted):
+            # Filled in as each envelope passes its checks, so the adversary
+            # sees it at once, in the view and in the transcript.
+            pairs, column = [], [None] * n
+            records.append(_new(Record, (rnd, pid, pairs)))
+            columns[pid - 1] = column
             for env in adversary.byzantine_send(rnd, pid, view):
                 if env.round != rnd:
                     raise StrategyViolation(f"byzantine envelope for round {env.round} in round {rnd}")
                 if env.sender != pid:
                     raise StrategyViolation(f"party {pid} tried to spoof sender {env.sender}")
-                if type(env.receiver) is not int or not 1 <= env.receiver <= n:
-                    raise StrategyViolation(f"byzantine receiver {env.receiver!r} is not a party id")
-                # Rebuilt with rnd and pid: a bool round or sender passes the
-                # checks above (True == 1) but must be written as 1.
+                receiver = env.receiver
+                if type(receiver) is not int or not 1 <= receiver <= n:
+                    raise StrategyViolation(f"byzantine receiver {receiver!r} is not a party id")
+                # Recorded under rnd and pid: a bool round or sender passes
+                # the checks above (True == 1) but must be written as 1.
                 payload = env.payload if type(env.payload) is bytes else bytes(env.payload)
-                env = _new(Envelope, (rnd, pid, env.receiver, payload))
-                round_envs.append(env)
-                tr.envelopes.append(env)
+                pairs.append((receiver, payload))
+                if column[receiver - 1] is None:
+                    column[receiver - 1] = payload
+            if not pairs:
+                records.pop()
 
-        inboxes = sim.delivered[rnd] = _deliver(n, round_envs)
+        inboxes = sim.delivered[rnd] = list(zip(*columns))
         tr.rounds_used = rnd
 
     outputs = {

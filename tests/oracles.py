@@ -12,6 +12,7 @@ import math
 import random
 import re
 from collections import deque
+from fractions import Fraction
 
 from treeaa.errors import CorruptTranscript, InvalidParams, NoSupport
 from treeaa.simnet import Envelope
@@ -136,6 +137,16 @@ def enumerate_max_product(t: int, r: int) -> int:
 
     explore(r, t, 1)
     return best
+
+
+def k_bound_exact(n: int, t: int, r: int, d: float) -> float:
+    """bounds.k_bound with every power formed exactly."""
+    return d * float(Fraction(enumerate_max_product(t, r), (n + t) ** r))
+
+
+def k_bound_simple_exact(n: int, t: int, r: int, d: float) -> float:
+    """bounds.k_bound_simple with every power formed exactly."""
+    return d * float(Fraction(t**r, (r * (n + t)) ** r))
 
 
 def enumerate_supported_prefix(entries, min_grade: int, threshold: int):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from treeaa import bounds
 from treeaa.bounds import k_bound, k_bound_simple, lb_rounds, max_product_partition
 from treeaa.errors import InvalidParams
 
@@ -67,6 +68,23 @@ class TestKBoundSimple:
     def test_extreme_magnitudes_stay_finite(self):
         assert k_bound_simple(10, 3, 400, 1e300) == 0.0
         assert math.isfinite(k_bound(10, 3, 400, 1e300))
+
+
+class TestUnderflow:
+    MATRIX_NT = ((4, 1), (7, 2), (10, 3))  # the acceptance matrix's (n, t) pairs
+
+    def test_same_floats_as_the_exact_formula(self):
+        for n, t in self.MATRIX_NT:
+            for d in (10.0, 1e3, 1e300):
+                for r in range(1, 301):
+                    assert k_bound(n, t, r, d) == oracles.k_bound_exact(n, t, r, d), (n, t, r, d)
+                    assert (k_bound_simple(n, t, r, d)
+                            == oracles.k_bound_simple_exact(n, t, r, d)), (n, t, r, d)
+
+    def test_the_sweep_covers_both_sides_of_the_cut(self):
+        assert bounds._underflows(4, 1, 300)
+        assert not bounds._underflows(10, 3, 100)
+        assert oracles.k_bound_simple_exact(10, 3, 100, 1e300) > 0.0
 
 
 class TestLbRounds:

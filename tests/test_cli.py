@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -163,6 +164,17 @@ def test_bounds_command():
     doc = json.loads(result.output)
     assert doc["lb_rounds"] == 3
     assert doc["k_bound"] <= 1.0
+
+
+def test_bounds_command_returns_at_once_for_a_huge_round_count():
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, ["bounds", "--n", "7", "--t", "2", "--d", "10",
+                                       "--r", "10000000"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["k_bound"] == 0.0 and doc["k_bound_simple"] == 0.0
+    assert elapsed < 1.0
 
 
 def test_mutually_exclusive_tree_sources(tmp_path):

@@ -256,17 +256,19 @@ class TestTranscript:
 
     def test_tampered_round_index(self):
         _, tr = echo_run()
-        bad = Transcript(tr.n, tr.t, tr.seed, list(tr.envelopes), [], tr.rounds_used)
-        env = bad.envelopes[4]
-        bad.envelopes[4] = Envelope(99, env.sender, env.receiver, env.payload)
+        envelopes = tr.envelopes
+        env = envelopes[4]
+        envelopes[4] = Envelope(99, env.sender, env.receiver, env.payload)
+        bad = Transcript.from_envelopes(tr.n, tr.t, tr.seed, envelopes, tr.rounds_used)
         with pytest.raises(CorruptTranscript):
             replay_transcript(bad)
 
     def test_tampered_party_id(self):
         _, tr = echo_run()
-        bad = Transcript(tr.n, tr.t, tr.seed, list(tr.envelopes), [], tr.rounds_used)
-        env = bad.envelopes[0]
-        bad.envelopes[0] = Envelope(env.round, 17, env.receiver, env.payload)
+        envelopes = tr.envelopes
+        env = envelopes[0]
+        envelopes[0] = Envelope(env.round, 17, env.receiver, env.payload)
+        bad = Transcript.from_envelopes(tr.n, tr.t, tr.seed, envelopes, tr.rounds_used)
         with pytest.raises(CorruptTranscript):
             replay_transcript(bad)
 
@@ -286,7 +288,7 @@ class TestTranscript:
                               st.integers(0, 10**6), st.binary(max_size=300)), max_size=20))
     @example([])
     def test_jsonl_matches_json_oracle_and_round_trips(self, envelopes):
-        text = Transcript(3, 0, 0, envelopes).to_jsonl()
+        text = Transcript.from_envelopes(3, 0, 0, envelopes).to_jsonl()
         assert text == to_jsonl_by_json(envelopes)
         back = Transcript.from_jsonl(text)
         assert back.envelopes == envelopes
@@ -352,7 +354,7 @@ class TestTranscript:
         small = st.integers(0, 3)
         envelopes = data.draw(st.lists(
             st.builds(Envelope, small, small, small, st.sampled_from(pool)), max_size=12))
-        lines = Transcript(3, 0, 0, envelopes).to_jsonl().splitlines(keepends=True)
+        lines = Transcript.from_envelopes(3, 0, 0, envelopes).to_jsonl().splitlines(keepends=True)
         mutation = data.draw(st.sampled_from(self.MUTATIONS))
         if lines and mutation != "none":
             i = data.draw(st.integers(0, len(lines) - 1))
@@ -381,6 +383,19 @@ class TestTranscript:
         if isinstance(got, list):  # read-back envelopes share one object per payload
             assert len({id(e.payload) for e in got}) == len({e.payload for e in got})
 
+    def test_a_sender_split_over_two_runs_of_lines_round_trips(self):
+        envelopes = [Envelope(1, 2, 1, b"a"), Envelope(1, 2, 2, b"a"), Envelope(1, 3, 1, b"b"),
+                     Envelope(1, 2, 3, b"c"), Envelope(1, 2, 1, b"d")]
+        text = to_jsonl_by_json(envelopes)
+        back = Transcript.from_jsonl(text)
+        assert [(r, s, len(pairs)) for r, s, pairs in back.records] == [(1, 2, 2), (1, 3, 1), (1, 2, 2)]
+        assert back.to_jsonl() == text
+        assert back.envelopes == envelopes
+        assert Transcript.from_envelopes(3, 0, 0, envelopes, 1).to_jsonl() == text
+        # The first payload per sender wins across both runs.
+        assert replay_transcript(back)[1] == {1: (None, b"a", b"b"), 2: (None, b"a", None),
+                                              3: (None, b"c", None)}
+
     def test_jsonl_stable_field_order(self):
         _, tr = echo_run()
         line = tr.to_jsonl().splitlines()[0]
@@ -396,9 +411,12 @@ def recording_echo(n, pid, inboxes):
     return "done"
 
 
-def test_inbox_of_equals_a_scan_of_the_round():
-    n, t = 4, 1
-    checked = []
+def check_inbox_of_against_a_scan(n, t):
+    """Run gradecast with the last t parties corrupted from round 2, checking
+    every inbox_of answer against a scan of the transcript's envelopes at
+    each adversary hook; returns (checked rounds, party 1's current-round
+    inbox as each byzantine_send saw it)."""
+    checked, seen = [], []
 
     class Checker(Adversary):
         def check(self, view, round):
@@ -414,15 +432,50 @@ def test_inbox_of_equals_a_scan_of_the_round():
 
         def corrupt_decision(self, round, view):
             self.check(view, round)
-            return {4} if round >= 2 else set()
+            return set(range(n - t + 1, n + 1)) if round >= 2 else set()
 
         def byzantine_send(self, round, pid, view):
-            self.check(view, round)  # the current round: honest messages only
-            return [Envelope(round, pid, q, b"byz-%d" % q) for q in range(1, n + 1)]
+            # The current round: honest messages, then what the corrupted
+            # parties before pid sent.
+            self.check(view, round)
+            seen.append((round, pid, view.inbox_of(1, round)))
+            return [Envelope(round, pid, q, b"byz-%d-%d" % (pid, q)) for q in range(1, n + 1)]
 
     _, tr = run_machines(n, t, lambda pid: gradecast_all(n, t, pid, b"v%d" % pid), Checker())
     assert tr.rounds_used == 3
+    return checked, seen
+
+
+def test_inbox_of_equals_a_scan_of_the_round():
+    checked, _ = check_inbox_of_against_a_scan(4, 1)
     assert checked == [1, 2, 2, 3, 3]
+
+
+def test_inbox_of_shows_earlier_corrupted_parties_sends_of_the_round():
+    checked, seen = check_inbox_of_against_a_scan(7, 2)
+    assert checked == [1, 2, 2, 2, 3, 3, 3]
+    assert [(rnd, pid) for rnd, pid, _ in seen] == [(2, 6), (2, 7), (3, 6), (3, 7)]
+    for rnd, pid, inbox in seen:
+        assert None not in inbox[:5]  # the honest parties' sends
+        assert inbox[5:] == ((None, None) if pid == 6 else (b"byz-6-1", None))
+
+
+def test_a_byzantine_envelope_is_visible_as_soon_as_it_is_checked():
+    seen = []
+
+    class Lazy(Adversary):
+        def corrupt_decision(self, round, view):
+            return {1}
+
+        def byzantine_send(self, round, pid, view):
+            seen.append(view.inbox_of(2, round)[0])
+            yield Envelope(round, pid, 2, b"a")
+            seen.append(view.inbox_of(2, round)[0])
+            yield Envelope(round, pid, 2, b"b")
+            seen.append(view._sim.transcript.envelopes[-1].payload)
+
+    echo_run(adversary=Lazy())
+    assert seen == [None, b"a", b"b"]
 
 
 def test_byzantine_envelope_is_rebuilt_with_the_round_and_sender():
@@ -501,3 +554,64 @@ def test_first_payload_per_sender_wins():
     assert replay_transcript(tr)[1][1] == expected
     assert replay_transcript(Transcript.from_jsonl(lines, n=n))[1][1] == expected
     assert live[2][2] == (b"r1-1", b"r1-2", b"r1-3", b"other")
+
+
+def never_ends_after(rounds):
+    for _ in range(rounds):
+        yield ()
+    return None
+
+
+def test_a_list_outbox_is_checked_and_copied_every_round():
+    n = 2
+    outbox = [(1, b"old"), (2, b"old")]
+
+    def machine():
+        inbox1 = yield outbox
+        outbox[:] = [(1, b"new"), (2, b"new")]  # the same list object, new payloads
+        inbox2 = yield outbox
+        outbox[:] = [(1, b"late")]  # after round 2 was recorded
+        return inbox1, inbox2
+
+    outputs, tr = run_simulation(n, 0, [machine(), never_ends_after(1)])
+    assert outputs[1] == ((b"old", None), (b"new", None))
+    assert [(e.round, e.payload) for e in tr.envelopes if e.sender == 1] == [
+        (1, b"old"), (1, b"old"), (2, b"new"), (2, b"new")]
+    assert b"late".hex() not in tr.to_jsonl()
+
+
+def test_a_tuple_outbox_holding_a_bytearray_is_copied_every_round():
+    buf = bytearray(b"one")
+    outbox = ((1, buf), (2, buf))
+
+    def machine():
+        inbox1 = yield outbox
+        buf[:] = b"two"
+        inbox2 = yield outbox
+        buf[:] = b"three"
+        return inbox1, inbox2
+
+    outputs, tr = run_simulation(2, 0, [machine(), never_ends_after(1)])
+    assert outputs[1] == ((b"one", None), (b"two", None))
+    sent = [e for e in tr.envelopes if e.sender == 1]
+    assert [(e.round, e.payload) for e in sent] == [(1, b"one"), (1, b"one"), (2, b"two"), (2, b"two")]
+    assert all(type(e.payload) is bytes for e in sent)
+
+
+def test_an_immutable_outbox_is_recorded_without_a_copy():
+    n = 3
+    shared = broadcast(n, b"x")
+    _, tr = run_simulation(n, 0, [sends_once_to(1) if pid == 2 else (o for o in [shared])
+                                  for pid in range(1, n + 1)])
+    assert [(r, s) for r, s, _ in tr.records] == [(1, 1), (1, 2), (1, 3)]
+    assert tr.records[0].pairs is shared and tr.records[2].pairs is shared
+    assert tr.records[1].pairs == ((1, b"x"),)
+
+
+@pytest.mark.parametrize("bad", [True, 0, 4, 1.0])
+def test_invalid_receiver_after_an_equal_valid_outbox_names_its_party(bad):
+    # ((True, b"x"),) and ((1.0, b"x"),) equal ((1, b"x"),) and hash alike: a
+    # check cached by value instead of by object would let them through.
+    outboxes = [((1, b"x"),), ((1, b"x"),), ((bad, b"x"),)]
+    with pytest.raises(ProtocolViolation, match=r"^party 3 addressed invalid receiver"):
+        run_simulation(3, 0, [(o for o in [outbox]) for outbox in outboxes])

@@ -22,11 +22,11 @@ Every choice is driven by the simulation seed, so runs replay bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Sequence
+from typing import Any, Callable, Generator
 
 from .errors import InvalidParams
 from .real_aa import plan_iterations, real_aa_machine
-from .simnet import Adversary, Envelope, GeneratorProgram, SimulationView, _new
+from .simnet import Adversary, GeneratorProgram, Outbox, SimulationView
 
 
 @dataclass
@@ -46,8 +46,8 @@ class _Shadow:
         self.program = GeneratorProgram(machine)
         self.next_round = 1
 
-    def advance(self, pid: int, view: SimulationView, upto: int) -> Sequence[tuple[int, bytes]]:
-        out: Sequence[tuple[int, bytes]] = ()
+    def advance(self, pid: int, view: SimulationView, upto: int) -> Outbox:
+        out: Outbox = ()
         while self.next_round <= upto:
             out = self.program.on_round(view.inbox_of(pid, self.next_round - 1))
             self.next_round += 1
@@ -69,14 +69,12 @@ class RegistryAdversary(Adversary):
             self._targets = set(self.rng.sample(range(1, self.n + 1), self.t))
         return set(self._targets) if self._targets else set()
 
-    def byzantine_send(self, round: int, pid: int, view: SimulationView) -> list[Envelope]:
-        return [
-            _new(Envelope, (round, pid, receiver, payload))
-            for receiver, payload in self.outbox(round, pid, view)
-        ]
+    def byzantine_send(self, round: int, pid: int, view: SimulationView) -> Outbox:
+        # Computed here, not lazily: shadow steps run inside this call.
+        return self.outbox(round, pid, view)
 
-    def outbox(self, round: int, pid: int, view: SimulationView) -> list[tuple[int, bytes]]:
-        return []
+    def outbox(self, round: int, pid: int, view: SimulationView) -> Outbox:
+        return ()
 
     def shadow(self, key: Any, pid: int, input_value: Any) -> _Shadow:
         sh = self._shadows.get(key)

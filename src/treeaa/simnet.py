@@ -18,18 +18,28 @@ Everything else is derived from the records: the envelopes (one per pair),
 the JSONL lines, the inboxes, the adversary's view
 (``SimulationView.inbox_of``) and ``replay_transcript``.  Each record gives
 its sender's column, the n-tuple of its first payload to each receiver;
-a round's inboxes are its columns transposed.  Honest parties share
-memoised outbox tuples, so each distinct honest outbox object is checked
-once per run and then kept as its records' pairs without a copy.
+a round's inboxes are its columns transposed.
+
+Honest and corrupted parties send the same way: an outbox of (receiver,
+payload) pairs, recorded under the round and the sender's own pid, so a
+forged sender or round cannot be expressed.  Every outbox passes one check
+(receivers are int party ids; a bytearray or memoryview payload is copied
+to bytes, any other non-bytes payload is refused), raising
+ProtocolViolation for an honest party and StrategyViolation for a
+corrupted one.  Parties share memoised outbox tuples, so each distinct
+tuple of (int, bytes) tuples is checked once per run and then kept as its
+records' pairs without a copy.
 
 Round structure.  In round k every non-corrupted party is resumed with the
 inbox from round k-1 (all None for k=1) and yields the messages it sends
 in round k.  The adversary then picks additional parties to corrupt (their
 round-k messages are suppressed, as if corrupted at the start of the
-round) and finally crafts Byzantine round-k messages after seeing every
-honest round-k message (rushing).  A final step in which all remaining
-honest parties report their outputs and send nothing does not count as a
-communication round, so a 3-round protocol consumes exactly 3 rounds.
+round) and finally, corrupted party by corrupted party in pid order,
+returns each one's round-k outbox after seeing every honest round-k
+message and those of the earlier corrupted parties (rushing).  A final
+step in which all remaining honest parties report their outputs and send
+nothing does not count as a communication round, so a 3-round protocol
+consumes exactly 3 rounds.
 
 Everything is a pure function of (n, t, machines, adversary, seed): one
 simulation is strictly single-threaded, distinct simulations share nothing.
@@ -108,12 +118,16 @@ class Envelope(NamedTuple):
     payload: bytes
 
 
+# What a party sends in one round: (receiver, payload) pairs, in order.
+Outbox = Sequence[tuple[int, bytes]]
+
+
 class Record(NamedTuple):
     """What one sender sent in one round: its (receiver, payload) pairs, in order."""
 
     round: int
     sender: int
-    pairs: Sequence[tuple[int, bytes]]
+    pairs: Outbox
 
 
 # The NamedTuples' own __new__ is a Python function; the hot loops build
@@ -289,8 +303,12 @@ class Adversary:
 
     `corrupt_decision` returns the desired cumulative corrupted set for the
     round (a superset of the current one, at most t parties).
-    `byzantine_send` is invoked once per corrupted party per round, after
-    all honest messages of the round are fixed.
+    `byzantine_send` is invoked once per corrupted party per round, in pid
+    order, after all honest messages of the round are fixed.  It returns
+    the party's outbox, (receiver, payload) pairs as a machine yields them,
+    which is checked like an honest one (raising StrategyViolation),
+    recorded under the round and pid, and shown in the view before the next
+    corrupted party's `byzantine_send` is called.
     """
 
     n: int = 0
@@ -303,8 +321,8 @@ class Adversary:
     def corrupt_decision(self, round: int, view: SimulationView) -> set[int]:
         return set(view.corrupted)
 
-    def byzantine_send(self, round: int, pid: int, view: SimulationView) -> list[Envelope]:
-        return []
+    def byzantine_send(self, round: int, pid: int, view: SimulationView) -> Outbox:
+        return ()
 
 
 class GeneratorProgram:
@@ -322,7 +340,7 @@ class GeneratorProgram:
         self.done = False
         self.result: Any = None
 
-    def on_round(self, inbox: Inbox) -> Sequence[tuple[int, bytes]]:
+    def on_round(self, inbox: Inbox) -> Outbox:
         if self.done:
             return ()
         try:
@@ -375,21 +393,30 @@ def run_simulation(
         _RUN_MEMO.reset(token)
 
 
-def _check_outbox(n: int, pid: int, outbox: Iterable) -> tuple[Sequence[tuple[int, bytes]], Inbox]:
+def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception],
+                  checked: dict[int, tuple[Outbox, Inbox]]) -> tuple[Outbox, Inbox]:
     """(pairs, column) of party pid's outbox; the column holds its first
-    payload to each receiver, or None.
+    payload to each receiver, or None.  A bad receiver or payload raises
+    ``violation``.
 
-    A tuple of (int, bytes) tuples cannot change, so it is its own pairs;
-    anything else is copied, with each payload made bytes.
+    A tuple of (int, bytes) tuples cannot change, so it is its own pairs and
+    is checked once per run: ``checked`` maps its id to the result, which
+    holds the outbox and so keeps the id from being reused.  Anything else
+    is copied, with a bytearray or memoryview payload made bytes.
     """
+    hit = checked.get(id(outbox))
+    if hit is not None:
+        return hit
     column: list[bytes | None] = [None] * n
     pairs = []
     same = type(outbox) is tuple
     for pair in outbox:
         receiver, payload = pair
         if type(receiver) is not int or not 1 <= receiver <= n:
-            raise ProtocolViolation(f"party {pid} addressed invalid receiver {receiver!r}")
+            raise violation(f"party {pid} addressed invalid receiver {receiver!r}")
         if type(payload) is not bytes:
+            if not isinstance(payload, (bytes, bytearray, memoryview)):
+                raise violation(f"party {pid} sent a payload of type {type(payload).__name__}")
             payload = bytes(payload)
             same = False
         elif type(pair) is not tuple:
@@ -397,7 +424,10 @@ def _check_outbox(n: int, pid: int, outbox: Iterable) -> tuple[Sequence[tuple[in
         pairs.append((receiver, payload))
         if column[receiver - 1] is None:
             column[receiver - 1] = payload
-    return (outbox if same else tuple(pairs)), tuple(column)
+    if not same:
+        return tuple(pairs), tuple(column)
+    hit = checked[id(outbox)] = outbox, tuple(column)
+    return hit
 
 
 def _run(n, t, parties, adversary, seed, round_cap):
@@ -411,27 +441,20 @@ def _run(n, t, parties, adversary, seed, round_cap):
     silent: Inbox = (None,) * n
     inboxes: list[Inbox] = [silent] * n
     reported: set[int] = set()
-    # id(outbox) -> (outbox, column) for each immutable honest outbox checked
-    # this run; holding the outbox keeps its id from being reused.
-    checked: dict[int, tuple[Sequence[tuple[int, bytes]], Inbox]] = {}
+    checked: dict[int, tuple[Outbox, Inbox]] = {}  # honest and corrupted outboxes alike
 
     while True:
         rnd = sim.round + 1
         if rnd > round_cap:
             raise NonTermination(f"round cap {round_cap} exceeded")
 
-        sent: dict[int, tuple[Sequence[tuple[int, bytes]], Inbox]] = {}
+        sent: dict[int, tuple[Outbox, Inbox]] = {}
         for pid in range(1, n + 1):
             if pid in sim.corrupted:
                 continue
             party = parties[pid - 1]
             outbox = party.on_round(inboxes[pid - 1])
-            hit = checked.get(id(outbox))
-            if hit is None:
-                hit = _check_outbox(n, pid, outbox)
-                if hit[0] is outbox:  # it cannot change: checked once per run
-                    checked[id(outbox)] = hit
-            sent[pid] = hit
+            sent[pid] = _check_outbox(n, pid, outbox, ProtocolViolation, checked)
             if party.done and pid not in reported:
                 reported.add(pid)
                 tr.events.append(("output", rnd - 1, pid))
@@ -456,34 +479,17 @@ def _run(n, t, parties, adversary, seed, round_cap):
             sent.pop(pid, None)  # corruption suppresses this round's sends
 
         columns: list[Sequence[bytes | None]] = [silent] * n
-        for pid, (pairs, column) in sent.items():  # sent is in pid order
+        sim.sending = {rnd: columns}
+        for pid in [*sent, *sorted(sim.corrupted)]:  # honest, then corrupted, each in pid order
+            # A corrupted party's outbox is asked for after the earlier ones
+            # are recorded, so the rushing view shows them.
+            if pid in sent:
+                pairs, columns[pid - 1] = sent[pid]
+            else:
+                outbox = adversary.byzantine_send(rnd, pid, view)
+                pairs, columns[pid - 1] = _check_outbox(n, pid, outbox, StrategyViolation, checked)
             if pairs:
                 records.append(_new(Record, (rnd, pid, pairs)))
-            columns[pid - 1] = column
-        sim.sending = {rnd: columns}
-
-        for pid in sorted(sim.corrupted):
-            # Filled in as each envelope passes its checks, so the adversary
-            # sees it at once, in the view and in the transcript.
-            pairs, column = [], [None] * n
-            records.append(_new(Record, (rnd, pid, pairs)))
-            columns[pid - 1] = column
-            for env in adversary.byzantine_send(rnd, pid, view):
-                if env.round != rnd:
-                    raise StrategyViolation(f"byzantine envelope for round {env.round} in round {rnd}")
-                if env.sender != pid:
-                    raise StrategyViolation(f"party {pid} tried to spoof sender {env.sender}")
-                receiver = env.receiver
-                if type(receiver) is not int or not 1 <= receiver <= n:
-                    raise StrategyViolation(f"byzantine receiver {receiver!r} is not a party id")
-                # Recorded under rnd and pid: a bool round or sender passes
-                # the checks above (True == 1) but must be written as 1.
-                payload = env.payload if type(env.payload) is bytes else bytes(env.payload)
-                pairs.append((receiver, payload))
-                if column[receiver - 1] is None:
-                    column[receiver - 1] = payload
-            if not pairs:
-                records.pop()
 
         inboxes = sim.delivered[rnd] = list(zip(*columns))
         tr.rounds_used = rnd

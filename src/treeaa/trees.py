@@ -2,8 +2,8 @@
 
 Vertices are arbitrary UTF-8 text labels ordered bytewise-lexicographically.
 A tree is immutable after construction; every derived structure (rooting,
-Euler visit list, LCA index) is computed once and cached, so one tree
-instance can be shared by many concurrent simulations.
+Euler visit list) is computed once and cached, so one tree instance can be
+shared by many concurrent simulations.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class LabeledTree:
         self._adj: dict[str, tuple[str, ...]] = {
             v: tuple(sorted(nbrs)) for v, nbrs in adj.items()
         }
-        self._check_connected()
         self.vertices: frozenset[str] = frozenset(self._adj)
         self.root: str = min(self._adj)
         self._rooted()
@@ -96,21 +95,9 @@ class LabeledTree:
 
     # -- construction helpers -------------------------------------------------
 
-    def _check_connected(self) -> None:
-        start = next(iter(self._adj))
-        seen = {start}
-        queue = deque((start,))
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(self._adj):
-            raise Disconnected(f"{len(self._adj) - len(seen)} vertices unreachable")
-
     def _rooted(self) -> None:
-        """BFS from the canonical root: parents, depths, pre-order."""
+        """BFS from the canonical root: parents, depths, pre-order; a vertex
+        it does not reach raises Disconnected."""
         parent: dict[str, str | None] = {self.root: None}
         depth: dict[str, int] = {self.root: 0}
         order = [self.root]
@@ -124,6 +111,8 @@ class LabeledTree:
                     depth[w] = dv + 1
                     order.append(w)
                     queue.append(w)
+        if len(order) != len(self._adj):
+            raise Disconnected(f"{len(self._adj) - len(order)} vertices unreachable")
         self._parent = parent
         self._depth = depth
         self._order = tuple(order)
@@ -158,60 +147,15 @@ class LabeledTree:
         if v not in self.vertices:
             raise UnknownVertex(f"{v!r} is not a vertex of this tree")
 
-    # -- LCA / distance index -------------------------------------------------
-
-    @cached_property
-    def _lca_index(self):
-        # Sparse table of minimum-depth positions over the root Euler list.
-        euler = self.euler.entries
-        depth = self._depth
-        m = len(euler)
-        depths = [depth[v] for v in euler]
-        first: dict[str, int] = {}
-        for i, v in enumerate(euler):
-            if v not in first:
-                first[v] = i
-        logs = [0] * (m + 1)
-        for i in range(2, m + 1):
-            logs[i] = logs[i >> 1] + 1
-        table = [list(range(m))]
-        k = 1
-        while (1 << k) <= m:
-            prev = table[k - 1]
-            half = 1 << (k - 1)
-            row = [0] * (m - (1 << k) + 1)
-            for i in range(len(row)):
-                a, b = prev[i], prev[i + half]
-                row[i] = a if depths[a] <= depths[b] else b
-            table.append(row)
-            k += 1
-        return euler, depths, first, logs, table
-
-    def lca(self, u: str, v: str) -> str:
-        """Lowest common ancestor with respect to the canonical root."""
-        self._require(u)
-        self._require(v)
-        euler, depths, first, logs, table = self._lca_index
-        lo, hi = first[u], first[v]
-        if lo > hi:
-            lo, hi = hi, lo
-        k = logs[hi - lo + 1]
-        a = table[k][lo]
-        b = table[k][hi - (1 << k) + 1]
-        return euler[a if depths[a] <= depths[b] else b]
+    # -- paths ----------------------------------------------------------------
 
     def distance(self, u: str, v: str) -> int:
         """Number of edges on the unique path between u and v."""
-        if u == v:
-            self._require(u)
-            return 0
-        w = self.lca(u, v)
-        return self._depth[u] + self._depth[v] - 2 * self._depth[w]
-
-    # -- paths ----------------------------------------------------------------
+        return len(self.path_between(u, v)) - 1
 
     def path_between(self, u: str, v: str) -> Path:
-        """The unique simple path from u to v, inclusive."""
+        """The unique simple path from u to v, inclusive, found by walking
+        parent pointers up from both ends to the vertex where they meet."""
         self._require(u)
         self._require(v)
         parent, depth = self._parent, self._depth

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
-from treeaa.simnet import Adversary, Envelope
+from treeaa.simnet import Adversary
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_vector, frame
 
 
@@ -37,14 +37,14 @@ class InstanceScript(Adversary):
             for q in range(1, n + 1):
                 value = self.r1.get(q) if self.target == pid else self.own_value
                 if value is not None:
-                    out.append(Envelope(1, pid, q, frame(TAG_VALUE, value)))
+                    out.append((q, frame(TAG_VALUE, value)))
             return out
         if round == 2:
             mine = received_values(n, view.inbox_of(pid, 1))
             for q in range(1, n + 1):
                 entries = list(mine)
                 entries[self.target - 1] = self.r2.get(q)
-                out.append(Envelope(2, pid, q, frame(TAG_ECHO, encode_vector(entries))))
+                out.append((q, frame(TAG_ECHO, encode_vector(entries))))
             return out
         if round == 3:
             echoes = received_vectors(n, view.inbox_of(pid, 2), TAG_ECHO)
@@ -52,7 +52,7 @@ class InstanceScript(Adversary):
             for q in range(1, n + 1):
                 entries = list(candidates)
                 entries[self.target - 1] = self.r3.get(q)
-                out.append(Envelope(3, pid, q, frame(TAG_VOTE, encode_vector(entries))))
+                out.append((q, frame(TAG_VOTE, encode_vector(entries))))
             return out
         return []
 

@@ -1,8 +1,9 @@
 import pytest
 
 from treeaa import generate_tree, run_final_tree_aa
-from treeaa.adversaries import REGISTRY, make_adversary
+from treeaa.adversaries import REGISTRY, RegistryAdversary, make_adversary
 from treeaa.errors import InvalidParams
+from treeaa.simnet import GeneratorProgram
 
 from test_tree_aa import tree_ctx
 
@@ -50,3 +51,32 @@ def test_skew_directions_differ(eight_vertex_tree):
                       if env.round == 1 and env.sender in byz]
     assert seen["skew-high"] and seen["skew-low"]
     assert seen["skew-high"] != seen["skew-low"]
+
+
+def test_shadow_steps_run_inside_byzantine_send(eight_vertex_tree, monkeypatch):
+    # A profiler attributes shadow work to byzantine_send only if the
+    # outbox is computed inside the call, not returned as a lazy iterable.
+    depth, steps = [0], []
+    send, step = RegistryAdversary.byzantine_send, GeneratorProgram.on_round
+
+    def traced_send(self, *args):
+        depth[0] += 1
+        try:
+            return send(self, *args)
+        finally:
+            depth[0] -= 1
+
+    def traced_step(self, inbox):
+        steps.append((self, depth[0] > 0))
+        return step(self, inbox)
+
+    monkeypatch.setattr(RegistryAdversary, "byzantine_send", traced_send)
+    monkeypatch.setattr(GeneratorProgram, "on_round", traced_step)
+    adv = make_adversary("skew-high", tree_ctx(eight_vertex_tree, 4, 1, "final"))
+    inputs = {pid: "v3" for pid in range(1, 5)}
+    run_final_tree_aa(eight_vertex_tree, 4, 1, inputs, adv, seed=6)
+    shadows = {sh.program for sh in adv._shadows.values()}
+    inside = [program in shadows for program, nested in steps if nested]
+    outside = [program in shadows for program, nested in steps if not nested]
+    assert shadows and inside and all(inside)
+    assert outside and not any(outside)

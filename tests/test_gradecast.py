@@ -15,7 +15,6 @@ from treeaa.gradecast import (
 from treeaa.harness import resolve_tree
 from treeaa.simnet import (
     Adversary,
-    Envelope,
     broadcast,
     replay_transcript,
     run_machines,
@@ -215,8 +214,8 @@ class DuplicateValueFrame(Adversary):
     def byzantine_send(self, round, pid, view):
         if round != 1:
             return []
-        first = [Envelope(1, pid, 1, frame(TAG_VALUE, b"w"))]
-        return first + [Envelope(1, pid, q, frame(TAG_VALUE, b"v")) for q in range(1, 5)]
+        first = [(1, frame(TAG_VALUE, b"w"))]
+        return first + [(q, frame(TAG_VALUE, b"v")) for q in range(1, 5)]
 
 
 def test_duplicate_value_frame_first_one_counts():

@@ -68,14 +68,6 @@ class UnCorrupt(Adversary):
         return {1} if round == 1 else {2}
 
 
-class Forger(Adversary):
-    def corrupt_decision(self, round, view):
-        return {1}
-
-    def byzantine_send(self, round, pid, view):
-        return [Envelope(round, 2, 3, b"spoof")]  # claims to be party 2
-
-
 def never_ends():
     while True:
         yield ()
@@ -85,11 +77,6 @@ def test_uncorrupting_is_violation():
     machines = [never_ends(), never_ends(), never_ends(), never_ends()]
     with pytest.raises(StrategyViolation):
         run_simulation(4, 1, machines, UnCorrupt())
-
-
-def test_sender_spoofing_is_violation():
-    with pytest.raises(StrategyViolation):
-        echo_run(n=4, adversary=Forger())
 
 
 def sends_once_to(receiver):
@@ -105,7 +92,7 @@ class ByzantineSendsTo(Adversary):
         return {1}
 
     def byzantine_send(self, round, pid, view):
-        return [Envelope(round, pid, self.receiver, b"x")]
+        return [(self.receiver, b"x")]
 
 
 # True and 2.0 compare as party ids 1 and 2 but would be written as true and 2.0.
@@ -439,7 +426,7 @@ def check_inbox_of_against_a_scan(n, t):
             # parties before pid sent.
             self.check(view, round)
             seen.append((round, pid, view.inbox_of(1, round)))
-            return [Envelope(round, pid, q, b"byz-%d-%d" % (pid, q)) for q in range(1, n + 1)]
+            return [(q, b"byz-%d-%d" % (pid, q)) for q in range(1, n + 1)]
 
     _, tr = run_machines(n, t, lambda pid: gradecast_all(n, t, pid, b"v%d" % pid), Checker())
     assert tr.rounds_used == 3
@@ -460,37 +447,62 @@ def test_inbox_of_shows_earlier_corrupted_parties_sends_of_the_round():
         assert inbox[5:] == ((None, None) if pid == 6 else (b"byz-6-1", None))
 
 
-def test_a_byzantine_envelope_is_visible_as_soon_as_it_is_checked():
-    seen = []
+def test_a_byzantine_bytearray_payload_is_recorded_as_bytes():
+    buf = bytearray(b"x")
 
-    class Lazy(Adversary):
+    class SendsBuffer(Adversary):
         def corrupt_decision(self, round, view):
             return {1}
 
         def byzantine_send(self, round, pid, view):
-            seen.append(view.inbox_of(2, round)[0])
-            yield Envelope(round, pid, 2, b"a")
-            seen.append(view.inbox_of(2, round)[0])
-            yield Envelope(round, pid, 2, b"b")
-            seen.append(view._sim.transcript.envelopes[-1].payload)
+            return ((2, buf),) if round == 1 else ()
 
-    echo_run(adversary=Lazy())
-    assert seen == [None, b"a", b"b"]
-
-
-def test_byzantine_envelope_is_rebuilt_with_the_round_and_sender():
-    class BoolFields(Adversary):
-        def corrupt_decision(self, round, view):
-            return {1}
-
-        def byzantine_send(self, round, pid, view):
-            # True == 1, so the round and sender checks pass.
-            return [Envelope(True, True, 2, bytearray(b"x"))] if round == 1 else []
-
-    _, tr = echo_run(adversary=BoolFields())
+    _, tr = echo_run(adversary=SendsBuffer())
+    buf[:] = b"y"  # after the run: the record holds its own copy
     (env,) = [e for e in tr.envelopes if e.sender == 1]
+    assert (env.round, env.receiver, env.payload) == (1, 2, b"x")
     assert type(env.round) is int and type(env.sender) is int and type(env.payload) is bytes
     assert '{"round":1,"sender":1,"receiver":2,"payload_hex":"78"}\n' in tr.to_jsonl()
+
+
+class SendsPayload(Adversary):
+    def __init__(self, payload):
+        self.payload = payload
+
+    def corrupt_decision(self, round, view):
+        return {1}
+
+    def byzantine_send(self, round, pid, view):
+        return [(2, self.payload)]
+
+
+@pytest.mark.parametrize("payload", [7, "ab", None, [1, 2]])
+def test_a_payload_that_is_not_bytes_is_a_violation_naming_its_party(payload):
+    with pytest.raises(ProtocolViolation, match=r"^party 2 sent a payload of type"):
+        run_simulation(3, 0, [never_ends(), (o for o in [[(1, payload)]]), never_ends()])
+    with pytest.raises(StrategyViolation, match=r"^party 1 sent a payload of type"):
+        echo_run(adversary=SendsPayload(payload))
+
+
+def test_a_corrupted_party_can_send_an_honest_outbox_unchanged():
+    # Party 3 relays party 2's round-1 broadcast, the very tuple: it is
+    # recorded under pid 3 without a copy and delivered as party 3's column.
+    n = 3
+    honest = broadcast(n, b"honest")
+    machines = [echo_program(n, 1), (o for o in [honest]), never_ends()]
+
+    class Relay(Adversary):
+        def corrupt_decision(self, round, view):
+            return {3}
+
+        def byzantine_send(self, round, pid, view):
+            return honest if round == 1 else ()
+
+    outputs, tr = run_simulation(n, 1, machines, Relay())
+    assert [(r, s) for r, s, _ in tr.records] == [(1, 1), (1, 2), (1, 3)]
+    assert tr.records[1].pairs is honest and tr.records[2].pairs is honest
+    assert outputs[1] == (b"hello-1", b"honest", b"honest")
+    assert replay_transcript(tr)[1][1] == outputs[1]
 
 
 def test_replay_matches_live_inboxes():
@@ -538,8 +550,7 @@ def test_first_payload_per_sender_wins():
         def byzantine_send(self, round, pid, view):
             if round != 1:
                 return []
-            return [Envelope(1, 4, 1, b"first"), Envelope(1, 4, 2, b"other"),
-                    Envelope(1, 4, 1, b"second")]
+            return [(1, b"first"), (2, b"other"), (1, b"second")]
 
     live = {pid: {} for pid in range(1, n)}
     machines = [recording_echo(n, pid, live[pid]) for pid in range(1, n)] + [never_ends()]

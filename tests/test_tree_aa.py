@@ -14,7 +14,7 @@ from treeaa import (
 from treeaa.adversaries import REGISTRY, AdversaryContext, RegistryAdversary
 from treeaa.errors import InvalidParams
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
-from treeaa.simnet import Adversary, Envelope
+from treeaa.simnet import Adversary
 from treeaa.paths import legacy_rounds
 from treeaa.tree_aa import MACHINES
 from treeaa.trees import LabeledTree, is_prefix
@@ -222,7 +222,7 @@ class ClampFixture(Adversary):
                 value, targets = self.TRICK, self.S1
             else:
                 value, targets = self.TRICK, range(1, n + 1)
-            return [Envelope(round, pid, q, frame(TAG_VALUE, value)) for q in targets]
+            return [(q, frame(TAG_VALUE, value)) for q in targets]
         if local == 2:
             mirror = received_values(n, view.inbox_of(pid, round - 1))
             out = []
@@ -230,7 +230,7 @@ class ClampFixture(Adversary):
                 entries = list(mirror)
                 if trickster is not None:
                     entries[trickster - 1] = self.TRICK if q == self.WITNESS else None
-                out.append(Envelope(round, pid, q, frame(TAG_ECHO, encode_vector(entries))))
+                out.append((q, frame(TAG_ECHO, encode_vector(entries))))
             return out
         mirror = compute_candidates(n, self.t, received_vectors(n, view.inbox_of(pid, round - 1), TAG_ECHO))
         out = []
@@ -238,7 +238,7 @@ class ClampFixture(Adversary):
             entries = list(mirror)
             if trickster is not None:
                 entries[trickster - 1] = self.TRICK if q in self.TARGETS else None
-            out.append(Envelope(round, pid, q, frame(TAG_VOTE, encode_vector(entries))))
+            out.append((q, frame(TAG_VOTE, encode_vector(entries))))
         return out
 
 

@@ -98,6 +98,7 @@ class TestPaths:
                 path = tree.path_between(u, v)
                 assert path == oracles.bfs_path(adj, u, v)
                 assert len(path) - 1 == tree.distance(u, v)
+                assert tree.distance(u, v) == oracles.bfs_dists(adj, u)[v]
 
     def test_every_inner_vertex_in_pair_hull(self):
         for seed in range(30):

@@ -6,7 +6,10 @@ input tree:
 * the prefix finder gradecasts every party's path from the root to
   its input and keeps the longest prefix supported by n - t senders, once
   at grade 2 (the party's own path P) and once at grade >= 1 (the more
-  permissive path Q every honest P is a prefix of);
+  permissive path Q every honest P is a prefix of).  Inside a run the
+  root-path bytes of a vertex are built once per (tree, vertex), both to
+  send and to check received paths against, and each distinct graded
+  view gets one PathPair, shared by the parties that hold it;
 * the legacy finder agrees on a position of the tree's Euler visit list by
   running real-valued agreement on list indices, then returns the path
   from the root to the landed vertex.
@@ -34,6 +37,12 @@ def root_path_bytes(tree: LabeledTree, v: str) -> bytes:
     """``encode_path(tree.path_from_root(v))``, joined from the tree's records."""
     path = tree.path_from_root(v)
     return _U32.pack(len(path)) + b"".join(map(tree.wire_records[0].__getitem__, path))
+
+
+def own_path_bytes(tree: LabeledTree, v: str) -> bytes:
+    """``root_path_bytes``, built once per (tree, v) in a run and shared by
+    the party sending it and by every decoder checking a path to v."""
+    return memoised("own_path", (tree, v), lambda: root_path_bytes(tree, v))
 
 
 def decode_tree_path(tree: LabeledTree, data: bytes) -> Path | None:
@@ -64,7 +73,7 @@ def _root_path(tree: LabeledTree, data: bytes) -> Path | None:
     _, labels, lengths = tree.wire_records
     for length in lengths:
         v = labels.get(data[-length:])
-        if v is not None and tree.depth(v) == size - 1 and root_path_bytes(tree, v) == data:
+        if v is not None and tree.depth(v) == size - 1 and own_path_bytes(tree, v) == data:
             return tree.path_from_root(v)
     return None
 
@@ -121,8 +130,14 @@ class PathPair:
 
 def prefix_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
     """3-round machine returning a PathPair (one gradecast invocation)."""
-    own = memoised("own_path", (tree, input_vertex), lambda: root_path_bytes(tree, input_vertex))
-    graded = yield from gradecast_all(n, t, pid, own)
+    graded = yield from gradecast_all(n, t, pid, own_path_bytes(tree, input_vertex))
+    # Honest parties mostly share grades: one PathPair per distinct graded view.
+    return memoised("path_pair", (tree, n, t, tuple(graded.values())),
+                    lambda: _path_pair(tree, n, t, graded))
+
+
+def _path_pair(tree: LabeledTree, n: int, t: int, graded: dict) -> PathPair:
+    """The longest prefixes n - t senders support at grade 2 (p) and >= 1 (q)."""
     entries: list[Entry] = []
     for sender in range(1, n + 1):
         value, grade = graded[sender]

@@ -23,12 +23,12 @@ a round's inboxes are its columns transposed.
 Honest and corrupted parties send the same way: an outbox of (receiver,
 payload) pairs, recorded under the round and the sender's own pid, so a
 forged sender or round cannot be expressed.  Every outbox passes one check
-(receivers are int party ids; a bytearray or memoryview payload is copied
-to bytes, any other non-bytes payload is refused), raising
-ProtocolViolation for an honest party and StrategyViolation for a
-corrupted one.  Parties share memoised outbox tuples, so each distinct
-tuple of (int, bytes) tuples is checked once per run and then kept as its
-records' pairs without a copy.
+(it is an iterable of (receiver, payload) pairs; receivers are int party
+ids; a bytearray or memoryview payload is copied to bytes, any other
+non-bytes payload is refused), raising ProtocolViolation for an honest
+party and StrategyViolation for a corrupted one.  Parties share memoised
+outbox tuples, so each distinct tuple of (int, bytes) tuples is checked
+once per run and then kept as its records' pairs without a copy.
 
 Round structure.  In round k every non-corrupted party is resumed with the
 inbox from round k-1 (all None for k=1) and yields the messages it sends
@@ -55,7 +55,8 @@ head.  ``from_jsonl`` accepts exactly those lines, groups consecutive lines
 of one round and sender into one record, and raises CorruptTranscript on
 anything else.  Broadcasts repeat each payload n times, so the writer
 hexes and the reader decodes each distinct payload once; read-back pairs
-with equal payloads share one bytes object.
+with equal payloads share one bytes object.  Parties sharing an outbox
+send it in a row, and the writer formats it once for the run of records.
 """
 
 from __future__ import annotations
@@ -174,15 +175,22 @@ class Transcript:
         return {pid for kind, _, pid in self.events if kind == "corrupt"}
 
     def to_jsonl(self) -> str:
-        """One canonical JSON line per envelope, each ending in a newline."""
+        """One canonical JSON line per envelope, each ending in a newline.
+
+        Parties that share a memoised outbox send it in a row, so a record
+        whose pairs object is the previous record's reuses its line tails.
+        """
         hexed: dict[bytes, str] = {}
         lines = []
+        last = tails = None
         for r, s, pairs in self.records:
             if pairs:
+                if pairs is not last:
+                    last, tails = pairs, [
+                        f'{q},"payload_hex":"{hexed.get(p) or hexed.setdefault(p, p.hex())}"}}\n'
+                        for q, p in pairs]
                 head = f'{{"round":{r},"sender":{s},"receiver":'
-                lines.append(head + head.join([
-                    f'{q},"payload_hex":"{hexed.get(p) or hexed.setdefault(p, p.hex())}"}}\n'
-                    for q, p in pairs]))
+                lines.append(head + head.join(tails))
         return "".join(lines)
 
     @classmethod
@@ -396,7 +404,8 @@ def run_simulation(
 def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception],
                   checked: dict[int, tuple[Outbox, Inbox]]) -> tuple[Outbox, Inbox]:
     """(pairs, column) of party pid's outbox; the column holds its first
-    payload to each receiver, or None.  A bad receiver or payload raises
+    payload to each receiver, or None.  A bad receiver or payload, an entry
+    that is not a pair, or an outbox that cannot be iterated raises
     ``violation``.
 
     A tuple of (int, bytes) tuples cannot change, so it is its own pairs and
@@ -410,20 +419,23 @@ def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception]
     column: list[bytes | None] = [None] * n
     pairs = []
     same = type(outbox) is tuple
-    for pair in outbox:
-        receiver, payload = pair
-        if type(receiver) is not int or not 1 <= receiver <= n:
-            raise violation(f"party {pid} addressed invalid receiver {receiver!r}")
-        if type(payload) is not bytes:
-            if not isinstance(payload, (bytes, bytearray, memoryview)):
-                raise violation(f"party {pid} sent a payload of type {type(payload).__name__}")
-            payload = bytes(payload)
-            same = False
-        elif type(pair) is not tuple:
-            same = False
-        pairs.append((receiver, payload))
-        if column[receiver - 1] is None:
-            column[receiver - 1] = payload
+    try:
+        for pair in outbox:
+            receiver, payload = pair
+            if type(receiver) is not int or not 1 <= receiver <= n:
+                raise violation(f"party {pid} addressed invalid receiver {receiver!r}")
+            if type(payload) is not bytes:
+                if not isinstance(payload, (bytes, bytearray, memoryview)):
+                    raise violation(f"party {pid} sent a payload of type {type(payload).__name__}")
+                payload = bytes(payload)
+                same = False
+            elif type(pair) is not tuple:
+                same = False
+            pairs.append((receiver, payload))
+            if column[receiver - 1] is None:
+                column[receiver - 1] = payload
+    except (TypeError, ValueError) as exc:
+        raise violation(f"party {pid} sent a malformed outbox: {exc}") from exc
     if not same:
         return tuple(pairs), tuple(column)
     hit = checked[id(outbox)] = outbox, tuple(column)

@@ -225,39 +225,32 @@ class LabeledTree:
     def convex_hull(self, members: Iterable[str]) -> set[str]:
         """Vertex set of the smallest connected subtree containing ``members``.
 
-        A vertex belongs to the hull iff it is a member or separates two
-        members (equivalently: lies on the path between some member pair).
+        The hull is the union of the paths from the first member to the
+        others.  Each climbs from the other member to the first vertex of
+        the spine, the first member's root path, and runs down the spine.
+        So each member climbs its parent pointers until it meets the spine
+        or a vertex already taken, and the spine is added from the
+        shallowest meeting point down: O(|hull|) steps when the spine is
+        cached, as it is for an input the protocols have run on.
         """
-        mset = set(members)
-        if not mset:
+        members = list(members)
+        if not members:
             raise EmptySet("convex hull of an empty set")
-        for v in mset:
+        for v in members:
             self._require(v)
-        if len(mset) == 1:
-            return mset
-        parent = self._parent
-        total = len(mset)
-        count: dict[str, int] = {}
-        # Subtree member counts, children before parents (reverse pre-order).
-        for v in reversed(self._order):
-            c = count.get(v, 0) + (1 if v in mset else 0)
-            count[v] = c
-            p = parent[v]
-            if p is not None:
-                count[p] = count.get(p, 0) + c
-        hull = set()
-        for v in self._order:
-            if v in mset:
+        spine = self.path_from_root(members[0])
+        parent, depth = self._parent, self._depth
+        top = len(spine) - 1  # depth of the shallowest meeting point so far
+        hull: set[str] = set()
+        for v in members:
+            while v not in hull:
+                d = depth[v]
+                if d < len(spine) and spine[d] == v:
+                    top = min(top, d)
+                    break
                 hull.add(v)
-                continue
-            below = count.get(v, 0)
-            sides = 1 if total > below else 0
-            for w in self._adj[v]:
-                if parent[w] == v and count.get(w, 0) > 0:
-                    sides += 1
-                    if sides >= 2:
-                        hull.add(v)
-                        break
+                v = parent[v]  # type: ignore[assignment]
+        hull.update(spine[top:])
         return hull
 
     def project_onto_path(self, path: tuple[str, ...], v: str) -> str:

@@ -10,21 +10,26 @@ from treeaa import (
     longest_common_prefix,
     supported_prefix,
 )
+from treeaa import paths
 from treeaa.adversaries import REGISTRY, AdversaryContext
 from treeaa.errors import NoSupport
+from treeaa.gradecast import grade_votes, received_vectors
 from treeaa.harness import run_one
 from treeaa.paths import (
+    PathPair,
     decode_tree_path,
     root_path_bytes,
     legacy_path_finder_machine,
     legacy_rounds,
     prefix_path_finder_machine,
 )
-from treeaa.simnet import run_machines
+from treeaa.simnet import replay_transcript, run_machines
+from treeaa.tree_aa import run_final_tree_aa
 from treeaa.trees import FROM_ROOT_CACHE_LABELS, LabeledTree
-from treeaa.wire import encode_path
+from treeaa.wire import TAG_VOTE, encode_path
 
 import oracles
+from byzhelpers import InstanceScript
 
 
 def run_finder(machine, tree, n, t, inputs, adversary=None, seed=0):
@@ -302,6 +307,41 @@ class TestPrefixPathFinder:
                 assert transcript.rounds_used == 3
                 honest_inputs = [inputs[pid] for pid in pairs]
                 check_prefix_finder_outputs(tree, pairs, honest_inputs)
+
+
+# Split-world's gradecast gives every honest party one graded view.  The
+# script sends sender 10's path x to parties 1..6 and y to 7..9, echoes x to
+# 1..6 and votes x to 1..3 only: parties 1..3 grade x 2 and 4..9 grade it 1.
+@pytest.mark.parametrize("adversary, views", [("split-world", 1), ("script", 2)])
+def test_each_distinct_graded_view_gets_one_path_pair(monkeypatch, adversary, views):
+    calls = []
+    real_path_pair = paths._path_pair
+    monkeypatch.setattr(paths, "_path_pair", lambda *args: calls.append(1) or real_path_pair(*args))
+    n, t = 10, 3
+    tree = generate_tree("random", 60, 3)
+    labels = sorted(tree.vertices)
+    inputs = {pid: labels[(7 * pid) % len(labels)] for pid in range(1, n + 1)}
+    if adversary == "split-world":
+        pairs, transcript = run_finder(prefix_path_finder_machine, tree, n, t, inputs,
+                                       REGISTRY["split-world"](prefix_ctx(tree, n, t)), seed=1)
+    else:
+        x, y = root_path_bytes(tree, tree.deepest), root_path_bytes(tree, labels[1])
+        script = InstanceScript(n, n, {q: x if q <= 6 else y for q in range(1, n)},
+                                {q: x if q <= 6 else None for q in range(1, n)},
+                                {q: x if q <= 3 else None for q in range(1, n)})
+        _, transcript, results = run_final_tree_aa(tree, n, t, inputs, script, seed=1)
+        pairs = {pid: PathPair(res.p, res.q) for pid, res in results.items()}
+    vote_inboxes = replay_transcript(transcript)[3]
+    graded = {pid: grade_votes(n, t, received_vectors(n, vote_inboxes[pid], TAG_VOTE))
+              for pid in pairs}
+    for pid, view in graded.items():  # outside a run nothing is memoised
+        entries = []
+        for value, grade in view.values():
+            path = oracles.checked_path_by_decode(tree, value) if grade else None
+            entries.append((path, grade if path is not None else 0))
+        assert pairs[pid] == PathPair(supported_prefix(entries, 2, n - t),
+                                      supported_prefix(entries, 1, n - t))
+    assert len(calls) == len({tuple(view.values()) for view in graded.values()}) == views
 
 
 def check_legacy_outputs(tree, results, honest_inputs):

@@ -16,6 +16,7 @@ from treeaa.gradecast import gradecast_all
 from treeaa.simnet import (
     Adversary,
     Envelope,
+    Record,
     Transcript,
     broadcast,
     replay_transcript,
@@ -275,8 +276,13 @@ class TestTranscript:
                               st.integers(0, 10**6), st.binary(max_size=300)), max_size=20))
     @example([])
     def test_jsonl_matches_json_oracle_and_round_trips(self, envelopes):
-        text = Transcript.from_envelopes(3, 0, 0, envelopes).to_jsonl()
+        tr = Transcript.from_envelopes(3, 0, 0, envelopes)
+        text = tr.to_jsonl()
         assert text == to_jsonl_by_json(envelopes)
+        # Records that share one pairs object in a row, as parties sharing an outbox send.
+        shared = Transcript(3, 0, 0, [Record(r, s + k, pairs) for r, s, pairs in tr.records
+                                      for k in (0, 1)])
+        assert shared.to_jsonl() == to_jsonl_by_json(shared.envelopes)
         back = Transcript.from_jsonl(text)
         assert back.envelopes == envelopes
         assert back.to_jsonl() == text
@@ -482,6 +488,28 @@ def test_a_payload_that_is_not_bytes_is_a_violation_naming_its_party(payload):
         run_simulation(3, 0, [never_ends(), (o for o in [[(1, payload)]]), never_ends()])
     with pytest.raises(StrategyViolation, match=r"^party 1 sent a payload of type"):
         echo_run(adversary=SendsPayload(payload))
+
+
+class SendsOutbox(Adversary):
+    def __init__(self, outbox):
+        self.outbox = outbox
+
+    def corrupt_decision(self, round, view):
+        return {1}
+
+    def byzantine_send(self, round, pid, view):
+        return self.outbox
+
+
+# Entries that are not (receiver, payload) pairs, and outboxes that cannot be iterated.
+@pytest.mark.parametrize("outbox", [[(1,)], [1], [(1, b"x", 2)], None, 5])
+def test_a_malformed_outbox_is_a_violation_naming_its_party(outbox):
+    with pytest.raises(ProtocolViolation, match=r"^party 2 sent a malformed outbox") as honest:
+        run_simulation(2, 0, [never_ends(), (o for o in [outbox])])
+    with pytest.raises(StrategyViolation, match=r"^party 1 sent a malformed outbox") as corrupted:
+        echo_run(adversary=SendsOutbox(outbox))
+    for raised in (honest, corrupted):
+        assert isinstance(raised.value.__cause__, (TypeError, ValueError))
 
 
 def test_a_corrupted_party_can_send_an_honest_outbox_unchanged():

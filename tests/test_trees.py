@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeaa import LabeledTree, is_prefix, longest_common_prefix, parse_tree
 from treeaa.errors import (
@@ -134,6 +135,38 @@ class TestHull:
             labels = sorted(tree.vertices)
             members = set(rng.sample(labels, rng.randint(1, len(labels))))
             assert tree.convex_hull(members) == oracles.brute_hull(adj, members)
+
+    def test_members_on_one_root_path(self):
+        # Every member is an ancestor of the first: the walks all stop on the
+        # spine, and the hull is the spine from the shallowest member down.
+        tree = LabeledTree(oracles.random_edge_list(random.Random("one-root-path"), 40))
+        deep = max(tree.vertices, key=lambda v: (tree.depth(v), v))
+        path = tree.path_from_root(deep)
+        assert len(path) >= 4
+        members = [deep, path[len(path) // 2], path[1]]
+        assert tree.convex_hull(members) == set(path[1:])
+        assert tree.convex_hull(reversed(members)) == set(path[1:])
+
+    def test_hull_whose_top_is_the_root(self, eight_vertex_tree):
+        # "a" joins two branches without being a member; v1 is a member.
+        tree = LabeledTree([("a", "b"), ("a", "c"), ("b", "d"), ("c", "e")])
+        assert tree.root == "a"
+        assert tree.convex_hull(["d", "e"]) == {"a", "b", "c", "d", "e"}
+        assert tree.convex_hull(["e", "b"]) == {"a", "b", "c", "e"}
+        assert eight_vertex_tree.root == "v1"
+        for members in (["v6", "v1"], ["v1", "v6"]):
+            assert eight_vertex_tree.convex_hull(members) == {"v1", "v2", "v3", "v6"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 40), st.data())
+def test_hull_matches_brute_oracle_on_random_trees(seed, size, data):
+    rng = random.Random(seed)
+    edges = oracles.random_edge_list(rng, size)
+    tree = LabeledTree(edges) if edges else LabeledTree((), vertices=["n000"])
+    labels = sorted(tree.vertices)
+    members = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=8))
+    assert tree.convex_hull(members) == oracles.brute_hull(oracles.adjacency(tree), set(members))
 
 
 class TestProjection:

@@ -191,6 +191,7 @@ class Transcript:
                         for q, p in pairs]
                 head = f'{{"round":{r},"sender":{s},"receiver":'
                 lines.append(head + head.join(tails))
+        del last, tails  # freed before the join, where the call's memory peaks
         return "".join(lines)
 
     @classmethod

@@ -10,13 +10,13 @@ from treeaa import (
     longest_common_prefix,
     supported_prefix,
 )
-from treeaa import paths
 from treeaa.adversaries import REGISTRY, AdversaryContext
 from treeaa.errors import NoSupport
 from treeaa.gradecast import grade_votes, received_vectors
 from treeaa.harness import run_one
 from treeaa.paths import (
     PathPair,
+    _path_pair,
     decode_tree_path,
     root_path_bytes,
     legacy_path_finder_machine,
@@ -315,8 +315,7 @@ class TestPrefixPathFinder:
 @pytest.mark.parametrize("adversary, views", [("split-world", 1), ("script", 2)])
 def test_each_distinct_graded_view_gets_one_path_pair(monkeypatch, adversary, views):
     calls = []
-    real_path_pair = paths._path_pair
-    monkeypatch.setattr(paths, "_path_pair", lambda *args: calls.append(1) or real_path_pair(*args))
+    monkeypatch.setattr("treeaa.paths._path_pair", lambda *args: calls.append(1) or _path_pair(*args))
     n, t = 10, 3
     tree = generate_tree("random", 60, 3)
     labels = sorted(tree.vertices)

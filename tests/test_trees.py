@@ -137,8 +137,8 @@ class TestHull:
             assert tree.convex_hull(members) == oracles.brute_hull(adj, members)
 
     def test_members_on_one_root_path(self):
-        # Every member is an ancestor of the first: the walks all stop on the
-        # spine, and the hull is the spine from the shallowest member down.
+        # Every member lies on the spine, in either order: each walk stops at
+        # once, and the hull is the root path's run between the end members.
         tree = LabeledTree(oracles.random_edge_list(random.Random("one-root-path"), 40))
         deep = max(tree.vertices, key=lambda v: (tree.depth(v), v))
         path = tree.path_from_root(deep)

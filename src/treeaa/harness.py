@@ -130,7 +130,11 @@ def resolve_tree(source: str) -> tuple[LabeledTree, str]:
     path = FilePath(source)
     if not path.exists():
         raise InvalidParams(f"tree file {source!r} does not exist")
-    return parse_tree(path.read_text(encoding="utf-8")), path.name
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise InvalidParams(f"cannot read tree file {source!r}: {exc}") from None
+    return parse_tree(text), path.name
 
 
 def assign_inputs(tree: LabeledTree, n: int, spec: str | Sequence[str],

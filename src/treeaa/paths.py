@@ -34,9 +34,14 @@ Entry = tuple[Path | None, int]  # decoded path (None when invalid) and its grad
 
 
 def root_path_bytes(tree: LabeledTree, v: str) -> bytes:
-    """``encode_path(tree.path_from_root(v))``, joined from the tree's records."""
-    path = tree.path_from_root(v)
-    return _U32.pack(len(path)) + b"".join(map(tree.wire_records[0].__getitem__, path))
+    """``encode_path(tree.path_from_root(v))``, joined from one slice of each
+    heavy chain's record blob."""
+    wire = tree.wire_chains
+    parts = [_U32.pack(tree.depth(v) + 1)]
+    for c, k in tree.root_slices(v):
+        blob, ends = wire[c]
+        parts.append(blob[:ends[k]])
+    return b"".join(parts)
 
 
 def own_path_bytes(tree: LabeledTree, v: str) -> bytes:

@@ -1,9 +1,16 @@
 """Labeled trees and their path algebra.
 
 Vertices are arbitrary UTF-8 text labels ordered bytewise-lexicographically.
-A tree is immutable after construction; every derived structure (rooting,
-Euler visit list) is computed once and cached, so one tree instance can be
-shared by many concurrent simulations.
+A tree is immutable after construction; every derived structure is
+computed once and cached, so one tree instance can be shared by many
+concurrent simulations:
+
+* the rooting (parents, depths, BFS order), built with the tree;
+* on first use: the heavy-path chains, each vertex's wire record and one
+  record blob per chain, and the Euler visit list.
+
+A root path crosses at most floor(log2 |V|) + 1 heavy chains, so it is
+joined from that many tuple (or bytes) slices with no per-label walk.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -27,11 +35,6 @@ from .errors import (
 from .wire import path_entry
 
 Path = tuple[str, ...]
-
-FROM_ROOT_CACHE_LABELS = 1 << 18
-"""Most labels ``path_from_root`` keeps cached per tree (2 MB of tuple slots):
-131 whole paths of path:2000, more than one run of a few dozen parties asks
-for, so a run's paths stay shared objects; past it the cache starts over."""
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,6 @@ class LabeledTree:
         self.vertices: frozenset[str] = frozenset(self._adj)
         self.root: str = min(self._adj)
         self._rooted()
-        self._from_root_cache: dict[str, Path] = {}
-        self._from_root_labels = 0  # total length of the cached paths
 
     # -- construction helpers -------------------------------------------------
 
@@ -179,19 +180,55 @@ class LabeledTree:
         left.extend(reversed(right))
         return tuple(left)
 
+    @cached_property
+    def heavy_chains(self) -> tuple[tuple[Path, ...], dict[str, tuple[int, int]],
+                                    tuple[str | None, ...]]:
+        """Heavy-path decomposition: the chains, each listed top down; each
+        vertex's (chain index, 1-based position); each chain top's parent.
+
+        A vertex continues its parent's chain when its subtree is the
+        largest among its siblings (the smallest label among equals).  A
+        vertex starting a new chain has at most half its parent's subtree,
+        so a root path crosses at most floor(log2 |V|) + 1 chains.
+        """
+        parent = self._parent
+        size = dict.fromkeys(self._order, 1)
+        heavy: dict[str, str] = {}
+        for v in reversed(self._order[1:]):  # children before parents
+            p = parent[v]
+            size[p] += size[v]  # type: ignore[index]
+            if size[v] >= size[heavy.get(p, v)]:  # type: ignore[arg-type]
+                heavy[p] = v  # type: ignore[index]
+        chains: list[Path] = []
+        at: dict[str, tuple[int, int]] = {}
+        for v in self._order:
+            if v not in at:
+                run = [v]
+                while run[-1] in heavy:
+                    run.append(heavy[run[-1]])
+                for k, w in enumerate(run, start=1):
+                    at[w] = (len(chains), k)
+                chains.append(tuple(run))
+        return tuple(chains), at, tuple(parent[run[0]] for run in chains)
+
+    def root_slices(self, v: str) -> list[tuple[int, int]]:
+        """The root path of v as (chain index, k) pairs, root first: the
+        path is the concatenation of each chain's first k vertices."""
+        self._require(v)
+        _, at, up = self.heavy_chains
+        slices = []
+        while v is not None:
+            c, k = at[v]
+            slices.append((c, k))
+            v = up[c]  # type: ignore[assignment]
+        slices.reverse()
+        return slices
+
     def path_from_root(self, v: str) -> Path:
-        """Path from the canonical root to v; memoised up to
-        ``FROM_ROOT_CACHE_LABELS`` labels, protocols call it often."""
-        cached = self._from_root_cache.get(v)
-        if cached is None:
-            cached = self.path_between(self.root, v)
-            if self._from_root_labels + len(cached) > FROM_ROOT_CACHE_LABELS:
-                self._from_root_cache.clear()
-                self._from_root_labels = 0
-            if len(cached) <= FROM_ROOT_CACHE_LABELS:
-                self._from_root_cache[v] = cached
-                self._from_root_labels += len(cached)
-        return cached
+        """Path from the canonical root to v, one tuple slice per heavy chain."""
+        chains = self.heavy_chains[0]
+        parts = [chains[c][:k] for c, k in self.root_slices(v)]
+        return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
 
     @cached_property
     def wire_records(self) -> tuple[dict[str, bytes], dict[bytes, str], tuple[int, ...]]:
@@ -201,6 +238,17 @@ class LabeledTree:
         records = {v: path_entry(v) for v in self._order}
         lengths = tuple(sorted({len(r) for r in records.values()}))
         return records, {r: v for v, r in records.items()}, lengths
+
+    @cached_property
+    def wire_chains(self) -> tuple[tuple[bytes, tuple[int, ...]], ...]:
+        """Per chain: its vertices' wire records joined into one blob, and
+        the blob length after each of its first k records (index k)."""
+        records = self.wire_records[0]
+        out = []
+        for run in self.heavy_chains[0]:
+            parts = [records[v] for v in run]
+            out.append((b"".join(parts), tuple(accumulate(map(len, parts), initial=0))))
+        return tuple(out)
 
     def is_path(self, seq: tuple[str, ...]) -> bool:
         """True iff seq is a non-empty simple path of adjacent vertices."""
@@ -230,8 +278,8 @@ class LabeledTree:
         the spine, the first member's root path, and runs down the spine.
         So each member climbs its parent pointers until it meets the spine
         or a vertex already taken, and the spine is added from the
-        shallowest meeting point down: O(|hull|) steps when the spine is
-        cached, as it is for an input the protocols have run on.
+        shallowest meeting point down: O(|hull|) Python steps, plus the
+        spine's few heavy-chain slices, copied at C speed.
         """
         members = list(members)
         if not members:

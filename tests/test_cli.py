@@ -129,6 +129,26 @@ def test_run_rejects_malformed_generator_specs(tmp_path, source):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("how", ["flag", "config", "config-directory"])
+def test_run_rejects_an_unreadable_tree_file(tmp_path, how):
+    source = tmp_path / "tree.txt"
+    if how == "config-directory":
+        source.mkdir()
+    else:
+        source.write_bytes(b"a b\n\xff c\n")  # not UTF-8
+    if how == "flag":
+        args = ["--tree", str(source), "--n", "4", "--t", "1"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**CONFIG, "tree_source": str(source)}), encoding="utf-8")
+        args = ["--config", str(path)]
+    result = CliRunner().invoke(main, ["run", *args])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and repr(str(source)) in result.output
+    assert "Traceback" not in result.output
+
+
 def test_gen_tree_roundtrips_through_run(tmp_path):
     runner = CliRunner()
     doc = tmp_path / "tree.txt"

@@ -1,4 +1,6 @@
 import random
+import sys
+from itertools import chain
 
 import pytest
 
@@ -11,7 +13,7 @@ from treeaa import (
     supported_prefix,
 )
 from treeaa.adversaries import REGISTRY, AdversaryContext
-from treeaa.errors import NoSupport
+from treeaa.errors import NoSupport, UnknownVertex
 from treeaa.gradecast import grade_votes, received_vectors
 from treeaa.harness import run_one
 from treeaa.paths import (
@@ -25,7 +27,7 @@ from treeaa.paths import (
 )
 from treeaa.simnet import replay_transcript, run_machines
 from treeaa.tree_aa import run_final_tree_aa
-from treeaa.trees import FROM_ROOT_CACHE_LABELS, LabeledTree
+from treeaa.trees import LabeledTree
 from treeaa.wire import TAG_VOTE, encode_path
 
 import oracles
@@ -412,18 +414,50 @@ class TestLegacyPathFinder:
                 check_legacy_outputs(tree, results, honest_inputs)
 
 
-def test_root_path_cache_stays_under_its_cap():
-    # Random inputs on one long path ask for far more root-path labels than
-    # the cache may keep; it starts over instead of growing, and every run
-    # still grades valid.
+def footprint(tree):
+    """Byte size of everything a tree holds, one level into its tuples."""
+    return {name: [sys.getsizeof(x) for x in (value if type(value) is tuple else (value,))]
+            for name, value in vars(tree).items()}
+
+
+def test_root_paths_keep_no_per_vertex_state():
+    # Random inputs on one long path ask for many distinct root paths, and
+    # every run still grades valid.  The tree keeps one set of heavy chains,
+    # holding each label once, and nothing it holds grows with the paths asked.
     tree = generate_tree("path", 2000, 0)
     rng = random.Random("root-path-cache")
     labels = sorted(tree.vertices)
-    asked = set()
+    held = None
     for seed in range(150):
         inputs = {pid: rng.choice(labels) for pid in range(1, 5)}
-        asked.update(inputs.values())
         report = run_one(tree, "path(2000)", 4, 1, "final", "split-world", inputs, seed)
         assert report.valid and report.max_dist <= 1
-        assert sum(map(len, tree._from_root_cache.values())) <= FROM_ROOT_CACHE_LABELS
-    assert sum(tree.depth(v) + 1 for v in asked) > FROM_ROOT_CACHE_LABELS
+        assert held is None or footprint(tree) == held
+        held = footprint(tree)
+    assert sorted(chain.from_iterable(tree.heavy_chains[0])) == labels
+
+
+@st.composite
+def chain_trees(draw):
+    """A random edge-list tree or a star, caterpillar or binary generator tree."""
+    kind = draw(st.sampled_from(["random", "star", "caterpillar", "binary"]))
+    size = draw(st.integers(1, 80))
+    if kind != "random":
+        return generate_tree(kind, size)
+    edges = oracles.random_edge_list(random.Random(draw(st.integers(0, 2 ** 32))), size)
+    return LabeledTree(edges) if edges else LabeledTree((), vertices=["n000"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_trees())
+def test_root_paths_are_few_heavy_chain_slices(tree):
+    adj = oracles.adjacency(tree)
+    assert sorted(chain.from_iterable(tree.heavy_chains[0])) == sorted(tree.vertices)
+    for v in tree.vertices:
+        path = tree.path_from_root(v)
+        assert path == oracles.bfs_path(adj, tree.root, v)
+        assert root_path_bytes(tree, v) == encode_path(path)
+        assert len(tree.root_slices(v)) <= len(tree).bit_length()  # floor(log2 |V|) + 1
+    for call in (tree.path_from_root, lambda v: root_path_bytes(tree, v)):
+        with pytest.raises(UnknownVertex):
+            call("no such vertex")

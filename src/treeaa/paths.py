@@ -37,10 +37,12 @@ def root_path_bytes(tree: LabeledTree, v: str) -> bytes:
     """``encode_path(tree.path_from_root(v))``, joined from one slice of each
     heavy chain's record blob."""
     wire = tree.wire_chains
-    parts = [_U32.pack(tree.depth(v) + 1)]
+    parts = []
     for c, k in tree.root_slices(v):
         blob, ends = wire[c]
         parts.append(blob[:ends[k]])
+    parts.append(_U32.pack(tree.depth(v) + 1))
+    parts.reverse()
     return b"".join(parts)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -211,24 +211,24 @@ class LabeledTree:
                 chains.append(tuple(run))
         return tuple(chains), at, tuple(parent[run[0]] for run in chains)
 
-    def root_slices(self, v: str) -> list[tuple[int, int]]:
-        """The root path of v as (chain index, k) pairs, root first: the
-        path is the concatenation of each chain's first k vertices."""
-        self._require(v)
+    def root_slices(self, v: str) -> Iterator[tuple[int, int]]:
+        """The root path of v as (chain index, k) pairs, from v up: the path
+        is the concatenation, root first, of each chain's first k vertices."""
         _, at, up = self.heavy_chains
-        slices = []
+        if v not in at:
+            self._require(v)
         while v is not None:
             c, k = at[v]
-            slices.append((c, k))
+            yield c, k
             v = up[c]  # type: ignore[assignment]
-        slices.reverse()
-        return slices
 
     def path_from_root(self, v: str) -> Path:
         """Path from the canonical root to v, one tuple slice per heavy chain."""
         chains = self.heavy_chains[0]
-        parts = [chains[c][:k] for c, k in self.root_slices(v)]
-        return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
+        path: Path = ()
+        for c, k in self.root_slices(v):
+            path = chains[c][:k] + path
+        return path
 
     @cached_property
     def wire_records(self) -> tuple[dict[str, bytes], dict[bytes, str], tuple[int, ...]]:

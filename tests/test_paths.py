@@ -457,7 +457,7 @@ def test_root_paths_are_few_heavy_chain_slices(tree):
         path = tree.path_from_root(v)
         assert path == oracles.bfs_path(adj, tree.root, v)
         assert root_path_bytes(tree, v) == encode_path(path)
-        assert len(tree.root_slices(v)) <= len(tree).bit_length()  # floor(log2 |V|) + 1
+        assert len(list(tree.root_slices(v))) <= len(tree).bit_length()  # floor(log2 |V|) + 1
     for call in (tree.path_from_root, lambda v: root_path_bytes(tree, v)):
         with pytest.raises(UnknownVertex):
             call("no such vertex")

@@ -7,14 +7,15 @@
 Both commits are exported with ``git archive`` into a temporary directory,
 so uncommitted files and bytecode caches play no part.  For every seed of a
 workload, ``perfbench/run.py --workload W --seed S --seconds 20 --trace 0``
-runs once in each export, one after the other: the parent first on odd
-pairs and the change first on even pairs.  The last line of each run's
-output is the perfbench JSON result.
+(20 being ``run_seconds`` in ``BENCHMARK.json``) runs once in each export,
+one after the other: the parent first on odd pairs and the change first on
+even pairs.  The last line of each run's output is the perfbench JSON
+result.
 
 The output file holds the command, the procedure, the host, the claim, a
 summary per workload and metric (median and quartiles per side, and in
 how many pairs the change was lower and higher) and every raw run.  It is
-rewritten after every pair, so an interrupted session keeps what it ran.
+rewritten after every pair, so an interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -116,15 +117,14 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="WORKLOAD=LO:HI", help="A workload and its seeds lo..hi-1.")
     parser.add_argument("--claim", required=True, help="What the pairs are meant to show.")
     parser.add_argument("--out", required=True, help="JSON file to write.")
-    parser.add_argument("--seconds", type=float, default=20.0,
-                        help="perfbench --seconds per run (default 20).")
     args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
     commits = {"parent": commit_of(args.parent), "change": commit_of(args.change)}
     seeds = ", ".join(f"{w} {s[0]}-{s[-1]}" for w, s in args.pairs)
     doc = {
         "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "procedure": (
             f"parent = commit {commits['parent']}, change = commit {commits['change']}; "
             f"made by tools/bench_pairs.py; each pair runs both sides one after the other, "
@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             for i, seed in enumerate(workload_seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for k, side in enumerate(order):
-                    output = run_perfbench(trees[side], workload, seed, args.seconds)
+                    output = run_perfbench(trees[side], workload, seed, seconds)
                     doc["runs"].append({"workload": workload, "seed": seed, "side": side,
                                         "ran_first": k == 0, "output": output})
                     ratio = output["metrics"]["run_time_vs_ref"]["value"]

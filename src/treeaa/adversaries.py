@@ -47,10 +47,15 @@ class _Shadow:
         self.next_round = 1
 
     def advance(self, pid: int, view: SimulationView, upto: int) -> Outbox:
+        """The outbox of round ``upto``; () once the machine has returned."""
         out: Outbox = ()
         while self.next_round <= upto:
-            out = self.program.on_round(view.inbox_of(pid, self.next_round - 1))
+            inbox = view.inbox_of(pid, self.next_round - 1) if self.next_round > 1 else None
             self.next_round += 1
+            try:
+                out = self.program.on_round(inbox)
+            except StopIteration:  # a finished generator raises it again on every step
+                out = ()
         return out
 
 

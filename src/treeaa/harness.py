@@ -177,12 +177,6 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
     hull = tree.convex_hull(honest_inputs)
     labels = [outputs[pid] for pid in honest]
     valid = all(label in hull for label in labels)
-    max_dist = 0
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            d = tree.distance(labels[i], labels[j])
-            if d > max_dist:
-                max_dist = d
     lb = bounds.lb_rounds(n, t, float(tree.diameter)) if t >= 1 and tree.diameter > 1 else 0
     transcript_path = None
     if emit_dir is not None:
@@ -202,12 +196,23 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
         diameter=tree.diameter,
         rounds=transcript.rounds_used,
         lb_rounds=lb,
-        max_dist=max_dist,
+        max_dist=max_distance(tree, labels),
         valid=valid,
         honest=honest,
         outputs=dict(sorted(outputs.items())),
         transcript_path=transcript_path,
     )
+
+
+def max_distance(tree: LabeledTree, labels: Sequence[str]) -> int:
+    """The largest tree distance between two of ``labels``, by two farthest-point
+    passes over the distinct ones: in a tree, the label farthest from any
+    label is an end of a farthest pair."""
+    distinct = list(dict.fromkeys(labels))
+    if len(distinct) <= 2:
+        return tree.distance(distinct[0], distinct[1]) if len(distinct) == 2 else 0
+    far = max(distinct[1:], key=lambda v: tree.distance(distinct[0], v))
+    return max(tree.distance(far, v) for v in distinct if v != far)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunReport]:

@@ -5,12 +5,13 @@ point-to-point channels: a message's sender always names its true origin,
 and everything sent in round k is delivered exactly at the end of round k,
 before round k+1 begins.
 
-A party is a generator (``GeneratorProgram`` runs it).  It yields its
+A party is a generator (``GeneratorProgram`` steps it).  It yields its
 outbox, a sequence of (receiver, payload) pairs, and is resumed with its
 inbox: an n-tuple indexed by sender whose entry s-1 is the first payload
 sender s sent the party in the previous round, or None; later payloads
 from the same sender in that round are recorded in the transcript but not
-delivered.
+delivered.  A generator that returns, None included, has finished: the
+value is its output, and it leaves the loop.
 
 A transcript is stored as per-sender outbox records: one record (round,
 sender, pairs) per sender that sent in a round, in sending order.
@@ -26,16 +27,20 @@ forged sender or round cannot be expressed.  Every outbox passes one check
 (it is an iterable of (receiver, payload) pairs; receivers are int party
 ids; a bytearray or memoryview payload is copied to bytes, any other
 non-bytes payload is refused), raising ProtocolViolation for an honest
-party and StrategyViolation for a corrupted one.  Parties share memoised
-outbox tuples, so each distinct tuple of (int, bytes) tuples is checked
-once per run and then kept as its records' pairs without a copy.
+party and StrategyViolation for a corrupted one.  Broadcasts are accepted
+by their shape instead: an honest party's ``broadcast`` of n pairs and a
+bytes payload has the column ``(payload,) * n``, built in C.  A corrupted
+party's outbox of that type is checked in full, since adversary code can
+build one by hand (``tuple.__new__``).  Parties share memoised outbox
+tuples, so each distinct tuple of (int, bytes) tuples that is checked is
+checked once per run and then kept as its records' pairs without a copy.
 
-Round structure.  In round k every non-corrupted party is resumed with the
-inbox from round k-1 (all None for k=1) and yields the messages it sends
-in round k.  The adversary then picks additional parties to corrupt (their
-round-k messages are suppressed, as if corrupted at the start of the
-round) and finally, corrupted party by corrupted party in pid order,
-returns each one's round-k outbox after seeing every honest round-k
+Round structure.  In round k every party neither finished nor corrupted is
+resumed with the inbox from round k-1 (None for k=1) and yields the
+messages it sends in round k.  The adversary then picks additional parties
+to corrupt (their round-k messages are suppressed, as if corrupted at the
+start of the round) and finally, corrupted party by corrupted party in pid
+order, returns each one's round-k outbox after seeing every honest round-k
 message and those of the earlier corrupted parties (rushing).  A final
 step in which all remaining honest parties report their outputs and send
 nothing does not count as a communication round, so a 3-round protocol
@@ -89,7 +94,10 @@ def run_memo(table: str) -> dict | None:
     be immutable or copied on the way out.
     """
     memo = _RUN_MEMO.get()
-    return None if memo is None else memo.setdefault(table, {})
+    if memo is None:
+        return None
+    values = memo.get(table)  # setdefault would build a throwaway dict on every call
+    return values if values is not None else memo.setdefault(table, {})
 
 
 def memoised(table: str, key: Any, compute: Callable[[], Any]) -> Any:
@@ -153,18 +161,6 @@ class Transcript:
     records: list[Record] = field(default_factory=list)
     events: list[tuple[str, int, int]] = field(default_factory=list)
     rounds_used: int = 0
-
-    @classmethod
-    def from_envelopes(cls, n: int, t: int, seed: int, envelopes: Iterable[Envelope],
-                       rounds_used: int = 0) -> "Transcript":
-        """The transcript of ``envelopes`` in order; consecutive envelopes of
-        one round and sender share a record."""
-        records: list[Record] = []
-        for r, s, q, p in envelopes:
-            if not records or records[-1][:2] != (r, s):
-                records.append(Record(r, s, []))
-            records[-1].pairs.append((q, p))
-        return cls(n, t, seed, records, [], rounds_used)
 
     @property
     def envelopes(self) -> list[Envelope]:
@@ -339,33 +335,22 @@ class GeneratorProgram:
 
     The generator yields the outbox for the next round (a sequence of
     (receiver, payload) pairs) and is resumed with the inbox delivered at
-    the end of that round.  Its return value, None included, becomes the
-    party's output.
+    the end of that round.  When it returns, ``on_round`` raises
+    StopIteration, whose value, None included, is the party's output.
     """
+
+    __slots__ = ("_gen",)
 
     def __init__(self, gen: Generator):
         self._gen = gen
-        self._started = False
-        self.done = False
-        self.result: Any = None
 
-    def on_round(self, inbox: Inbox) -> Outbox:
-        if self.done:
-            return ()
-        try:
-            if not self._started:
-                self._started = True
-                return self._gen.send(None)
-            return self._gen.send(inbox)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
-            return ()
+    def on_round(self, inbox: Inbox | None) -> Outbox:
+        """The outbox for the next round; ``inbox`` is None before round 1."""
+        return self._gen.send(inbox)
 
 
 class _Simulation:
     def __init__(self, n: int, t: int, seed: int):
-        self.round = 0
         self.corrupted: set[int] = set()
         self.transcript = Transcript(n, t, seed)
         # The round being sent (the rushing view): each sender's column so
@@ -402,6 +387,18 @@ def run_simulation(
         _RUN_MEMO.reset(token)
 
 
+class _Broadcast(tuple):
+    """((1, payload), ..., (n, payload)), as only ``broadcast`` builds it."""
+
+    __slots__ = ()
+
+
+def broadcast(n: int, payload: bytes) -> _Broadcast:
+    """Outbox addressing every party (the sender too) with one payload; a
+    tuple, so the parties sending the same outbox can share it."""
+    return _Broadcast([(pid, payload) for pid in range(1, n + 1)])
+
+
 def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception],
                   checked: dict[int, tuple[Outbox, Inbox]]) -> tuple[Outbox, Inbox]:
     """(pairs, column) of party pid's outbox; the column holds its first
@@ -409,17 +406,17 @@ def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception]
     that is not a pair, or an outbox that cannot be iterated raises
     ``violation``.
 
-    A tuple of (int, bytes) tuples cannot change, so it is its own pairs and
-    is checked once per run: ``checked`` maps its id to the result, which
-    holds the outbox and so keeps the id from being reused.  Anything else
-    is copied, with a bytearray or memoryview payload made bytes.
+    A tuple of (int, bytes) tuples, a broadcast too, cannot change, so it is
+    its own pairs and is checked once per run: ``checked`` maps its id to the
+    result, which holds the outbox and so keeps the id from being reused.
+    Anything else is copied, a bytearray or memoryview payload made bytes.
     """
     hit = checked.get(id(outbox))
     if hit is not None:
         return hit
     column: list[bytes | None] = [None] * n
     pairs = []
-    same = type(outbox) is tuple
+    same = type(outbox) is tuple or type(outbox) is _Broadcast
     try:
         for pair in outbox:
             receiver, payload = pair
@@ -450,35 +447,33 @@ def _run(n, t, parties, adversary, seed, round_cap):
     sim = _Simulation(n, t, seed)
     view = SimulationView(sim)
     tr = sim.transcript
-    records = tr.records
+    records, events = tr.records, tr.events
     silent: Inbox = (None,) * n
-    inboxes: list[Inbox] = [silent] * n
-    reported: set[int] = set()
+    inboxes: list[Inbox | None] = [None] * n
+    running = range(1, n + 1)  # the parties neither finished nor corrupted, in pid order
+    results: dict[int, Any] = {}
     checked: dict[int, tuple[Outbox, Inbox]] = {}  # honest and corrupted outboxes alike
 
-    while True:
-        rnd = sim.round + 1
-        if rnd > round_cap:
-            raise NonTermination(f"round cap {round_cap} exceeded")
-
-        sent: dict[int, tuple[Outbox, Inbox]] = {}
-        for pid in range(1, n + 1):
-            if pid in sim.corrupted:
+    for rnd in range(1, round_cap + 1):
+        # Each sender's column this round, shown as sim.sending after corruption.
+        columns: list[Sequence[bytes | None]] = [silent] * n
+        sent: dict[int, Outbox] = {}
+        for pid in running:
+            try:
+                outbox = parties[pid - 1].on_round(inboxes[pid - 1])
+            except StopIteration as stop:
+                results[pid] = stop.value
+                events.append(("output", rnd - 1, pid))
                 continue
-            party = parties[pid - 1]
-            outbox = party.on_round(inboxes[pid - 1])
-            sent[pid] = _check_outbox(n, pid, outbox, ProtocolViolation, checked)
-            if party.done and pid not in reported:
-                reported.add(pid)
-                tr.events.append(("output", rnd - 1, pid))
+            if type(outbox) is _Broadcast and len(outbox) == n and type(outbox[0][1]) is bytes:
+                sent[pid], columns[pid - 1] = outbox, (outbox[0][1],) * n  # accepted by its shape
+            else:
+                sent[pid], columns[pid - 1] = _check_outbox(n, pid, outbox, ProtocolViolation,
+                                                            checked)
 
-        if all(parties[pid - 1].done for pid in range(1, n + 1) if pid not in sim.corrupted):
-            # The protocol finished on the previous round's deliveries; this
-            # round never takes place.
-            assert all(not pairs for pairs, _ in sent.values())
+        if not sent:  # all finished on the previous round's deliveries: no round rnd
             break
 
-        sim.round = rnd
         requested = set(adversary.corrupt_decision(rnd, view))
         if not requested >= sim.corrupted:
             raise StrategyViolation("adversary un-corrupted a party")
@@ -488,30 +483,29 @@ def _run(n, t, parties, adversary, seed, round_cap):
             raise StrategyViolation("corrupted party id out of range")
         for pid in sorted(requested - sim.corrupted):
             sim.corrupted.add(pid)
-            tr.events.append(("corrupt", rnd, pid))
+            events.append(("corrupt", rnd, pid))
             sent.pop(pid, None)  # corruption suppresses this round's sends
+            columns[pid - 1] = silent
+        running = [*sent]
 
-        columns: list[Sequence[bytes | None]] = [silent] * n
         sim.sending = {rnd: columns}
-        for pid in [*sent, *sorted(sim.corrupted)]:  # honest, then corrupted, each in pid order
-            # A corrupted party's outbox is asked for after the earlier ones
-            # are recorded, so the rushing view shows them.
-            if pid in sent:
-                pairs, columns[pid - 1] = sent[pid]
-            else:
-                outbox = adversary.byzantine_send(rnd, pid, view)
-                pairs, columns[pid - 1] = _check_outbox(n, pid, outbox, StrategyViolation, checked)
+        for pid, pairs in sent.items():  # honest records first, in pid order
+            if pairs:
+                records.append(_new(Record, (rnd, pid, pairs)))
+        for pid in sorted(sim.corrupted):
+            # Asked for after the earlier outboxes are recorded, so the
+            # rushing view shows them.
+            outbox = adversary.byzantine_send(rnd, pid, view)
+            pairs, columns[pid - 1] = _check_outbox(n, pid, outbox, StrategyViolation, checked)
             if pairs:
                 records.append(_new(Record, (rnd, pid, pairs)))
 
         inboxes = sim.delivered[rnd] = list(zip(*columns))
         tr.rounds_used = rnd
+    else:
+        raise NonTermination(f"round cap {round_cap} exceeded")
 
-    outputs = {
-        pid: parties[pid - 1].result
-        for pid in range(1, n + 1)
-        if pid not in sim.corrupted
-    }
+    outputs = {pid: results[pid] for pid in range(1, n + 1) if pid not in sim.corrupted}
     return outputs, tr
 
 
@@ -525,9 +519,3 @@ def run_machines(n: int, t: int, machine: Callable[[int], Generator],
     """
     return run_simulation(n, t, [machine(pid) for pid in range(1, n + 1)],
                           adversary, seed, round_cap)
-
-
-def broadcast(n: int, payload: bytes) -> tuple[tuple[int, bytes], ...]:
-    """Outbox addressing every party (the sender too) with one payload; a
-    tuple, so the parties sending the same outbox can share it."""
-    return tuple([(pid, payload) for pid in range(1, n + 1)])

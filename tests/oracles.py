@@ -15,7 +15,7 @@ from collections import deque
 from fractions import Fraction
 
 from treeaa.errors import CorruptTranscript, InvalidParams, NoSupport
-from treeaa.simnet import Envelope
+from treeaa.simnet import Envelope, Record, Transcript
 from treeaa.wire import decode_path
 
 CLOSE_SLACK = 2.0 ** -40
@@ -195,6 +195,25 @@ def checked_path_by_decode(tree, data: bytes):
     if not path or path[0] != tree.root or not tree.is_path(path):
         return None
     return path
+
+
+def transcript_from_envelopes(n: int, t: int, seed: int, envelopes,
+                              rounds_used: int = 0) -> Transcript:
+    """The transcript of ``envelopes`` in order; consecutive envelopes of
+    one round and sender share a record."""
+    records: list[Record] = []
+    for r, s, q, p in envelopes:
+        if not records or records[-1][:2] != (r, s):
+            records.append(Record(r, s, []))
+        records[-1].pairs.append((q, p))
+    return Transcript(n, t, seed, records, [], rounds_used)
+
+
+def max_distance_by_pairs(adj: dict[str, set[str]], labels) -> int:
+    """The largest BFS distance over all pairs of ``labels`` (0 for fewer than two)."""
+    labels = list(labels)
+    return max((bfs_dists(adj, u)[v] for i, u in enumerate(labels) for v in labels[i + 1:]),
+               default=0)
 
 
 def to_jsonl_by_json(envelopes) -> str:

@@ -1,9 +1,9 @@
 import pytest
 
 from treeaa import generate_tree, run_final_tree_aa
-from treeaa.adversaries import REGISTRY, RegistryAdversary, make_adversary
+from treeaa.adversaries import REGISTRY, RegistryAdversary, _Shadow, make_adversary
 from treeaa.errors import InvalidParams
-from treeaa.simnet import GeneratorProgram
+from treeaa.simnet import GeneratorProgram, broadcast
 
 from test_tree_aa import tree_ctx
 
@@ -80,3 +80,20 @@ def test_shadow_steps_run_inside_byzantine_send(eight_vertex_tree, monkeypatch):
     outside = [program in shadows for program, nested in steps if not nested]
     assert shadows and inside and all(inside)
     assert outside and not any(outside)
+
+
+def test_a_shadow_sends_nothing_once_its_machine_returned():
+    class View:
+        def inbox_of(self, pid, round):
+            return (b"in",) * 3
+
+    inboxes = []
+
+    def machine():
+        inboxes.append((yield broadcast(3, b"x")))
+        return "done"
+
+    shadow = _Shadow(machine())
+    assert shadow.advance(1, View(), 1) == broadcast(3, b"x")
+    assert shadow.advance(1, View(), 3) == ()  # round 2 finished it; round 3 steps it again
+    assert inboxes == [(b"in",) * 3] and shadow.next_round == 4

@@ -36,3 +36,43 @@ def test_summary_counts_wins_per_pair_and_skips_a_lone_run():
     assert ratio["change"]["median"] == 0.4
     assert summary["failed"] == {"parent": 1, "change": 0}
     assert summary["attempted"] == {"parent": 30, "change": 30}
+
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+
+
+@pytest.mark.parametrize("change, better, bound, expected", [
+    ([p - 0.1 for p in PARENT], "lower", 0.15, "gain"),
+    ([p - 0.1 for p in PARENT[:9]] + [1.2], "lower", 0.15, "gain"),  # 9 of 10 pairs
+    ([p - 0.1 for p in PARENT[:8]] + [1.2, 1.2], "lower", 0.15, "unresolved"),  # 8 of 10
+    ([p - 0.04 for p in PARENT], "lower", 0.15, "unresolved"),  # every pair, gap under the IQR
+    ([p + 0.1 for p in PARENT], "higher", None, "gain"),
+    ([p + 0.1 for p in PARENT], "lower", 0.15, "unresolved"),  # worse, inside the bound
+    ([p + 0.2 for p in PARENT], "lower", 0.15, "regression"),  # 0.2 > 0.15 * 1.045
+    ([p + 0.2 for p in PARENT], "lower", None, "unresolved"),  # no bound, never a regression
+    ([p - 0.2 for p in PARENT], "higher", 0.15, "regression"),
+    (PARENT, "lower", 0.0, "unresolved"),  # equal in every pair
+])
+def test_verdict(change, better, bound, expected):
+    assert bench_pairs.verdict(PARENT, change, better, bound) == expected
+
+
+def test_the_bound_is_relative_to_the_parent_median():
+    small = [p / 10 for p in PARENT]  # median 0.1045
+    assert bench_pairs.verdict(small, [p + 0.02 for p in small], "lower", 0.15) == "regression"
+    assert bench_pairs.verdict(small, [p + 0.01 for p in small], "lower", 0.15) == "unresolved"
+
+
+def test_summary_gives_a_verdict_to_each_declared_metric():
+    runs = []
+    for seed, p in enumerate(PARENT):
+        for side, ratio in (("parent", p), ("change", p - 0.1)):
+            r = run("w", seed, side, ratio)
+            r["output"]["metrics"]["peak_mb"] = {"value": 2.0 if side == "parent" else 2.6,
+                                                 "unit": "MB"}
+            r["output"]["metrics"]["undeclared"] = {"value": 1.0, "unit": "count"}
+            runs.append(r)
+    summary = bench_pairs.summarise(runs, bench_pairs.load_spec())["w"]
+    assert summary["run_time_vs_ref"]["verdict"] == "gain"
+    assert summary["peak_mb"]["verdict"] == "regression"  # 2.6 > 2.0 * (1 + 0.25)
+    assert "verdict" not in summary["undeclared"]

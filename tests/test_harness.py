@@ -2,22 +2,40 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treeaa
 from treeaa import generate_tree
 from treeaa.errors import InvalidParams
+from treeaa.trees import LabeledTree
 from treeaa.harness import (
     CSV_HEADER,
     ExperimentConfig,
     all_good,
     assign_inputs,
     emit_report,
+    max_distance,
     resolve_tree,
     run_experiment,
     run_one,
 )
 
 import oracles
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 40), st.data())
+def test_max_distance_matches_all_pairs(seed, size, data):
+    edges = oracles.random_edge_list(random.Random(seed), size)
+    tree = LabeledTree(edges) if edges else LabeledTree((), vertices=["n000"])
+    labels = data.draw(st.lists(st.sampled_from(sorted(tree.vertices)), max_size=12))
+    calls = []
+    distance = tree.distance
+    tree.distance = lambda u, v: calls.append((u, v)) or distance(u, v)
+    assert max_distance(tree, labels) == oracles.max_distance_by_pairs(
+        oracles.adjacency(tree), labels)
+    distinct = len(set(labels))
+    assert len(calls) == (2 * distinct - 2 if distinct > 2 else int(distinct == 2))  # not all pairs
 
 
 class TestGenerateTree:

@@ -4,7 +4,7 @@ from itertools import count
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import from_jsonl_by_regex, to_jsonl_by_json
+from oracles import from_jsonl_by_regex, to_jsonl_by_json, transcript_from_envelopes
 from treeaa.errors import (
     CorruptTranscript,
     InvalidParams,
@@ -247,7 +247,7 @@ class TestTranscript:
         envelopes = tr.envelopes
         env = envelopes[4]
         envelopes[4] = Envelope(99, env.sender, env.receiver, env.payload)
-        bad = Transcript.from_envelopes(tr.n, tr.t, tr.seed, envelopes, tr.rounds_used)
+        bad = transcript_from_envelopes(tr.n, tr.t, tr.seed, envelopes, tr.rounds_used)
         with pytest.raises(CorruptTranscript):
             replay_transcript(bad)
 
@@ -256,7 +256,7 @@ class TestTranscript:
         envelopes = tr.envelopes
         env = envelopes[0]
         envelopes[0] = Envelope(env.round, 17, env.receiver, env.payload)
-        bad = Transcript.from_envelopes(tr.n, tr.t, tr.seed, envelopes, tr.rounds_used)
+        bad = transcript_from_envelopes(tr.n, tr.t, tr.seed, envelopes, tr.rounds_used)
         with pytest.raises(CorruptTranscript):
             replay_transcript(bad)
 
@@ -276,7 +276,7 @@ class TestTranscript:
                               st.integers(0, 10**6), st.binary(max_size=300)), max_size=20))
     @example([])
     def test_jsonl_matches_json_oracle_and_round_trips(self, envelopes):
-        tr = Transcript.from_envelopes(3, 0, 0, envelopes)
+        tr = transcript_from_envelopes(3, 0, 0, envelopes)
         text = tr.to_jsonl()
         assert text == to_jsonl_by_json(envelopes)
         # Records that share one pairs object in a row, as parties sharing an outbox send.
@@ -347,7 +347,7 @@ class TestTranscript:
         small = st.integers(0, 3)
         envelopes = data.draw(st.lists(
             st.builds(Envelope, small, small, small, st.sampled_from(pool)), max_size=12))
-        lines = Transcript.from_envelopes(3, 0, 0, envelopes).to_jsonl().splitlines(keepends=True)
+        lines = transcript_from_envelopes(3, 0, 0, envelopes).to_jsonl().splitlines(keepends=True)
         mutation = data.draw(st.sampled_from(self.MUTATIONS))
         if lines and mutation != "none":
             i = data.draw(st.integers(0, len(lines) - 1))
@@ -384,7 +384,7 @@ class TestTranscript:
         assert [(r, s, len(pairs)) for r, s, pairs in back.records] == [(1, 2, 2), (1, 3, 1), (1, 2, 2)]
         assert back.to_jsonl() == text
         assert back.envelopes == envelopes
-        assert Transcript.from_envelopes(3, 0, 0, envelopes, 1).to_jsonl() == text
+        assert transcript_from_envelopes(3, 0, 0, envelopes, 1).to_jsonl() == text
         # The first payload per sender wins across both runs.
         assert replay_transcript(back)[1] == {1: (None, b"a", b"b"), 2: (None, b"a", None),
                                               3: (None, b"c", None)}
@@ -654,3 +654,35 @@ def test_invalid_receiver_after_an_equal_valid_outbox_names_its_party(bad):
     outboxes = [((1, b"x"),), ((1, b"x"),), ((bad, b"x"),)]
     with pytest.raises(ProtocolViolation, match=r"^party 3 addressed invalid receiver"):
         run_simulation(3, 0, [(o for o in [outbox]) for outbox in outboxes])
+
+
+# An honest Broadcast is accepted by its shape only when it has n pairs and a
+# bytes payload; each case below fails if that shortcut skips the full check.
+def test_an_honest_broadcast_to_too_many_parties_names_the_receiver():
+    n = 3
+    with pytest.raises(ProtocolViolation, match=rf"^party 2 addressed invalid receiver {n + 1}$"):
+        run_simulation(n, 0, [never_ends(), (o for o in [broadcast(n + 1, b"x")]), never_ends()])
+
+
+def test_an_honest_broadcast_of_a_bytearray_is_recorded_as_bytes():
+    n = 3
+    buf = bytearray(b"x")
+    outputs, tr = run_simulation(n, 0, [echo_program(n, 1), (o for o in [broadcast(n, buf)]),
+                                        echo_program(n, 3)])
+    buf[:] = b"y"  # after the run: the record and the deliveries hold their own copy
+    sent = [e for e in tr.envelopes if e.sender == 2]
+    assert [(e.receiver, e.payload) for e in sent] == [(1, b"x"), (2, b"x"), (3, b"x")]
+    assert all(type(e.payload) is bytes for e in sent)
+    assert type(outputs[1][1]) is bytes and outputs[1][1] == b"x"
+
+
+@pytest.mark.parametrize("pairs, match", [
+    (((1, b"x"), (5, b"x"), (3, b"x")), r"^party 1 addressed invalid receiver 5$"),
+    (((1, "x"), (2, "x"), (3, "x")), r"^party 1 sent a payload of type str$"),
+    (((1, b"x"), (2, "x"), (3, b"x")), r"^party 1 sent a payload of type str$"),
+])
+def test_a_forged_broadcast_from_a_corrupted_party_is_checked_in_full(pairs, match):
+    forged = tuple.__new__(type(broadcast(3, b"x")), pairs)
+    assert len(forged) == 3
+    with pytest.raises(StrategyViolation, match=match):
+        echo_run(adversary=SendsOutbox(forged))

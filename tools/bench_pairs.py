@@ -14,8 +14,16 @@ result.
 
 The output file holds the command, the procedure, the host, the claim, a
 summary per workload and metric (median and quartiles per side, and in
-how many pairs the change was lower and higher) and every raw run.  It is
-rewritten after every pair, so an interrupted run keeps the pairs it finished.
+how many pairs the change was lower and higher, and a verdict) and every
+raw run.  It is rewritten after every pair, so an interrupted run keeps the
+pairs it finished.
+
+A metric's verdict, by its ``better`` direction and ``bound`` in
+``BENCHMARK.json``: ``gain`` when the change is better in at least 9 of
+every 10 pairs and its median beats the parent's by more than the parent's
+interquartile range; ``regression`` when the change's median is worse than
+the parent's by more than ``bound`` times the parent's median; otherwise
+``unresolved``.  A metric with no bound is never a regression.
 """
 
 from __future__ import annotations
@@ -81,8 +89,30 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs: list[dict]) -> dict:
-    """Per workload and metric: quartiles per side and the pair counts."""
+def load_spec() -> dict:
+    """The benchmark's declaration, as ``BENCHMARK.json`` holds it."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float | None) -> str:
+    """``gain``, ``regression`` or ``unresolved`` for one metric's pairs."""
+    sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: the change is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    before, after = quartiles(parent), quartiles(change)
+    gap = sign * (before["median"] - after["median"])
+    if 10 * wins >= 9 * len(parent) and gap > before["q3"] - before["q1"]:
+        return "gain"
+    if bound is not None and -gap > bound * abs(before["median"]):
+        return "regression"
+    return "unresolved"
+
+
+def summarise(runs: list[dict], spec: dict | None = None) -> dict:
+    """Per workload and metric: quartiles per side, the pair counts and,
+    for a metric ``spec`` (BENCHMARK.json) declares, a verdict."""
+    declared = {m["name"]: m for key in ("end_to_end", "per_layer")
+                for m in (spec or {}).get(key, ())}
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -103,6 +133,10 @@ def summarise(runs: list[dict]) -> dict:
                 "change_lower_in_pairs": f"{lower}/{len(whole)}",
                 "change_higher_in_pairs": f"{higher}/{len(whole)}",
             }
+            if metric in declared:
+                m = declared[metric]
+                out[metric]["verdict"] = verdict(values["parent"], values["change"],
+                                                 m["better"], m.get("bound"))
         for key in ("failed", "attempted"):
             out[key] = {side: sum(p[side][key] for p in whole) for side in SIDES}
         summary[workload] = out
@@ -118,7 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", required=True, help="What the pairs are meant to show.")
     parser.add_argument("--out", required=True, help="JSON file to write.")
     args = parser.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    spec = load_spec()
+    seconds = spec["run_seconds"]
 
     commits = {"parent": commit_of(args.parent), "change": commit_of(args.change)}
     seeds = ", ".join(f"{w} {s[0]}-{s[-1]}" for w, s in args.pairs)
@@ -151,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
                     ratio = output["metrics"]["run_time_vs_ref"]["value"]
                     print(f"{workload} seed {seed} {side}: run_time_vs_ref {ratio:.4f}",
                           flush=True)
-                doc["summary"] = summarise(doc["runs"])
+                doc["summary"] = summarise(doc["runs"], spec)
                 Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

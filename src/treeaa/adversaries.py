@@ -26,7 +26,7 @@ from typing import Any, Callable, Generator
 
 from .errors import InvalidParams
 from .real_aa import plan_iterations, real_aa_machine
-from .simnet import Adversary, GeneratorProgram, Outbox, SimulationView
+from .simnet import Adversary, Finished, GeneratorProgram, Outbox, SimulationView
 
 
 @dataclass
@@ -52,11 +52,8 @@ class _Shadow:
         while self.next_round <= upto:
             inbox = view.inbox_of(pid, self.next_round - 1) if self.next_round > 1 else None
             self.next_round += 1
-            try:
-                out = self.program.on_round(inbox)
-            except StopIteration:  # a finished generator raises it again on every step
-                out = ()
-        return out
+            out = self.program.on_round(inbox)
+        return () if type(out) is Finished else out
 
 
 class RegistryAdversary(Adversary):

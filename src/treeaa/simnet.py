@@ -23,17 +23,17 @@ a round's inboxes are its columns transposed.
 
 Honest and corrupted parties send the same way: an outbox of (receiver,
 payload) pairs, recorded under the round and the sender's own pid, so a
-forged sender or round cannot be expressed.  Every outbox passes one check
-(it is an iterable of (receiver, payload) pairs; receivers are int party
-ids; a bytearray or memoryview payload is copied to bytes, any other
-non-bytes payload is refused), raising ProtocolViolation for an honest
-party and StrategyViolation for a corrupted one.  Broadcasts are accepted
-by their shape instead: an honest party's ``broadcast`` of n pairs and a
-bytes payload has the column ``(payload,) * n``, built in C.  A corrupted
-party's outbox of that type is checked in full, since adversary code can
-build one by hand (``tuple.__new__``).  Parties share memoised outbox
-tuples, so each distinct tuple of (int, bytes) tuples that is checked is
-checked once per run and then kept as its records' pairs without a copy.
+forged sender or round cannot be expressed.  An honest party's
+``broadcast`` of n pairs with a bytes payload is accepted by its shape,
+with the column ``(payload,) * n`` built in C.  Every other outbox, a
+corrupted party's broadcast included (adversary code can build one by hand
+with ``tuple.__new__``), passes one check (it is an iterable of (receiver,
+payload) pairs; receivers are int party ids; a bytearray or memoryview
+payload is copied to bytes, any other non-bytes payload is refused),
+raising ProtocolViolation for an honest party and StrategyViolation for a
+corrupted one.  Parties share memoised outbox tuples, so each distinct
+tuple of (int, bytes) tuples that is checked is checked once per run and
+then kept as its records' pairs without a copy.
 
 Round structure.  In round k every party neither finished nor corrupted is
 resumed with the inbox from round k-1 (None for k=1) and yields the
@@ -94,10 +94,8 @@ def run_memo(table: str) -> dict | None:
     be immutable or copied on the way out.
     """
     memo = _RUN_MEMO.get()
-    if memo is None:
-        return None
-    values = memo.get(table)  # setdefault would build a throwaway dict on every call
-    return values if values is not None else memo.setdefault(table, {})
+    # get first: setdefault alone would build a throwaway dict on every call
+    return None if memo is None else memo.get(table) or memo.setdefault(table, {})
 
 
 def memoised(table: str, key: Any, compute: Callable[[], Any]) -> Any:
@@ -330,13 +328,19 @@ class Adversary:
         return ()
 
 
+class Finished(NamedTuple):
+    """What ``GeneratorProgram.on_round`` returns once the generator has
+    returned: ``value``, None included, is the party's output."""
+
+    value: Any
+
+
 class GeneratorProgram:
     """One party: a protocol machine written as a generator.
 
     The generator yields the outbox for the next round (a sequence of
     (receiver, payload) pairs) and is resumed with the inbox delivered at
-    the end of that round.  When it returns, ``on_round`` raises
-    StopIteration, whose value, None included, is the party's output.
+    the end of that round.
     """
 
     __slots__ = ("_gen",)
@@ -344,9 +348,13 @@ class GeneratorProgram:
     def __init__(self, gen: Generator):
         self._gen = gen
 
-    def on_round(self, inbox: Inbox | None) -> Outbox:
-        """The outbox for the next round; ``inbox`` is None before round 1."""
-        return self._gen.send(inbox)
+    def on_round(self, inbox: Inbox | None) -> Outbox | Finished:
+        """The outbox for the next round (``inbox`` is None before round 1), or
+        Finished: StopIteration never leaves the step, so tracing sees no error."""
+        try:
+            return self._gen.send(inbox)
+        except StopIteration as stop:
+            return Finished(stop.value)
 
 
 class _Simulation:
@@ -459,17 +467,14 @@ def _run(n, t, parties, adversary, seed, round_cap):
         columns: list[Sequence[bytes | None]] = [silent] * n
         sent: dict[int, Outbox] = {}
         for pid in running:
-            try:
-                outbox = parties[pid - 1].on_round(inboxes[pid - 1])
-            except StopIteration as stop:
-                results[pid] = stop.value
-                events.append(("output", rnd - 1, pid))
-                continue
+            outbox = parties[pid - 1].on_round(inboxes[pid - 1])
             if type(outbox) is _Broadcast and len(outbox) == n and type(outbox[0][1]) is bytes:
                 sent[pid], columns[pid - 1] = outbox, (outbox[0][1],) * n  # accepted by its shape
+            elif type(outbox) is Finished:
+                results[pid] = outbox.value
+                events.append(("output", rnd - 1, pid))
             else:
-                sent[pid], columns[pid - 1] = _check_outbox(n, pid, outbox, ProtocolViolation,
-                                                            checked)
+                sent[pid], columns[pid - 1] = _check_outbox(n, pid, outbox, ProtocolViolation, checked)
 
         if not sent:  # all finished on the previous round's deliveries: no round rnd
             break

@@ -16,6 +16,7 @@ from treeaa.gradecast import gradecast_all
 from treeaa.simnet import (
     Adversary,
     Envelope,
+    GeneratorProgram,
     Record,
     Transcript,
     broadcast,
@@ -169,6 +170,22 @@ def test_generator_returning_none_finishes():
     outputs, transcript = run_machines(4, 1, lambda pid: returns_none(4), round_cap=50)
     assert outputs == {1: None, 2: None, 3: None, 4: None}
     assert transcript.rounds_used == 1
+
+
+def test_no_exception_leaves_a_step_when_a_machine_returns(monkeypatch):
+    # perfbench traces on_round and counts every exception leaving it as an error.
+    step, raised = GeneratorProgram.on_round, []
+
+    def traced(self, inbox):
+        try:
+            return step(self, inbox)
+        except BaseException as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(GeneratorProgram, "on_round", traced)
+    outputs, tr = echo_run()
+    assert len(outputs) == 3 and tr.rounds_used == 1 and raised == []
 
 
 class TestRunMemo:

@@ -33,8 +33,6 @@ from .tree_aa import (
 from .trees import (
     EulerList,
     LabeledTree,
-    is_prefix,
-    longest_common_prefix,
     parse_tree,
 )
 
@@ -61,8 +59,6 @@ __all__ = [
     "emit_report",
     "generate_tree",
     "gradecast_all",
-    "is_prefix",
-    "longest_common_prefix",
     "make_adversary",
     "parse_tree",
     "plan_iterations",

@@ -26,7 +26,7 @@ from typing import Any, Callable, Generator
 
 from .errors import InvalidParams
 from .real_aa import plan_iterations, real_aa_machine
-from .simnet import Adversary, Finished, GeneratorProgram, Outbox, SimulationView
+from .simnet import Adversary, Finished, GeneratorProgram, Outbox, SimulationView, memoised
 
 
 @dataclass
@@ -108,11 +108,7 @@ class Equivocator(RegistryAdversary):
         hi = self.shadow((pid, "hi"), pid, self.ctx.hi_input).advance(pid, view, round)
         if (round - 1) % 3 != 0:  # echo and vote rounds stay single-faced
             return lo
-        hi_by_receiver = dict(hi)
-        return [
-            (receiver, hi_by_receiver.get(receiver, payload) if receiver % 2 else payload)
-            for receiver, payload in lo
-        ]
+        return _spliced("odd", lo, hi, lambda receiver: receiver % 2)
 
 
 class SplitWorld(RegistryAdversary):
@@ -122,11 +118,18 @@ class SplitWorld(RegistryAdversary):
         lo = self.shadow((pid, "lo"), pid, self.ctx.lo_input).advance(pid, view, round)
         hi = self.shadow((pid, "hi"), pid, self.ctx.hi_input).advance(pid, view, round)
         cut = self.n // 2
+        return _spliced(cut, lo, hi, lambda receiver: receiver > cut)
+
+
+def _spliced(rule: Any, lo: Outbox, hi: Outbox, takes_hi: Callable[[int], bool]) -> Outbox:
+    """lo's pairs, each receiver that ``takes_hi`` getting hi's payload to it
+    where hi has one; a tuple memoised on (rule, lo, hi), so corrupted
+    parties with equal shadow outboxes share it and it is checked once."""
+    def build():
         hi_by_receiver = dict(hi)
-        return [
-            (receiver, payload if receiver <= cut else hi_by_receiver.get(receiver, payload))
-            for receiver, payload in lo
-        ]
+        return tuple([(receiver, hi_by_receiver.get(receiver, payload) if takes_hi(receiver)
+                       else payload) for receiver, payload in lo])
+    return memoised("spliced", (rule, lo, hi), build)
 
 
 class AdaptiveLate(RegistryAdversary):

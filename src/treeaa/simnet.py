@@ -62,6 +62,9 @@ anything else.  Broadcasts repeat each payload n times, so the writer
 hexes and the reader decodes each distinct payload once; read-back pairs
 with equal payloads share one bytes object.  Parties sharing an outbox
 send it in a row, and the writer formats it once for the run of records.
+The reader takes a record that repeats an earlier record's lines under its
+own head in one compare, and repeated records share one pairs tuple;
+``replay_transcript`` builds one column per distinct outbox.
 """
 
 from __future__ import annotations
@@ -192,43 +195,65 @@ class Transcript:
     def from_jsonl(cls, text: str, n: int | None = None, t: int = 0, seed: int = 0) -> "Transcript":
         """Parse exactly what ``to_jsonl`` writes; CorruptTranscript names the first other line.
 
-        Consecutive lines of one round and sender become one record.
+        A record is a run of consecutive lines of one round and sender, so of
+        one head.  A record whose line tails (receiver onwards) are those of
+        the last record that began with the same tail is taken in one compare
+        and shares that record's pairs tuple; each tail was checked when it
+        was first read.
         """
         records: list[Record] = []
-        pairs: list[tuple[int, bytes]] = []  # the last record's
         payloads: dict[str, bytes] = {}
-        head, find, startswith = _HEAD.match, text.find, text.startswith
-        prev_hex, prev_width, prev_key = "", -1, None
+        known: dict[str, tuple[list[str], Outbox]] = {}  # first tail -> (tails, pairs)
+        match, find, startswith = _HEAD.match, text.find, text.startswith
         end = 0
         while end < len(text):
-            m = head(text, end)
+            m = match(text, end)
             if m is None:
                 break
-            start = m.end()
-            close = find('"', start)
-            if close < 0 or not startswith("}\n", close + 1):
-                break
-            if close - start != prev_width or not startswith(prev_hex, start):
-                prev_hex, prev_width = text[start:close], close - start
-                payload = payloads.get(prev_hex)
-                if payload is None:
-                    try:
-                        payload = bytes.fromhex(prev_hex)
-                    except ValueError:
-                        break
-                    if payload.hex() != prev_hex:  # fromhex also takes whitespace and upper case
-                        break
-                    payloads[prev_hex] = payload
+            lead = m.start(3)
+            head = text[end:lead]
             try:  # an int too long for int()
-                key = m.group(1, 2)  # the round and sender digits
-                if key != prev_key:
-                    pairs = []
-                    records.append(_new(Record, (int(key[0]), int(key[1]), pairs)))
-                    prev_key = key
-                pairs.append((int(m[3]), payload))
+                key = int(m[1]), int(m[2])
             except ValueError:
                 break
-            end = close + 3
+            # A known tail holds one newline, its last character.
+            hit = known.get(text[lead:find("\n", lead) + 1])
+            if hit is not None:
+                block = head + head.join(hit[0])
+                if startswith(block, end) and not startswith(head, end + len(block)):
+                    records.append(_new(Record, (*key, hit[1])))
+                    end += len(block)
+                    continue
+            # Line by line while the head holds; a faulty first line stops the read.
+            tails: list[str] = []
+            pairs: list[tuple[int, bytes]] = []
+            while m is not None:
+                start = m.end()
+                close = find('"', start)
+                if close < 0 or not startswith("}\n", close + 1):
+                    break
+                hexed = text[start:close]
+                payload = payloads.get(hexed)
+                if payload is None:
+                    try:
+                        payload = bytes.fromhex(hexed)
+                    except ValueError:
+                        break
+                    if payload.hex() != hexed:  # fromhex also takes whitespace and upper case
+                        break
+                    payloads[hexed] = payload
+                try:
+                    pairs.append((int(m[3]), payload))
+                except ValueError:
+                    break
+                tails.append(text[m.start(3):close + 3])
+                end = close + 3
+                m = match(text, end) if startswith(head, end) else None
+            if not tails:
+                break
+            outbox = tuple(pairs)
+            known[tails[0]] = tails, outbox
+            records.append(_new(Record, (*key, outbox)))
         if end != len(text):
             line = text.count("\n", 0, end) + 1
             bad = text[end:end + 80].partition("\n")[0]
@@ -244,25 +269,37 @@ def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
     Returns {round: {pid: inbox}} for rounds 1..rounds_used: each round's
     sender columns (first payload per receiver) transposed, as in the run.
     Raises CorruptTranscript on structural damage: out-of-range rounds or
-    party ids, or round order regressions.
+    party ids, or round order regressions.  Round and sender are checked
+    once per record and each distinct pairs object's column is built once;
+    a sender's later record in a round merges into a copy.
     """
-    n = tr.n
-    columns: dict[int, list] = {r: [None] * n for r in range(1, tr.rounds_used + 1)}
+    n, rounds = tr.n, tr.rounds_used
+    columns: dict[int, list] = {r: [None] * n for r in range(1, rounds + 1)}
+    built: dict[int, Inbox] = {}  # id(pairs) -> its column; tr keeps the pairs alive
     last = 1
     for r, s, pairs in tr.records:
-        for q, p in pairs:
-            if not 1 <= r <= tr.rounds_used:
-                raise CorruptTranscript(f"round {r} outside 1..{tr.rounds_used}")
-            if r < last:
-                raise CorruptTranscript(f"round order regression at {Envelope(r, s, q, p)}")
-            last = r
-            if not (1 <= s <= n and 1 <= q <= n):
-                raise CorruptTranscript(f"party id out of range in {Envelope(r, s, q, p)}")
-            column = columns[r][s - 1]
-            if column is None:
-                column = columns[r][s - 1] = [None] * n
-            if column[q - 1] is None:
-                column[q - 1] = p
+        if not pairs:
+            continue
+        if not 1 <= r <= rounds:
+            raise CorruptTranscript(f"round {r} outside 1..{rounds}")
+        if r < last:
+            raise CorruptTranscript(f"round order regression at {Envelope(r, s, *pairs[0])}")
+        last = r
+        if not 1 <= s <= n:
+            raise CorruptTranscript(f"party id out of range in {Envelope(r, s, *pairs[0])}")
+        column = built.get(id(pairs))
+        if column is None:
+            fresh: list[bytes | None] = [None] * n
+            for q, p in pairs:
+                if not 1 <= q <= n:
+                    raise CorruptTranscript(f"party id out of range in {Envelope(r, s, q, p)}")
+                if fresh[q - 1] is None:
+                    fresh[q - 1] = p
+            column = built[id(pairs)] = tuple(fresh)
+        row = columns[r]
+        prior = row[s - 1]
+        row[s - 1] = column if prior is None else tuple(
+            [b if a is None else a for a, b in zip(prior, column)])
     silent = (None,) * n
     return {r: dict(enumerate(zip(*[c or silent for c in cols]), 1)) for r, cols in columns.items()}
 

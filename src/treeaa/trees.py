@@ -24,7 +24,6 @@ from typing import Iterable, Iterator
 from .errors import (
     CycleDetected,
     Disconnected,
-    DistinctStart,
     DuplicateEdge,
     EmptyInput,
     EmptySet,
@@ -386,29 +385,6 @@ class LabeledTree:
                         far, far_d = w, dv + 1
                     queue.append(w)
         return far
-
-
-# -- path predicates ------------------------------------------------------------
-
-
-def is_prefix(p: tuple[str, ...], q: tuple[str, ...]) -> bool:
-    """True iff q equals p or extends it (a path is a prefix of itself)."""
-    return len(p) <= len(q) and q[: len(p)] == p
-
-
-def longest_common_prefix(p: tuple[str, ...], q: tuple[str, ...]) -> Path:
-    """Longest path that is a prefix of both p and q.
-
-    Requires a shared first vertex; the result is then non-empty and ends at
-    the lowest common ancestor of the two endpoints in the tree rooted at it.
-    """
-    if not p or not q or p[0] != q[0]:
-        raise DistinctStart("paths do not share a first vertex")
-    n = min(len(p), len(q))
-    i = 1
-    while i < n and p[i] == q[i]:
-        i += 1
-    return p[:i]
 
 
 # -- parsing ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import re
 from collections import deque
 from fractions import Fraction
 
-from treeaa.errors import CorruptTranscript, InvalidParams, NoSupport
+from treeaa.errors import CorruptTranscript, DistinctStart, InvalidParams, NoSupport
 from treeaa.simnet import Envelope, Record, Transcript
 from treeaa.wire import decode_path
 
@@ -195,6 +195,26 @@ def checked_path_by_decode(tree, data: bytes):
     if not path or path[0] != tree.root or not tree.is_path(path):
         return None
     return path
+
+
+def is_prefix(p: tuple[str, ...], q: tuple[str, ...]) -> bool:
+    """True iff q equals p or extends it (a path is a prefix of itself)."""
+    return len(p) <= len(q) and q[: len(p)] == p
+
+
+def longest_common_prefix(p: tuple[str, ...], q: tuple[str, ...]) -> tuple[str, ...]:
+    """Longest path that is a prefix of both p and q.
+
+    Requires a shared first vertex; the result is then non-empty and ends at
+    the lowest common ancestor of the two endpoints in the tree rooted at it.
+    """
+    if not p or not q or p[0] != q[0]:
+        raise DistinctStart("paths do not share a first vertex")
+    n = min(len(p), len(q))
+    i = 1
+    while i < n and p[i] == q[i]:
+        i += 1
+    return p[:i]
 
 
 def transcript_from_envelopes(n: int, t: int, seed: int, envelopes,

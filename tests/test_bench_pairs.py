@@ -36,6 +36,7 @@ def test_summary_counts_wins_per_pair_and_skips_a_lone_run():
     assert ratio["change"]["median"] == 0.4
     assert summary["failed"] == {"parent": 1, "change": 0}
     assert summary["attempted"] == {"parent": 30, "change": 30}
+    assert summary["failed_share"] == {"parent": "1/30", "change": "0/30"}
 
 
 PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
@@ -76,3 +77,29 @@ def test_summary_gives_a_verdict_to_each_declared_metric():
     assert summary["run_time_vs_ref"]["verdict"] == "gain"
     assert summary["peak_mb"]["verdict"] == "regression"  # 2.6 > 2.0 * (1 + 0.25)
     assert "verdict" not in summary["undeclared"]
+
+
+def test_regressions_name_each_regressed_metric_and_a_larger_failed_share():
+    runs = []
+    for seed, p in enumerate(PARENT):
+        runs += [run("quiet", seed, "parent", p), run("quiet", seed, "change", p),
+                 run("worse", seed, "parent", p), run("worse", seed, "change", p + 0.2, failed=1)]
+    summary = bench_pairs.summarise(runs, bench_pairs.load_spec())
+    assert bench_pairs.regressions(summary) == [
+        "worse: run_time_vs_ref", "worse: failed share 10/100 > 0/100"]
+
+
+@pytest.mark.parametrize("change_failed, expected", [
+    (1, []),  # 1/20 is the parent's 2/40
+    (2, ["w: failed share 2/20 > 2/40"]),
+])
+def test_the_failed_share_is_compared_as_a_share(change_failed, expected):
+    parent_failed = {0: 1, 1: 1}
+    runs = [run("w", seed, side, 0.5, failed=change_failed * (seed == 0) if side == "change"
+                else parent_failed.get(seed, 0))
+            for seed in range(4) for side in ("parent", "change")]
+    for r in runs:
+        if r["side"] == "change":
+            r["output"]["attempted"] = 5  # half of the parent's 10
+    summary = bench_pairs.summarise(runs)
+    assert bench_pairs.regressions(summary) == expected

@@ -6,12 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from treeaa import (
-    generate_tree,
-    is_prefix,
-    longest_common_prefix,
-    supported_prefix,
-)
+from treeaa import generate_tree, supported_prefix
 from treeaa.adversaries import REGISTRY, AdversaryContext
 from treeaa.errors import NoSupport, UnknownVertex
 from treeaa.gradecast import grade_votes, received_vectors
@@ -32,6 +27,7 @@ from treeaa.wire import TAG_VOTE, encode_path
 
 import oracles
 from byzhelpers import InstanceScript
+from oracles import is_prefix, longest_common_prefix
 
 
 def run_finder(machine, tree, n, t, inputs, adversary=None, seed=0):

@@ -1,5 +1,5 @@
 import re
-from itertools import count
+from itertools import count, groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -354,19 +354,33 @@ class TestTranscript:
         with pytest.raises(CorruptTranscript, match="line 3"):
             Transcript.from_jsonl(text)
 
-    MUTATIONS = ("none", "shorter", "longer", "upper", "space", "escaped-quote", "no-newline")
+    HEX_MUTATIONS = ("shorter", "longer", "upper", "space", "escaped-quote", "no-newline")
+    LINE_MUTATIONS = ("drop", "duplicate", "swap")
+    # Applied to a record that repeats an earlier record's pairs, when there is one.
+    RECORD_MUTATIONS = ("receiver", "sender", "one-more", "one-less")
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_jsonl_reader_matches_the_regex_reader(self, data):
-        # A small pool makes equal payloads meet both on adjacent lines and apart.
+        # Small pools make equal payloads and equal outboxes meet both in a row and apart.
         pool = data.draw(st.lists(st.binary(max_size=4), min_size=1, max_size=3, unique=True))
         small = st.integers(0, 3)
-        envelopes = data.draw(st.lists(
-            st.builds(Envelope, small, small, small, st.sampled_from(pool)), max_size=12))
-        lines = transcript_from_envelopes(3, 0, 0, envelopes).to_jsonl().splitlines(keepends=True)
-        mutation = data.draw(st.sampled_from(self.MUTATIONS))
-        if lines and mutation != "none":
+        pair = st.tuples(small, st.sampled_from(pool))
+        outboxes = data.draw(st.lists(st.lists(pair, min_size=1, max_size=4), min_size=1,
+                                      max_size=3))
+        sent = data.draw(st.lists(st.tuples(small, small, st.integers(0, len(outboxes) - 1)),
+                                  max_size=8))
+        lines = to_jsonl_by_json([Envelope(r, s, q, p) for r, s, k in sent
+                                  for q, p in outboxes[k]]).splitlines(keepends=True)
+        spans, at = [], 0  # each sent record's line range
+        for _, _, k in sent:
+            spans.append(range(at, at + len(outboxes[k])))
+            at += len(outboxes[k])
+        repeats = [span for i, span in enumerate(spans)
+                   if any(k == sent[i][2] for _, _, k in sent[:i])]
+        mutation = data.draw(st.sampled_from(
+            ("none",) + self.HEX_MUTATIONS + self.LINE_MUTATIONS + self.RECORD_MUTATIONS))
+        if lines and mutation in self.HEX_MUTATIONS:
             i = data.draw(st.integers(0, len(lines) - 1))
             head, key, hexed = lines[i].partition('"payload_hex":"')
             hexed = hexed[:-len('"}\n')]
@@ -380,6 +394,27 @@ class TestTranscript:
                 "no-newline": hexed[at:],
             }[mutation]
             lines[i] = head + key + hexed + ('"}' if mutation == "no-newline" else '"}\n')
+        elif lines and mutation in self.LINE_MUTATIONS:
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if mutation == "drop":
+                del lines[i]
+            elif mutation == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                j = data.draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+        elif spans and mutation in self.RECORD_MUTATIONS:
+            span = data.draw(st.sampled_from(repeats or spans))
+            i = data.draw(st.sampled_from(span))
+            if mutation in ("receiver", "sender"):
+                lines[i] = re.sub(f'"{mutation}":[0-9]+', f'"{mutation}":{data.draw(small)}',
+                                  lines[i])
+            elif mutation == "one-more":
+                q, p = data.draw(pair)
+                head = lines[span[-1]].partition('"receiver":')[0]
+                lines.insert(span[-1] + 1, f'{head}"receiver":{q},"payload_hex":"{p.hex()}"}}\n')
+            else:
+                del lines[i]
         text = "".join(lines)
 
         def outcome(read):
@@ -388,10 +423,22 @@ class TestTranscript:
             except CorruptTranscript as exc:
                 return str(exc)
 
-        got = outcome(lambda text: Transcript.from_jsonl(text).envelopes)
-        assert got == outcome(from_jsonl_by_regex)
-        if isinstance(got, list):  # read-back envelopes share one object per payload
-            assert len({id(e.payload) for e in got}) == len({e.payload for e in got})
+        got, expected = outcome(Transcript.from_jsonl), outcome(from_jsonl_by_regex)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert got.envelopes == expected
+        assert [(r, s, list(pairs)) for r, s, pairs in got.records] == [
+            (r, s, [(e.receiver, e.payload) for e in run])
+            for (r, s), run in groupby(expected, key=lambda e: (e.round, e.sender))]
+        # Read-back envelopes share one object per payload.
+        assert len({id(e.payload) for e in got.envelopes}) == len({e.payload for e in expected})
+        # A record equal to the last record that began with the same pair shares its pairs.
+        last = {}
+        for _, _, pairs in got.records:
+            prior = last.get(pairs[0])
+            assert prior is None or prior != pairs or prior is pairs
+            last[pairs[0]] = pairs
 
     def test_a_sender_split_over_two_runs_of_lines_round_trips(self):
         envelopes = [Envelope(1, 2, 1, b"a"), Envelope(1, 2, 2, b"a"), Envelope(1, 3, 1, b"b"),
@@ -405,6 +452,19 @@ class TestTranscript:
         # The first payload per sender wins across both runs.
         assert replay_transcript(back)[1] == {1: (None, b"a", b"b"), 2: (None, b"a", None),
                                               3: (None, b"c", None)}
+
+    def test_replay_merges_a_second_record_into_a_copy_of_a_shared_column(self):
+        shared = ((1, b"a"),)
+        tr = Transcript(3, 0, 0, [Record(1, 2, shared), Record(1, 3, shared),
+                                  Record(1, 2, ((2, b"b"), (1, b"z")))], [], 1)
+        assert replay_transcript(tr)[1] == {1: (None, b"a", b"a"), 2: (None, b"b", None),
+                                            3: (None, None, None)}
+
+    def test_replay_names_a_bad_receiver_in_a_later_pair(self):
+        tr = Transcript(3, 0, 0, [Record(1, 2, ((1, b"a"), (9, b"b")))], [], 1)
+        with pytest.raises(CorruptTranscript, match=re.escape(
+                "Envelope(round=1, sender=2, receiver=9, payload=b'b')")):
+            replay_transcript(tr)
 
     def test_jsonl_stable_field_order(self):
         _, tr = echo_run()

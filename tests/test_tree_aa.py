@@ -17,8 +17,10 @@ from treeaa.gradecast import compute_candidates, received_values, received_vecto
 from treeaa.simnet import Adversary
 from treeaa.paths import legacy_rounds
 from treeaa.tree_aa import MACHINES
-from treeaa.trees import LabeledTree, is_prefix
+from treeaa.trees import LabeledTree
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_double, encode_vector, frame
+
+from oracles import is_prefix
 
 
 def tree_ctx(tree, n, t, mode):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeaa import LabeledTree, is_prefix, longest_common_prefix, parse_tree
+from treeaa import LabeledTree, parse_tree
 from treeaa.errors import (
     CycleDetected,
     Disconnected,
@@ -19,6 +19,7 @@ from treeaa.errors import (
 
 import oracles
 from conftest import EIGHT_VERTEX_EULER
+from oracles import is_prefix, longest_common_prefix
 
 
 def random_tree(seed, max_size=12, min_size=1):

@@ -13,10 +13,11 @@ even pairs.  The last line of each run's output is the perfbench JSON
 result.
 
 The output file holds the command, the procedure, the host, the claim, a
-summary per workload and metric (median and quartiles per side, and in
-how many pairs the change was lower and higher, and a verdict) and every
-raw run.  It is rewritten after every pair, so an interrupted run keeps the
-pairs it finished.
+summary per workload and metric (median and quartiles per side, in how
+many pairs the change was lower and higher, and a verdict; per workload,
+each side's failed runs as ``failed/attempted``), the list of regressions
+(see ``regressions``) and every raw run.  It is rewritten after every
+pair, so an interrupted run keeps the pairs it finished.
 
 A metric's verdict, by its ``better`` direction and ``bound`` in
 ``BENCHMARK.json``: ``gain`` when the change is better in at least 9 of
@@ -139,8 +140,24 @@ def summarise(runs: list[dict], spec: dict | None = None) -> dict:
                                                  m["better"], m.get("bound"))
         for key in ("failed", "attempted"):
             out[key] = {side: sum(p[side][key] for p in whole) for side in SIDES}
+        out["failed_share"] = {side: f"{out['failed'][side]}/{out['attempted'][side]}"
+                               for side in SIDES}
         summary[workload] = out
     return summary
+
+
+def regressions(summary: dict) -> list[str]:
+    """Every (workload, metric) whose verdict is ``regression``, and every
+    workload whose change side failed a larger share of its runs than the parent."""
+    found = []
+    for workload, out in summary.items():
+        found += [f"{workload}: {metric}" for metric, m in out.items()
+                  if isinstance(m, dict) and m.get("verdict") == "regression"]
+        failed, attempted = out["failed"], out["attempted"]
+        if failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]:
+            found.append(f"{workload}: failed share {out['failed_share']['change']} > "
+                         f"{out['failed_share']['parent']}")
+    return found
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -170,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{platform.python_version()}, PYTHONDONTWRITEBYTECODE=1",
         "claim": args.claim,
         "summary": {},
+        "regressions": [],
         "runs": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -187,6 +205,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed {seed} {side}: run_time_vs_ref {ratio:.4f}",
                           flush=True)
                 doc["summary"] = summarise(doc["runs"], spec)
+                doc["regressions"] = regressions(doc["summary"])
                 Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

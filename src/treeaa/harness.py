@@ -2,7 +2,9 @@
 
 A run report's verdicts (validity, pairwise output distance) are always
 recomputed from the honest inputs and outputs with the tree oracles; the
-protocol under test never grades itself.
+protocol under test never grades itself.  Validity asks
+``LabeledTree.hull_contains`` whether each distinct output lies in the
+honest inputs' hull, by LCA queries, so the hull itself is never built.
 """
 
 from __future__ import annotations
@@ -173,10 +175,8 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
     outputs, transcript, _ = runner(tree, n, t, inputs, adversary, seed)
 
     honest = tuple(sorted(outputs))
-    honest_inputs = [inputs[pid] for pid in honest]
-    hull = tree.convex_hull(honest_inputs)
     labels = [outputs[pid] for pid in honest]
-    valid = all(label in hull for label in labels)
+    valid = tree.hull_contains([inputs[pid] for pid in honest], labels)
     lb = bounds.lb_rounds(n, t, float(tree.diameter)) if t >= 1 and tree.diameter > 1 else 0
     transcript_path = None
     if emit_dir is not None:

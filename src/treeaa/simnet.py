@@ -48,7 +48,7 @@ consumes exactly 3 rounds.
 
 Everything is a pure function of (n, t, machines, adversary, seed): one
 simulation is strictly single-threaded, distinct simulations share nothing.
-One run memoises decoding (``run_memo``): honest parties receive
+One run memoises decoding (``memoised``): honest parties receive
 byte-identical broadcasts, so its machines and adversary shadows decode
 each distinct input once and build the outbox answering each distinct
 inbox once.  The memo is keyed by value and dropped when the run ends; its
@@ -101,14 +101,22 @@ def run_memo(table: str) -> dict | None:
     return None if memo is None else memo.get(table) or memo.setdefault(table, {})
 
 
+# A memo miss; None is a real cached value (a decoder's verdict on bad bytes).
+_MISS = object()
+
+
 def memoised(table: str, key: Any, compute: Callable[[], Any]) -> Any:
-    """compute(), once per key in the running simulation; always outside one."""
-    memo = run_memo(table)
+    """compute(), once per key in the running simulation; always outside one.
+    A hit costs one probe of the table."""
+    memo = _RUN_MEMO.get()
     if memo is None:
         return compute()
-    if key in memo:
-        return memo[key]
-    value = memo[key] = compute()
+    cache = memo.get(table)
+    if cache is None:
+        cache = memo[table] = {}
+    value = cache.get(key, _MISS)
+    if value is _MISS:
+        value = cache[key] = compute()
     return value
 
 
@@ -176,9 +184,11 @@ class Transcript:
 
         Parties that share a memoised outbox send it in a row, so a record
         whose pairs object is the previous record's reuses its line tails.
+        Each line's head and tail go to one list, joined once at the end.
         """
         hexed: dict[bytes, str] = {}
-        lines = []
+        parts: list[str] = []
+        append = parts.append
         last = tails = None
         for r, s, pairs in self.records:
             if pairs:
@@ -187,9 +197,11 @@ class Transcript:
                         f'{q},"payload_hex":"{hexed.get(p) or hexed.setdefault(p, p.hex())}"}}\n'
                         for q, p in pairs]
                 head = f'{{"round":{r},"sender":{s},"receiver":'
-                lines.append(head + head.join(tails))
+                for tail in tails:
+                    append(head)
+                    append(tail)
         del last, tails  # freed before the join, where the call's memory peaks
-        return "".join(lines)
+        return "".join(parts)
 
     @classmethod
     def from_jsonl(cls, text: str, n: int | None = None, t: int = 0, seed: int = 0) -> "Transcript":
@@ -441,7 +453,7 @@ class _Broadcast(tuple):
 def broadcast(n: int, payload: bytes) -> _Broadcast:
     """Outbox addressing every party (the sender too) with one payload; a
     tuple, so the parties sending the same outbox can share it."""
-    return _Broadcast([(pid, payload) for pid in range(1, n + 1)])
+    return _new(_Broadcast, [(pid, payload) for pid in range(1, n + 1)])
 
 
 def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception],

@@ -19,8 +19,6 @@ returning each party's own input in zero rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import ne
 from typing import Callable, NamedTuple
 
 from .errors import InvalidParams, ProtocolViolation
@@ -53,15 +51,15 @@ class TreeAAResult:
 def _projection_index(tree: LabeledTree, path: Path, vertex: str) -> int:
     """1-based position of the projection of ``vertex`` onto ``path``.
 
-    For a path starting at the canonical root the projection is the last
-    vertex shared with the root-to-vertex path (the walk toward any later
-    path vertex must pass through it), which avoids per-vertex distance
-    queries on long paths.
+    A simple path from the canonical root is the root path of its last
+    vertex, so the projection is the last vertex it shares with the root
+    path of ``vertex`` (the walk toward any later path vertex passes
+    through it): their LCA, at position depth + 1.  This is the first
+    mismatch between the two root paths, found in O(log |V|) chain hops
+    instead of a walk along both.
     """
     if path[0] == tree.root:
-        mine = tree.path_from_root(vertex)
-        # First mismatch, found by C iterators as in paths.supported_prefix.
-        return next(compress(count(), map(ne, mine, path)), min(len(mine), len(path)))
+        return tree.depth(tree.lca(path[-1], vertex)) + 1
     return path.index(tree.project_onto_path(path, vertex)) + 1
 
 

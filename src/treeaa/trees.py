@@ -10,14 +10,18 @@ concurrent simulations:
   record blob per chain, and the Euler visit list.
 
 A root path crosses at most floor(log2 |V|) + 1 heavy chains, so it is
-joined from that many tuple (or bytes) slices with no per-label walk.
+joined from that many tuple (or bytes) slices with no per-label walk, and
+the LCA of two vertices is found in as many chain hops per vertex.  The
+distance and the projection onto a path from the root are answered
+through the LCA in O(log |V|), and hull membership in O(log |V|) per
+member, with no further table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -149,36 +153,6 @@ class LabeledTree:
 
     # -- paths ----------------------------------------------------------------
 
-    def distance(self, u: str, v: str) -> int:
-        """Number of edges on the unique path between u and v."""
-        return len(self.path_between(u, v)) - 1
-
-    def path_between(self, u: str, v: str) -> Path:
-        """The unique simple path from u to v, inclusive, found by walking
-        parent pointers up from both ends to the vertex where they meet."""
-        self._require(u)
-        self._require(v)
-        parent, depth = self._parent, self._depth
-        left = [u]
-        right = [v]
-        du, dv = depth[u], depth[v]
-        while du > dv:
-            u = parent[u]  # type: ignore[assignment]
-            left.append(u)
-            du -= 1
-        while dv > du:
-            v = parent[v]  # type: ignore[assignment]
-            right.append(v)
-            dv -= 1
-        while u != v:
-            u = parent[u]  # type: ignore[assignment]
-            v = parent[v]  # type: ignore[assignment]
-            left.append(u)
-            right.append(v)
-        right.pop()  # drop the meeting vertex, already at the end of `left`
-        left.extend(reversed(right))
-        return tuple(left)
-
     @cached_property
     def heavy_chains(self) -> tuple[tuple[Path, ...], dict[str, tuple[int, int]],
                                     tuple[str | None, ...]]:
@@ -229,6 +203,34 @@ class LabeledTree:
             path = chains[c][:k] + path
         return path
 
+    def lca(self, u: str, v: str) -> str:
+        """Nearest common ancestor of u and v in the rooting, in at most
+        2 * (floor(log2 |V|) + 1) heavy-chain hops: while u and v lie on
+        different chains, the one whose chain top is deeper moves to that
+        top's parent; on one chain, the one nearer its top is the answer."""
+        chains, at, up = self.heavy_chains
+        if u not in at:
+            self._require(u)
+        if v not in at:
+            self._require(v)
+        depth = self._depth
+        cu, ku = at[u]
+        cv, kv = at[v]
+        while cu != cv:
+            if depth[chains[cu][0]] >= depth[chains[cv][0]]:
+                u = up[cu]  # type: ignore[assignment]
+                cu, ku = at[u]
+            else:
+                v = up[cv]  # type: ignore[assignment]
+                cv, kv = at[v]
+        return u if ku <= kv else v
+
+    def distance(self, u: str, v: str) -> int:
+        """Number of edges on the unique path between u and v, through their LCA."""
+        top = self.lca(u, v)  # UnknownVertex before any depth lookup
+        depth = self._depth
+        return depth[u] + depth[v] - 2 * depth[top]
+
     @cached_property
     def wire_records(self) -> tuple[dict[str, bytes], dict[bytes, str], tuple[int, ...]]:
         """Each label's ``wire.path_entry``, the reverse map, and the distinct
@@ -269,36 +271,43 @@ class LabeledTree:
 
     # -- convexity ------------------------------------------------------------
 
+    def _hull_top(self, members: Iterable[str]) -> tuple[dict[str, None], str]:
+        """The distinct members, in order, and their LCA: the top of their
+        hull, which is the union of the paths from each member up to it."""
+        distinct = dict.fromkeys(members)
+        if not distinct:
+            raise EmptySet("convex hull of an empty set")
+        for v in distinct:
+            self._require(v)
+        return distinct, reduce(self.lca, distinct)
+
     def convex_hull(self, members: Iterable[str]) -> set[str]:
         """Vertex set of the smallest connected subtree containing ``members``.
 
-        The hull is the union of the paths from the first member to the
-        others.  Each climbs from the other member to the first vertex of
-        the spine, the first member's root path, and runs down the spine.
-        So each member climbs its parent pointers until it meets the spine
-        or a vertex already taken, and the spine is added from the
-        shallowest meeting point down: O(|hull|) Python steps, plus the
-        spine's few heavy-chain slices, copied at C speed.
+        Each member climbs its parent pointers until it meets the top or a
+        vertex already taken: O(|hull|) Python steps, plus the chain hops
+        of the members' LCA.
         """
-        members = list(members)
-        if not members:
-            raise EmptySet("convex hull of an empty set")
-        for v in members:
-            self._require(v)
-        spine = self.path_from_root(members[0])
-        parent, depth = self._parent, self._depth
-        top = len(spine) - 1  # depth of the shallowest meeting point so far
-        hull: set[str] = set()
+        members, top = self._hull_top(members)
+        parent = self._parent
+        hull = {top}
         for v in members:
             while v not in hull:
-                d = depth[v]
-                if d < len(spine) and spine[d] == v:
-                    top = min(top, d)
-                    break
                 hull.add(v)
                 v = parent[v]  # type: ignore[assignment]
-        hull.update(spine[top:])
         return hull
+
+    def hull_contains(self, members: Iterable[str], labels: Iterable[str]) -> bool:
+        """True iff every label lies in ``convex_hull(members)``, without
+        building the hull: a label is in it iff the members' LCA is its
+        ancestor and it is an ancestor of some member.  Each distinct label
+        costs O(|members| log |V|) chain hops.
+        """
+        members, top = self._hull_top(members)
+        lca = self.lca
+        return all(lca(label, top) == top
+                   and (label in members or any(lca(label, m) == label for m in members))
+                   for label in dict.fromkeys(labels))
 
     def project_onto_path(self, path: tuple[str, ...], v: str) -> str:
         """The unique vertex of ``path`` at minimum distance from v."""
@@ -356,14 +365,20 @@ class LabeledTree:
     @cached_property
     def diameter(self) -> int:
         """Length (edge count) of the longest path in the tree."""
-        return self.distance(*self.diameter_endpoints)
+        return self._longest_path[1]
 
     @cached_property
     def diameter_endpoints(self) -> tuple[str, str]:
-        """Endpoints of one longest path, found by double BFS."""
-        a = self._farthest_from(self.root)
-        b = self._farthest_from(a)
-        return (a, b) if a <= b else (b, a)
+        """Endpoints of one longest path, in label order."""
+        return self._longest_path[0]
+
+    @cached_property
+    def _longest_path(self) -> tuple[tuple[str, str], int]:
+        """Double BFS: a vertex a farthest from the root, then the vertex b
+        farthest from a, whose distance is the diameter."""
+        a, _ = self._farthest_from(self.root)
+        b, d = self._farthest_from(a)
+        return ((a, b) if a <= b else (b, a)), d
 
     @cached_property
     def deepest(self) -> str:
@@ -371,7 +386,7 @@ class LabeledTree:
         depth = self._depth
         return max(self._order, key=lambda v: (depth[v], v))
 
-    def _farthest_from(self, s: str) -> str:
+    def _farthest_from(self, s: str) -> tuple[str, int]:
         dist = {s: 0}
         queue = deque((s,))
         far, far_d = s, 0
@@ -384,7 +399,7 @@ class LabeledTree:
                     if dv + 1 > far_d or (dv + 1 == far_d and w < far):
                         far, far_d = w, dv + 1
                     queue.append(w)
-        return far
+        return far, far_d
 
 
 # -- parsing ----------------------------------------------------------------------

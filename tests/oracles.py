@@ -59,6 +59,28 @@ def bfs_path(adj: dict[str, set[str]], u: str, v: str) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
+def path_between(tree, u: str, v: str) -> tuple[str, ...]:
+    """The unique simple path from u to v in ``tree``, inclusive, found by
+    walking parent pointers up from both ends to the vertex where they meet;
+    UnknownVertex for a label not in the tree."""
+    left, right = [u], [v]
+    du, dv = tree.depth(u), tree.depth(v)
+    while du > dv:
+        u = tree.parent(u)
+        left.append(u)
+        du -= 1
+    while dv > du:
+        v = tree.parent(v)
+        right.append(v)
+        dv -= 1
+    while u != v:
+        u, v = tree.parent(u), tree.parent(v)
+        left.append(u)
+        right.append(v)
+    right.pop()  # drop the meeting vertex, already at the end of `left`
+    return tuple(left + right[::-1])
+
+
 def brute_hull(adj: dict[str, set[str]], members: set[str]) -> set[str]:
     """Union of all pairwise paths (the definitional characterization)."""
     hull: set[str] = set()

@@ -27,7 +27,7 @@ from treeaa.wire import TAG_VOTE, encode_path
 
 import oracles
 from byzhelpers import InstanceScript
-from oracles import is_prefix, longest_common_prefix
+from oracles import is_prefix, longest_common_prefix, path_between
 
 
 def run_finder(machine, tree, n, t, inputs, adversary=None, seed=0):
@@ -140,11 +140,11 @@ def test_supported_prefix_matches_per_depth_reference(case):
 
 class TestDecodeTreePath:
     def test_valid(self, eight_vertex_tree):
-        path = eight_vertex_tree.path_between("v1", "v8")
+        path = path_between(eight_vertex_tree, "v1", "v8")
         assert decode_tree_path(eight_vertex_tree, encode_path(path)) == path
 
     def test_wrong_start(self, eight_vertex_tree):
-        path = eight_vertex_tree.path_between("v2", "v8")
+        path = path_between(eight_vertex_tree, "v2", "v8")
         assert decode_tree_path(eight_vertex_tree, encode_path(path)) is None
 
     def test_non_path(self, eight_vertex_tree):
@@ -213,7 +213,7 @@ def wire_inputs(draw, tree):
         return encode_path(tuple(draw(st.permutations(path))))
     if kind == "non-root":
         u, w = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
-        return encode_path(tree.path_between(u, w))
+        return encode_path(path_between(tree, u, w))
     if kind == "non-adjacent":
         return encode_path(tuple(draw(st.lists(st.sampled_from(labels), min_size=1, max_size=6))))
     if kind == "count off by one":
@@ -278,7 +278,7 @@ class TestPrefixPathFinder:
         pairs, transcript = run_finder(
             prefix_path_finder_machine, eight_vertex_tree, 4, 1, inputs
         )
-        expected = eight_vertex_tree.path_between("v1", "v8")
+        expected = path_between(eight_vertex_tree, "v1", "v8")
         assert transcript.rounds_used == 3
         for pair in pairs.values():
             assert pair.p == expected and pair.q == expected
@@ -360,7 +360,7 @@ class TestLegacyPathFinder:
         results, transcript = run_finder(
             legacy_path_finder_machine, eight_vertex_tree, 4, 1, inputs
         )
-        expected = eight_vertex_tree.path_between("v1", "v7")
+        expected = path_between(eight_vertex_tree, "v1", "v7")
         assert transcript.rounds_used == legacy_rounds(eight_vertex_tree, 4, 1)
         for res in results.values():
             assert res.path == expected
@@ -390,7 +390,7 @@ class TestLegacyPathFinder:
             hull = tree.convex_hull(members)
             positions = sorted(i for m in members for i in euler.index_of[m])
             for i in range(positions[0], positions[-1] + 1):
-                path = tree.path_between(tree.root, euler.vertex_at(i))
+                path = path_between(tree, tree.root, euler.vertex_at(i))
                 assert set(path) & hull
 
     def test_registry_property_run(self, eight_vertex_tree):

@@ -20,7 +20,7 @@ from treeaa.tree_aa import MACHINES
 from treeaa.trees import LabeledTree
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_double, encode_vector, frame
 
-from oracles import is_prefix
+from oracles import is_prefix, path_between
 
 
 def tree_ctx(tree, n, t, mode):
@@ -82,7 +82,7 @@ class TestTreeAAGivenPaths:
 
     def test_differing_prefix_paths(self, eight_vertex_tree):
         # One party holds a strictly shorter P; outputs stay 1-close.
-        long = eight_vertex_tree.path_between("v1", "v8")
+        long = path_between(eight_vertex_tree, "v1", "v8")
         short = long[:-1]
         pairs = {
             1: PathPair(short, long),
@@ -106,7 +106,7 @@ class TestTreeAAGivenPaths:
             tree = LabeledTree(oracles.random_edge_list(rng, size))
             labels = sorted(tree.vertices)
             anchor = max(labels, key=lambda v: (tree.depth(v), v))
-            q = tree.path_between(tree.root, anchor)
+            q = path_between(tree, tree.root, anchor)
             inputs = {1: tree.root}
             pairs = {1: PathPair(q[: rng.randint(1, len(q))], q)}
             for pid in range(2, 5):
@@ -311,7 +311,7 @@ class TestProjectionIndexFastPath:
             labels = sorted(tree.vertices)
             for _ in range(6):
                 anchor = rng.choice(labels)
-                path = tree.path_between(tree.root, anchor)
+                path = path_between(tree, tree.root, anchor)
                 prefix = path[: rng.randint(1, len(path))]
                 v = rng.choice(labels)
                 fast = _projection_index(tree, prefix, v)
@@ -321,6 +321,6 @@ class TestProjectionIndexFastPath:
     def test_non_root_paths_use_general_projection(self, eight_vertex_tree):
         from treeaa.tree_aa import _projection_index
 
-        path = eight_vertex_tree.path_between("v6", "v8")
+        path = path_between(eight_vertex_tree, "v6", "v8")
         assert _projection_index(eight_vertex_tree, path, "v7") == 2
         assert _projection_index(eight_vertex_tree, path, "v5") == 3

@@ -16,10 +16,11 @@ from treeaa.errors import (
     ParseError,
     UnknownVertex,
 )
+from treeaa.tree_aa import _projection_index
 
 import oracles
 from conftest import EIGHT_VERTEX_EULER
-from oracles import is_prefix, longest_common_prefix
+from oracles import is_prefix, longest_common_prefix, path_between
 
 
 def random_tree(seed, max_size=12, min_size=1):
@@ -77,17 +78,17 @@ class TestParse:
 
 class TestPaths:
     def test_example_path(self, eight_vertex_tree):
-        assert eight_vertex_tree.path_between("v6", "v8") == ("v6", "v3", "v2", "v4", "v8")
+        assert path_between(eight_vertex_tree, "v6", "v8") == ("v6", "v3", "v2", "v4", "v8")
 
     def test_identity(self, eight_vertex_tree):
-        assert eight_vertex_tree.path_between("v5", "v5") == ("v5",)
+        assert path_between(eight_vertex_tree, "v5", "v5") == ("v5",)
 
     def test_adjacent(self, eight_vertex_tree):
-        assert eight_vertex_tree.path_between("v1", "v2") == ("v1", "v2")
+        assert path_between(eight_vertex_tree, "v1", "v2") == ("v1", "v2")
 
     def test_unknown_vertex(self, eight_vertex_tree):
         with pytest.raises(UnknownVertex):
-            eight_vertex_tree.path_between("v1", "nope")
+            path_between(eight_vertex_tree, "v1", "nope")
 
     def test_matches_bfs_oracle(self):
         for seed in range(60):
@@ -97,7 +98,7 @@ class TestPaths:
             rng = random.Random(f"pick:{seed}")
             for _ in range(10):
                 u, v = rng.choice(labels), rng.choice(labels)
-                path = tree.path_between(u, v)
+                path = path_between(tree, u, v)
                 assert path == oracles.bfs_path(adj, u, v)
                 assert len(path) - 1 == tree.distance(u, v)
                 assert tree.distance(u, v) == oracles.bfs_dists(adj, u)[v]
@@ -108,7 +109,7 @@ class TestPaths:
             labels = sorted(tree.vertices)
             u, v = rng.choice(labels), rng.choice(labels)
             hull = tree.convex_hull({u, v})
-            for w in tree.path_between(u, v):
+            for w in path_between(tree, u, v):
                 assert w in hull
 
 
@@ -138,8 +139,8 @@ class TestHull:
             assert tree.convex_hull(members) == oracles.brute_hull(adj, members)
 
     def test_members_on_one_root_path(self):
-        # Every member lies on the spine, in either order: each walk stops at
-        # once, and the hull is the root path's run between the end members.
+        # Every member lies on one root path, in either order: the hull is
+        # the root path's run between the end members.
         tree = LabeledTree(oracles.random_edge_list(random.Random("one-root-path"), 40))
         deep = max(tree.vertices, key=lambda v: (tree.depth(v), v))
         path = tree.path_from_root(deep)
@@ -170,6 +171,71 @@ def test_hull_matches_brute_oracle_on_random_trees(seed, size, data):
     assert tree.convex_hull(members) == oracles.brute_hull(oracles.adjacency(tree), set(members))
 
 
+@st.composite
+def edge_list_trees(draw, max_size=60):
+    """A tree over ``oracles.random_edge_list`` with 1..max_size vertices."""
+    size = draw(st.integers(1, max_size))
+    edges = oracles.random_edge_list(random.Random(draw(st.integers(0, 2**32))), size)
+    return LabeledTree(edges) if edges else LabeledTree((), vertices=["n000"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_trees(), st.data())
+def test_lca_and_distance_match_brute_oracles(tree, data):
+    adj = oracles.adjacency(tree)
+    parent = oracles.rooted_parents(adj, tree.root)
+    labels = sorted(tree.vertices)
+    picked = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=10))
+    for u in picked:
+        dist = oracles.bfs_dists(adj, u)
+        for v in picked:
+            assert tree.lca(u, v) == oracles.brute_lca(parent, u, v)
+            assert tree.distance(u, v) == dist[v]
+    for call in (tree.lca, tree.distance):
+        with pytest.raises(UnknownVertex):
+            call(picked[0], "zz")
+        with pytest.raises(UnknownVertex):
+            call("zz", picked[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_trees(), st.data())
+def test_hull_membership_matches_brute_hull(tree, data):
+    labels = sorted(tree.vertices)
+    # Repeated members are drawn on purpose; the query dedupes them.
+    members = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=8))
+    hull = oracles.brute_hull(oracles.adjacency(tree), set(members))
+    for label in labels:  # every vertex, so labels inside and outside the hull
+        assert tree.hull_contains(members, [label]) == (label in hull)
+    outside = sorted(tree.vertices - hull)
+    probes = data.draw(st.lists(st.sampled_from(sorted(hull)), min_size=1, max_size=6))
+    assert tree.hull_contains(members, probes + probes)
+    if outside:
+        stray = data.draw(st.sampled_from(outside))
+        assert not tree.hull_contains(members, [*probes, stray, *probes])
+    assert tree.hull_contains(members, [])
+    with pytest.raises(EmptySet):
+        tree.hull_contains([], labels)
+    with pytest.raises(UnknownVertex):
+        tree.hull_contains([*members, "zz"], labels)
+    with pytest.raises(UnknownVertex):
+        tree.hull_contains(members, ["zz"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_trees(), st.data())
+def test_projection_index_matches_brute_projection(tree, data):
+    adj = oracles.adjacency(tree)
+    labels = sorted(tree.vertices)
+    root_path = oracles.bfs_path(adj, tree.root, data.draw(st.sampled_from(labels)))
+    prefix = root_path[:data.draw(st.integers(1, len(root_path)))]
+    u, w = data.draw(st.sampled_from(labels)), data.draw(st.sampled_from(labels))
+    for path in (prefix, oracles.bfs_path(adj, u, w)):
+        for v in labels:
+            expected = path.index(oracles.brute_projection(adj, path, v)) + 1
+            assert _projection_index(tree, path, v) == expected
+
+
 class TestProjection:
     def test_spine_example(self, spine_tree):
         spine = tuple(f"v{i}" for i in range(1, 9))
@@ -193,7 +259,7 @@ class TestProjection:
             adj = oracles.adjacency(tree)
             labels = sorted(tree.vertices)
             u, v = rng.choice(labels), rng.choice(labels)
-            path = tree.path_between(u, v)
+            path = path_between(tree, u, v)
             w = rng.choice(labels)
             assert tree.project_onto_path(path, w) == oracles.brute_projection(adj, path, w)
 
@@ -206,7 +272,7 @@ class TestProjection:
             members = set(rng.sample(labels, rng.randint(1, len(labels))))
             hull = tree.convex_hull(members)
             u, v = rng.choice(labels), rng.choice(labels)
-            path = tree.path_between(u, v)
+            path = path_between(tree, u, v)
             if not (set(path) & hull):
                 continue
             for m in members:
@@ -303,12 +369,12 @@ class TestPrefixes:
         assert not is_prefix(("v2", "v3"), ("v1", "v2", "v3"))
 
     def test_lcp_example(self, eight_vertex_tree):
-        p = eight_vertex_tree.path_between("v1", "v6")
-        q = eight_vertex_tree.path_between("v1", "v8")
+        p = path_between(eight_vertex_tree, "v1", "v6")
+        q = path_between(eight_vertex_tree, "v1", "v8")
         assert longest_common_prefix(p, q) == ("v1", "v2")
 
     def test_lcp_of_path_with_itself(self, eight_vertex_tree):
-        p = eight_vertex_tree.path_between("v1", "v7")
+        p = path_between(eight_vertex_tree, "v1", "v7")
         assert longest_common_prefix(p, p) == p
 
     def test_lcp_immediate_divergence(self, eight_vertex_tree):
@@ -325,8 +391,8 @@ class TestPrefixes:
             tree, rng = random_tree(seed, min_size=2)
             labels = sorted(tree.vertices)
             a, b = rng.choice(labels), rng.choice(labels)
-            p = tree.path_between(tree.root, a)
-            q = tree.path_between(tree.root, b)
+            p = path_between(tree, tree.root, a)
+            q = path_between(tree, tree.root, b)
             lcp = longest_common_prefix(p, q)
             assert lcp
             assert lcp[-1] in tree.convex_hull({a, b})

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treeaa
-from treeaa import generate_tree
+from treeaa import generate_tree, harness
 from treeaa.errors import InvalidParams
+from treeaa.simnet import Transcript
 from treeaa.trees import LabeledTree
 from treeaa.harness import (
     CSV_HEADER,
@@ -167,6 +168,24 @@ class TestRunExperiment:
         for pid in report.honest:
             assert report.outputs[pid] in hull
         assert report.valid
+
+    @pytest.mark.parametrize("inputs, outputs", [
+        ("dcdc", "bbbb"),  # inside: on the path d - b - a - c
+        ("dcdc", "bbeb"),  # e hangs below b, off every member's path
+        ("dede", "bbab"),  # a lies above the members' LCA b
+        ("dede", "dedd"),
+    ])
+    def test_verdict_flags_an_output_outside_the_hull(self, monkeypatch, inputs, outputs):
+        # A stub protocol returns the given outputs, so the verdict meets
+        # outputs that no simulated run produces.
+        tree = LabeledTree([("a", "b"), ("a", "c"), ("b", "d"), ("b", "e")])
+        labels = dict(enumerate(outputs, start=1))
+        monkeypatch.setattr(harness, "run_final_tree_aa",
+                            lambda tree, n, t, inputs, adversary, seed:
+                            (labels, Transcript(n, t, seed), {}))
+        report = run_one(tree, "five", 4, 1, "final", "silent", dict(enumerate(inputs, start=1)), 0)
+        hull = oracles.brute_hull(oracles.adjacency(tree), set(inputs))
+        assert report.valid == all(label in hull for label in outputs)
 
     def test_run_one_rejects_unknown_mode(self):
         tree, kind = resolve_tree("path:20")

@@ -7,19 +7,19 @@ bound calculators, all validated by adversarial property suites.
 """
 
 from . import bounds
+from .bounds import check_resilience, plan_iterations
 from .adversaries import REGISTRY, AdversaryContext, make_adversary
 from .errors import TreeAAError
 from .generators import generate_tree
 from .gradecast import GradedValue, gradecast_all
 from .harness import ExperimentConfig, RunReport, emit_report, run_experiment
 from .paths import PathPair, supported_prefix
-from .real_aa import check_resilience, closest_int, plan_iterations, trim_mean_update
+from .real_aa import closest_int, trim_mean_update
 from .simnet import (
     Adversary,
     Envelope,
     Transcript,
     replay_transcript,
-    run_machines,
     run_simulation,
 )
 from .tree_aa import (
@@ -66,7 +66,6 @@ __all__ = [
     "replay_transcript",
     "run_experiment",
     "run_final_tree_aa",
-    "run_machines",
     "run_simulation",
     "run_tree_aa",
     "run_tree_aa_old",

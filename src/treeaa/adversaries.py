@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
+from .bounds import plan_iterations
 from .errors import InvalidParams
-from .real_aa import plan_iterations, real_aa_machine
+from .real_aa import real_aa_machine
 from .simnet import Adversary, Finished, GeneratorProgram, Outbox, SimulationView, memoised
 
 

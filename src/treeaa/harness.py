@@ -19,7 +19,6 @@ from . import bounds
 from .adversaries import REGISTRY, AdversaryContext, make_adversary
 from .errors import InvalidParams
 from .generators import KINDS, generate_tree
-from .real_aa import check_resilience
 from .tree_aa import planned_rounds, protocol, run_final_tree_aa, run_tree_aa_old
 from .trees import LabeledTree, parse_tree
 
@@ -57,7 +56,7 @@ class ExperimentConfig:
             raise InvalidParams(f"inputs must be a string or a list of labels, got {self.inputs!r}")
         if not (self.emit_transcripts is None or isinstance(self.emit_transcripts, str)):
             raise InvalidParams(f"emit_transcripts must be a directory name, got {self.emit_transcripts!r}")
-        check_resilience(self.n, self.t)
+        bounds.check_resilience(self.n, self.t)
         protocol(self.mode)  # InvalidParams for an unknown mode
         if self.out_format not in ("json", "csv"):
             raise InvalidParams(f"format must be json or csv, got {self.out_format!r}")

@@ -22,9 +22,10 @@ from itertools import compress, count, islice
 from operator import ne
 from typing import Sequence
 
+from .bounds import plan_iterations
 from .errors import NoSupport
 from .gradecast import gradecast_all
-from .real_aa import RealAAResult, closest_int, plan_iterations, real_aa_machine
+from .real_aa import RealAAResult, closest_int, real_aa_machine
 from .simnet import memoised
 from .trees import LabeledTree, Path
 # decode_path and encode_path go unused here; perfbench traces them at this name.

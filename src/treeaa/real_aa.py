@@ -4,20 +4,20 @@ Each iteration costs 3 rounds: the parties gradecast their current values,
 keep those delivered with grade 1 or 2, permanently blacklist every sender
 whose grade was at most 1 (its later gradecasts are ignored), then move to
 the arithmetic mean of the kept values after discarding the t lowest and
-t highest.  The iteration count is fixed up front from (n, t, d, eps), so
-all honest parties terminate in the same round; with honest inputs d-close
-the final values are eps-close and inside the honest input range.
+t highest.  The iteration count (``bounds.plan_iterations``) is fixed up
+front from (n, t, d, eps), so all honest parties terminate in the same
+round; with honest inputs d-close the final values are eps-close and inside
+the honest input range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
-from .errors import InsufficientValues, InvalidParams, NonFinite
+from .bounds import plan_iterations
+from .errors import InsufficientValues, NonFinite
 from .gradecast import GradedValue, gradecast_all
 from .simnet import memoised
 from .wire import decode_double, encode_double
@@ -29,47 +29,6 @@ def closest_int(j: float) -> int:
         raise NonFinite(f"closest_int({j!r})")
     z = math.floor(j)
     return z if j - z < 0.5 else z + 1
-
-
-def check_resilience(n: int, t: int) -> None:
-    """The protocols' resilience condition: 0 <= t < n/3."""
-    if t < 0 or n <= 3 * t:
-        raise InvalidParams(f"need 0 <= t < n/3, got n={n} t={t}")
-
-
-@lru_cache(maxsize=1024)
-def plan_iterations(n: int, t: int, d_bound: float, epsilon: float) -> int:
-    """Smallest iteration count R with d * t^R / (R^R (n-2t)^R) <= eps.
-
-    The R = 0 factor is 1, so R = 0 exactly when d <= eps.  The comparison
-    is exact (rational arithmetic), immune to overflow for any magnitudes.
-    Cached: every machine of a run asks with the same configuration, and
-    the arguments are never bytes from the wire.
-    """
-    check_resilience(n, t)
-    if not (d_bound > 0 and math.isfinite(d_bound)):
-        raise InvalidParams(f"d_bound must be positive and finite, got {d_bound!r}")
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise InvalidParams(f"epsilon must be positive and finite, got {epsilon!r}")
-    d = Fraction(d_bound)
-    eps = Fraction(epsilon)
-    if d <= eps:
-        return 0
-    shrink = n - 2 * t
-    r = 1
-    while True:
-        if d * t**r <= eps * (r * shrink) ** r:
-            return r
-        r += 1
-        if r > 10_000:  # unreachable for valid params; guards the loop
-            raise InvalidParams("iteration search diverged")
-
-
-def convergence_factor(n: int, t: int, r: int) -> float:
-    """t^R / (R^R (n-2t)^R), the guaranteed range shrink after R iterations."""
-    if r == 0:
-        return 1.0
-    return float(Fraction(t**r, (r * (n - 2 * t)) ** r))
 
 
 def _pairwise_sum(xs: list[float]) -> float:

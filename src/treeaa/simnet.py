@@ -89,18 +89,6 @@ DEFAULT_ROUND_CAP = 10_000
 _RUN_MEMO: ContextVar[dict[str, dict] | None] = ContextVar("treeaa_run_memo", default=None)
 
 
-def run_memo(table: str) -> dict | None:
-    """The running simulation's memo table named ``table``; None outside a run.
-
-    Keys are values (or objects the run holds alive), never ``id()``
-    numbers; every party of the run shares the cached values, so they must
-    be immutable or copied on the way out.
-    """
-    memo = _RUN_MEMO.get()
-    # get first: setdefault alone would build a throwaway dict on every call
-    return None if memo is None else memo.get(table) or memo.setdefault(table, {})
-
-
 # A memo miss; None is a real cached value (a decoder's verdict on bad bytes).
 _MISS = object()
 
@@ -319,33 +307,32 @@ def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
 class SimulationView:
     """Adversary-facing read view of a running simulation.
 
-    During a corruption decision the view covers rounds before the current
-    one; during `byzantine_send` it additionally covers the honest messages
-    of the current round (rushing adversary).
+    It holds the run's ``transcript``, its corrupted set and ``columns``:
+    per round, each sender's column (entry q-1 its first payload to party
+    q).  A round's columns are shown once its corruptions are decided, and
+    each corrupted party's column as soon as it has sent.  So a corruption
+    decision sees the rounds before the current one, and `byzantine_send`
+    also sees the current round's honest messages and those of the earlier
+    corrupted parties (rushing adversary).
     """
 
-    def __init__(self, sim: "_Simulation"):
-        self._sim = sim
+    def __init__(self, transcript: Transcript, corrupted: set[int]):
+        self.transcript = transcript
+        self._corrupted = corrupted
+        self.columns: dict[int, list[Inbox]] = {}
 
     @property
     def corrupted(self) -> frozenset[int]:
-        return frozenset(self._sim.corrupted)
+        return frozenset(self._corrupted)
 
     def inbox_of(self, pid: int, round: int) -> Inbox:
-        """pid's inbox from `round` (delivered at that round's end), per sender.
-
-        The round being sent reads its messages so far (rushing); a pid
-        outside 1..n or a round with nothing sent gets all None.
-        """
-        sim = self._sim
-        n = sim.transcript.n
-        if not 1 <= pid <= n:
-            return (None,) * n
-        inboxes = sim.delivered.get(round)
-        if inboxes is not None:
-            return inboxes[pid - 1]
-        columns = sim.sending.get(round)
-        if columns is None:
+        """pid's inbox from `round` (delivered at that round's end), per sender:
+        its entry of every column.  The round being sent reads its messages so
+        far (rushing); a pid outside 1..n or a round with nothing sent gets
+        all None."""
+        n = self.transcript.n
+        columns = self.columns.get(round)
+        if columns is None or not 1 <= pid <= n:
             return (None,) * n
         return tuple([column[pid - 1] for column in columns])
 
@@ -406,44 +393,6 @@ class GeneratorProgram:
             return Finished(stop.value)
 
 
-class _Simulation:
-    def __init__(self, n: int, t: int, seed: int):
-        self.corrupted: set[int] = set()
-        self.transcript = Transcript(n, t, seed)
-        # The round being sent (the rushing view): each sender's column so
-        # far, entry q-1 its first payload to party q.  Then every finished
-        # round's inboxes as delivered to the parties 1..n.
-        self.sending: dict[int, list[Sequence[bytes | None]]] = {}
-        self.delivered: dict[int, list[Inbox]] = {}
-
-
-def run_simulation(
-    n: int,
-    t: int,
-    machines: Sequence[Generator],
-    adversary: Adversary | None = None,
-    seed: int = 0,
-    round_cap: int = DEFAULT_ROUND_CAP,
-) -> tuple[dict[int, Any], Transcript]:
-    """Run the lockstep loop until every non-corrupted party has an output.
-
-    ``machines[pid - 1]`` is party pid's generator (see GeneratorProgram).
-    Returns ({pid: output} over parties that were never corrupted, transcript).
-    The run's memo lives until it returns or raises; a nested run gets its
-    own and leaves this one's in place.
-    """
-    if not 0 <= t < n:
-        raise InvalidParams(f"need 0 <= t < n, got n={n} t={t}")
-    if len(machines) != n:
-        raise InvalidParams(f"expected {n} machines, got {len(machines)}")
-    parties = [GeneratorProgram(gen) for gen in machines]
-    token = _RUN_MEMO.set({})
-    try:
-        return _run(n, t, parties, adversary, seed, round_cap)
-    finally:
-        _RUN_MEMO.reset(token)
-
-
 class _Broadcast(tuple):
     """((1, payload), ..., (n, payload)), as only ``broadcast`` builds it."""
 
@@ -497,79 +446,90 @@ def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception]
     return hit
 
 
-def _run(n, t, parties, adversary, seed, round_cap):
-    """run_simulation's lockstep loop, run inside the memo it set up."""
+def run_simulation(
+    n: int,
+    t: int,
+    machines: Sequence[Generator],
+    adversary: Adversary | None = None,
+    seed: int = 0,
+    round_cap: int = DEFAULT_ROUND_CAP,
+) -> tuple[dict[int, Any], Transcript]:
+    """Run the lockstep loop until every non-corrupted party has an output.
+
+    The one way to run a protocol: ``machines[pid - 1]`` is party pid's
+    generator (see GeneratorProgram).  Returns ({pid: output} over parties
+    that were never corrupted, transcript).  The run's memo lives until it
+    returns or raises; a nested run gets its own and leaves this one's in
+    place.
+    """
+    if not 0 <= t < n:
+        raise InvalidParams(f"need 0 <= t < n, got n={n} t={t}")
+    if len(machines) != n:
+        raise InvalidParams(f"expected {n} machines, got {len(machines)}")
+    parties = [GeneratorProgram(gen) for gen in machines]
     adversary = adversary if adversary is not None else Adversary()
-    adversary.begin(n, t, random.Random(f"adversary:{seed}"))
-    sim = _Simulation(n, t, seed)
-    view = SimulationView(sim)
-    tr = sim.transcript
+    tr = Transcript(n, t, seed)
     records, events = tr.records, tr.events
+    corrupted: set[int] = set()
+    view = SimulationView(tr, corrupted)
     silent: Inbox = (None,) * n
     inboxes: list[Inbox | None] = [None] * n
     running = range(1, n + 1)  # the parties neither finished nor corrupted, in pid order
     results: dict[int, Any] = {}
     checked: dict[int, tuple[Outbox, Inbox]] = {}  # honest and corrupted outboxes alike
+    token = _RUN_MEMO.set({})
+    try:
+        adversary.begin(n, t, random.Random(f"adversary:{seed}"))
+        for rnd in range(1, round_cap + 1):
+            # Each sender's column this round, shown in the view after corruption.
+            columns: list[Inbox] = [silent] * n
+            sent: dict[int, Outbox] = {}
+            for pid in running:
+                outbox = parties[pid - 1].on_round(inboxes[pid - 1])
+                if type(outbox) is _Broadcast and len(outbox) == n and type(outbox[0][1]) is bytes:
+                    sent[pid], columns[pid - 1] = outbox, (outbox[0][1],) * n  # accepted by its shape
+                elif type(outbox) is Finished:
+                    results[pid] = outbox.value
+                    events.append(("output", rnd - 1, pid))
+                else:
+                    sent[pid], columns[pid - 1] = _check_outbox(
+                        n, pid, outbox, ProtocolViolation, checked)
 
-    for rnd in range(1, round_cap + 1):
-        # Each sender's column this round, shown as sim.sending after corruption.
-        columns: list[Sequence[bytes | None]] = [silent] * n
-        sent: dict[int, Outbox] = {}
-        for pid in running:
-            outbox = parties[pid - 1].on_round(inboxes[pid - 1])
-            if type(outbox) is _Broadcast and len(outbox) == n and type(outbox[0][1]) is bytes:
-                sent[pid], columns[pid - 1] = outbox, (outbox[0][1],) * n  # accepted by its shape
-            elif type(outbox) is Finished:
-                results[pid] = outbox.value
-                events.append(("output", rnd - 1, pid))
-            else:
-                sent[pid], columns[pid - 1] = _check_outbox(n, pid, outbox, ProtocolViolation, checked)
+            if not sent:  # all finished on the previous round's deliveries: no round rnd
+                break
 
-        if not sent:  # all finished on the previous round's deliveries: no round rnd
-            break
+            requested = set(adversary.corrupt_decision(rnd, view))
+            if not requested >= corrupted:
+                raise StrategyViolation("adversary un-corrupted a party")
+            if len(requested) > t:
+                raise StrategyViolation(f"corrupted {len(requested)} parties, budget is {t}")
+            if not all(1 <= pid <= n for pid in requested):
+                raise StrategyViolation("corrupted party id out of range")
+            for pid in sorted(requested - corrupted):
+                corrupted.add(pid)
+                events.append(("corrupt", rnd, pid))
+                sent.pop(pid, None)  # corruption suppresses this round's sends
+                columns[pid - 1] = silent
+            running = [*sent]
 
-        requested = set(adversary.corrupt_decision(rnd, view))
-        if not requested >= sim.corrupted:
-            raise StrategyViolation("adversary un-corrupted a party")
-        if len(requested) > t:
-            raise StrategyViolation(f"corrupted {len(requested)} parties, budget is {t}")
-        if not all(1 <= pid <= n for pid in requested):
-            raise StrategyViolation("corrupted party id out of range")
-        for pid in sorted(requested - sim.corrupted):
-            sim.corrupted.add(pid)
-            events.append(("corrupt", rnd, pid))
-            sent.pop(pid, None)  # corruption suppresses this round's sends
-            columns[pid - 1] = silent
-        running = [*sent]
+            view.columns[rnd] = columns
+            for pid, pairs in sent.items():  # honest records first, in pid order
+                if pairs:
+                    records.append(_new(Record, (rnd, pid, pairs)))
+            for pid in sorted(corrupted):
+                # Asked for after the earlier outboxes are recorded, so the
+                # rushing view shows them.
+                outbox = adversary.byzantine_send(rnd, pid, view)
+                pairs, columns[pid - 1] = _check_outbox(n, pid, outbox, StrategyViolation, checked)
+                if pairs:
+                    records.append(_new(Record, (rnd, pid, pairs)))
 
-        sim.sending = {rnd: columns}
-        for pid, pairs in sent.items():  # honest records first, in pid order
-            if pairs:
-                records.append(_new(Record, (rnd, pid, pairs)))
-        for pid in sorted(sim.corrupted):
-            # Asked for after the earlier outboxes are recorded, so the
-            # rushing view shows them.
-            outbox = adversary.byzantine_send(rnd, pid, view)
-            pairs, columns[pid - 1] = _check_outbox(n, pid, outbox, StrategyViolation, checked)
-            if pairs:
-                records.append(_new(Record, (rnd, pid, pairs)))
+            inboxes = list(zip(*columns))
+            tr.rounds_used = rnd
+        else:
+            raise NonTermination(f"round cap {round_cap} exceeded")
+    finally:
+        _RUN_MEMO.reset(token)
 
-        inboxes = sim.delivered[rnd] = list(zip(*columns))
-        tr.rounds_used = rnd
-    else:
-        raise NonTermination(f"round cap {round_cap} exceeded")
-
-    outputs = {pid: results[pid] for pid in range(1, n + 1) if pid not in sim.corrupted}
+    outputs = {pid: results[pid] for pid in range(1, n + 1) if pid not in corrupted}
     return outputs, tr
-
-
-def run_machines(n: int, t: int, machine: Callable[[int], Generator],
-                 adversary: Adversary | None = None, seed: int = 0,
-                 round_cap: int = DEFAULT_ROUND_CAP) -> tuple[dict[int, Any], Transcript]:
-    """Run one protocol: ``machine(pid)`` is party pid's generator, pids 1..n.
-
-    The entry point the protocols use; returns run_simulation's
-    ({pid: output}, transcript).
-    """
-    return run_simulation(n, t, [machine(pid) for pid in range(1, n + 1)],
-                          adversary, seed, round_cap)

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from . import simnet
+from .bounds import plan_iterations
 from .errors import InvalidParams, ProtocolViolation
 from .paths import (
     LegacyPathResult,
@@ -29,8 +31,7 @@ from .paths import (
     legacy_rounds,
     prefix_path_finder_machine,
 )
-from .real_aa import RealAAResult, closest_int, plan_iterations, real_aa_machine
-from .simnet import Transcript, run_machines
+from .real_aa import RealAAResult, closest_int, real_aa_machine
 from .trees import LabeledTree, Path
 
 
@@ -135,11 +136,12 @@ def _run(tree, n, t, inputs, mode, adversary, seed, machine=None):
         own = {pid: inputs[pid] for pid in range(1, n + 1)}
         trivial = RealAAResult(1.0, frozenset(), (1.0,), 0)
         results = {pid: TreeAAResult(v, (v,), (v,), 1, 1, False, trivial) for pid, v in own.items()}
-        transcript = Transcript(n, t, seed)
+        transcript = simnet.Transcript(n, t, seed)
     else:
-        results, transcript = run_machines(
-            n, t, lambda pid: machine(tree, n, t, pid, inputs[pid]), adversary, seed,
-            round_cap=10 * (3 + planned_rounds(tree, n, t, mode)),
+        # Through the module, so a wrapper installed on simnet.run_simulation sees the run.
+        results, transcript = simnet.run_simulation(
+            n, t, [machine(tree, n, t, pid, inputs[pid]) for pid in range(1, n + 1)],
+            adversary, seed, round_cap=10 * (3 + planned_rounds(tree, n, t, mode)),
         )
     return {pid: res.output for pid, res in results.items()}, transcript, results
 

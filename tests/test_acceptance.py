@@ -26,13 +26,19 @@ from treeaa import (
     parse_tree,
     plan_iterations,
     planned_rounds,
-    run_machines,
+    run_simulation,
 )
 from treeaa.adversaries import REGISTRY, context_for_real_aa
-from treeaa.bounds import k_bound, k_bound_simple, lb_rounds, max_product_partition
+from treeaa.bounds import (
+    convergence_factor,
+    k_bound,
+    k_bound_simple,
+    lb_rounds,
+    max_product_partition,
+)
 from treeaa.harness import assign_inputs, resolve_tree, run_one
 from treeaa.gradecast import gradecast_all
-from treeaa.real_aa import convergence_factor, real_aa_machine
+from treeaa.real_aa import real_aa_machine
 from treeaa.simnet import Transcript
 from treeaa.trees import LabeledTree
 
@@ -164,7 +170,8 @@ _GC_ALPHABET = (b"v", b"w", None)
 
 def gradecast_once(n, t, values, adversary=None, seed=0):
     """({honest pid: {sender pid: GradedValue}}, transcript) of one invocation."""
-    return run_machines(n, t, lambda pid: gradecast_all(n, t, pid, values[pid]), adversary, seed)
+    return run_simulation(n, t, [gradecast_all(n, t, pid, values[pid]) for pid in range(1, n + 1)],
+                          adversary, seed)
 
 
 def _gc_enumeration_chunk(c1) -> list[str]:
@@ -252,8 +259,9 @@ def _real_aa_chunk(args) -> list[str]:
         rng = random.Random(f"realaa-inputs:{n}:{d}:{seed}")
         inputs = {pid: rng.uniform(0.0, d) for pid in range(1, n + 1)}
         adversary = REGISTRY[name](context_for_real_aa(n, t, d, 1.0))
-        results, transcript = run_machines(
-            n, t, lambda pid: real_aa_machine(n, t, pid, inputs[pid], d, 1.0), adversary, seed
+        results, transcript = run_simulation(
+            n, t, [real_aa_machine(n, t, pid, inputs[pid], d, 1.0) for pid in range(1, n + 1)],
+            adversary, seed,
         )
         outputs = {pid: res.value for pid, res in results.items()}
         tag = f"{name} n={n} d={d:g} seed={seed}"

@@ -1,9 +1,18 @@
 import math
+import time
+from fractions import Fraction
 
 import pytest
 
 from treeaa import bounds
-from treeaa.bounds import k_bound, k_bound_simple, lb_rounds, max_product_partition
+from treeaa.bounds import (
+    convergence_factor,
+    k_bound,
+    k_bound_simple,
+    lb_rounds,
+    max_product_partition,
+    plan_iterations,
+)
 from treeaa.errors import InvalidParams
 
 import oracles
@@ -82,9 +91,44 @@ class TestUnderflow:
                             == oracles.k_bound_simple_exact(n, t, r, d)), (n, t, r, d)
 
     def test_the_sweep_covers_both_sides_of_the_cut(self):
-        assert bounds._underflows(4, 1, 300)
-        assert not bounds._underflows(10, 3, 100)
+        assert bounds._underflows(1, 5, 300)  # t = 1, m = n + t = 5
+        assert not bounds._underflows(3, 13, 100)
         assert oracles.k_bound_simple_exact(10, 3, 100, 1e300) > 0.0
+
+    def test_convergence_factor_is_the_exact_ratio(self):
+        for n, t in self.MATRIX_NT:
+            for r in range(1, 301):
+                exact = float(Fraction(t**r, (r * (n - 2 * t)) ** r))
+                assert convergence_factor(n, t, r) == exact, (n, t, r)
+
+    def test_convergence_factor_of_a_huge_r_forms_no_power(self):
+        start = time.perf_counter()
+        assert convergence_factor(7, 2, 10**6) == 0.0
+        # Forming the powers takes about a second already at r = 10**5.
+        assert time.perf_counter() - start < 0.1
+
+
+class TestRoundSearches:
+    """The plan (m = n - 2t) and lb_rounds (m = n + t) are one search over m."""
+
+    DS = (10.0, 1e3, 1e6, 1e30, 1e100, 1e300)
+
+    def test_plan_pinned_at_16_5(self):
+        assert [plan_iterations(16, 5, d, 1.0) for d in self.DS] == [3, 5, 7, 22, 55, 136]
+
+    def test_lb_rounds_pinned_at_16_5(self):
+        assert [lb_rounds(16, 5, d) for d in self.DS] == [2, 3, 5, 17, 45, 113]
+
+    def test_lower_bound_never_exceeds_the_plan(self):
+        # n - 2t < n + t, so an R meeting the plan's inequality meets lb_rounds'.
+        violations = [
+            (n, t, k)
+            for n in range(4, 40)
+            for t in range(1, (n - 1) // 3 + 1)
+            for k in range(1, 301)
+            if lb_rounds(n, t, float(10**k)) > plan_iterations(n, t, float(10**k), 1.0)
+        ]
+        assert violations == []
 
 
 class TestLbRounds:

@@ -17,7 +17,7 @@ from treeaa.simnet import (
     Adversary,
     broadcast,
     replay_transcript,
-    run_machines,
+    run_simulation,
 )
 from treeaa.tree_aa import run_tree_aa_old
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_vector, frame
@@ -31,7 +31,8 @@ def values_for(n):
 
 def gradecast_once(n, t, values, adversary=None, seed=0):
     """({honest pid: {sender pid: GradedValue}}, transcript) of one invocation."""
-    return run_machines(n, t, lambda pid: gradecast_all(n, t, pid, values[pid]), adversary, seed)
+    return run_simulation(n, t, [gradecast_all(n, t, pid, values[pid]) for pid in range(1, n + 1)],
+                          adversary, seed)
 
 
 def test_honest_senders_deliver_grade_two():
@@ -69,7 +70,7 @@ def test_receivers_share_one_immutable_vector():
         got[pid] = received_vectors(n, inbox, TAG_ECHO)
         return None
 
-    run_machines(n, 1, machine)
+    run_simulation(n, 1, [machine(pid) for pid in range(1, n + 1)])
     shared = got[1][0]
     assert shared == (b"a", None, b"c", b"d")
     assert all(vec is shared for vectors in got.values() for vec in vectors)

@@ -20,7 +20,7 @@ from treeaa.paths import (
     legacy_rounds,
     prefix_path_finder_machine,
 )
-from treeaa.simnet import replay_transcript, run_machines
+from treeaa.simnet import replay_transcript, run_simulation
 from treeaa.tree_aa import run_final_tree_aa
 from treeaa.trees import LabeledTree
 from treeaa.wire import TAG_VOTE, encode_path
@@ -32,7 +32,8 @@ from oracles import is_prefix, longest_common_prefix, path_between
 
 def run_finder(machine, tree, n, t, inputs, adversary=None, seed=0):
     """({honest pid: finder output}, transcript) of one finder invocation."""
-    return run_machines(n, t, lambda pid: machine(tree, n, t, pid, inputs[pid]), adversary, seed)
+    return run_simulation(n, t, [machine(tree, n, t, pid, inputs[pid]) for pid in range(1, n + 1)],
+                          adversary, seed)
 
 
 class TestSupportedPrefix:

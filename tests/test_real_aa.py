@@ -4,15 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from treeaa import plan_iterations, run_machines, trim_mean_update
+from treeaa import plan_iterations, run_simulation, trim_mean_update
 from treeaa.adversaries import REGISTRY, context_for_real_aa
 from treeaa.errors import InsufficientValues, InvalidParams, NonFinite
 from treeaa.gradecast import GradedValue
-from treeaa.real_aa import (
-    closest_int,
-    convergence_factor,
-    real_aa_machine,
-)
+from treeaa.bounds import convergence_factor
+from treeaa.real_aa import closest_int, real_aa_machine
 from treeaa.wire import encode_double
 
 from oracles import CLOSE_SLACK, closed_form_iterations
@@ -22,10 +19,9 @@ MATRIX_NT = [(4, 1), (7, 2), (10, 3)]
 
 def real_aa_once(n, t, inputs, d_bound, epsilon, adversary=None, seed=0):
     """({honest pid: value}, transcript, {honest pid: RealAAResult}) of one run."""
-    results, transcript = run_machines(
-        n, t, lambda pid: real_aa_machine(n, t, pid, inputs[pid], d_bound, epsilon),
-        adversary, seed,
-    )
+    machines = [real_aa_machine(n, t, pid, inputs[pid], d_bound, epsilon)
+                for pid in range(1, n + 1)]
+    results, transcript = run_simulation(n, t, machines, adversary, seed)
     return {pid: res.value for pid, res in results.items()}, transcript, results
 
 
@@ -239,7 +235,8 @@ class TestRunRealAA:
 
         monkeypatch.setattr(real_aa, "gradecast_all", scripted_gradecast)
         assert plan_iterations(4, 1, 10.0, 1.0) == 2
-        results, _ = run_machines(4, 1, lambda pid: real_aa_machine(4, 1, pid, 0.0, 10.0, 1.0))
+        machines = [real_aa_machine(4, 1, pid, 0.0, 10.0, 1.0) for pid in range(1, 5)]
+        results, _ = run_simulation(4, 1, machines)
         assert (results[1].value, results[1].blacklist) == (0.0, frozenset({4}))
         for pid in (2, 3, 4):
             assert (results[pid].value, results[pid].blacklist) == (1.5, frozenset())

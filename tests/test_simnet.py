@@ -1,5 +1,5 @@
 import re
-from itertools import count, groupby
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,8 +21,7 @@ from treeaa.simnet import (
     Transcript,
     broadcast,
     replay_transcript,
-    run_machines,
-    run_memo,
+    memoised,
     run_simulation,
 )
 
@@ -146,7 +145,8 @@ class GeneratorEcho:
 
 def test_generator_program_adapter():
     n = 3
-    outputs, transcript = run_machines(n, 0, lambda pid: GeneratorEcho.machine(n, pid))
+    machines = [GeneratorEcho.machine(n, pid) for pid in range(1, n + 1)]
+    outputs, transcript = run_simulation(n, 0, machines)
     assert transcript.rounds_used == 1
     assert outputs[2] == (b"gen-1", b"gen-2", b"gen-3")
 
@@ -156,7 +156,7 @@ def test_instant_output_takes_zero_rounds():
         return 42
         yield  # pragma: no cover
 
-    outputs, transcript = run_machines(3, 0, lambda pid: instant())
+    outputs, transcript = run_simulation(3, 0, [instant() for _ in range(3)])
     assert outputs == {1: 42, 2: 42, 3: 42}
     assert transcript.rounds_used == 0
     assert transcript.envelopes == []
@@ -167,7 +167,7 @@ def test_generator_returning_none_finishes():
         yield broadcast(n, b"x")
         return None
 
-    outputs, transcript = run_machines(4, 1, lambda pid: returns_none(4), round_cap=50)
+    outputs, transcript = run_simulation(4, 1, [returns_none(4) for _ in range(4)], round_cap=50)
     assert outputs == {1: None, 2: None, 3: None, 4: None}
     assert transcript.rounds_used == 1
 
@@ -188,55 +188,72 @@ def test_no_exception_leaves_a_step_when_a_machine_returns(monkeypatch):
     assert len(outputs) == 3 and tr.rounds_used == 1 and raised == []
 
 
+def counting(value):
+    """(compute, calls): compute returns ``value`` and records each call."""
+    calls = []
+
+    def compute():
+        calls.append(value)
+        return value
+
+    return compute, calls
+
+
 class TestRunMemo:
+    """The run memo, seen through ``memoised`` and a count of computes."""
+
     def test_outside_a_run_there_is_none(self):
-        assert run_memo("any") is None
+        compute, calls = counting("v")
+        assert memoised("any", "k", compute) == memoised("any", "k", compute) == "v"
+        assert len(calls) == 2
 
     def test_one_memo_per_run_dropped_on_return(self):
-        seen = []
+        compute, calls = counting("v")
 
         def machine():
-            seen.append(run_memo("t"))
-            run_memo("t")["k"] = "v"
+            memoised("t", "k", compute)
             yield []
-            seen.append(run_memo("t"))
+            memoised("t", "k", compute)
             return None
 
-        run_machines(2, 0, lambda pid: machine())
-        assert seen[0] is seen[1] is seen[2] is seen[3]
-        assert seen[0] == {"k": "v"}
-        assert run_memo("t") is None
-        run_machines(2, 0, lambda pid: machine())
-        assert seen[4] is not seen[0]
+        run_simulation(2, 0, [machine(), machine()])
+        assert len(calls) == 1  # two parties asked in two rounds
+        memoised("t", "k", compute)
+        assert len(calls) == 2
+        run_simulation(2, 0, [machine(), machine()])
+        assert len(calls) == 3
 
     def test_dropped_when_the_run_raises(self):
+        compute, calls = counting("v")
+
         def touches():
-            for round in count(1):
-                run_memo("t")[round] = round
+            while True:
+                memoised("t", "k", compute)
                 yield ()
 
         with pytest.raises(NonTermination):
             run_simulation(2, 0, [touches(), touches()], round_cap=5)
-        assert run_memo("t") is None
+        assert len(calls) == 1
+        memoised("t", "k", compute)
+        assert len(calls) == 2
 
     def test_nested_run_has_its_own_memo(self):
-        inner_seen = []
+        outer_compute, outer_calls = counting("outer")
+        inner_compute, inner_calls = counting("inner")
 
         def inner():
-            inner_seen.append(dict(run_memo("t")))
-            run_memo("t")["who"] = "inner"
-            return "inner-done"
+            return memoised("t", "who", inner_compute)
             yield  # pragma: no cover
 
         def outer():
-            run_memo("t")["who"] = "outer"
-            outputs, _ = run_machines(1, 0, lambda pid: inner())
+            memoised("t", "who", outer_compute)
+            outputs, _ = run_simulation(1, 0, [inner()])
             yield []
-            return outputs[1], run_memo("t")["who"]
+            return outputs[1], memoised("t", "who", outer_compute)
 
-        outputs, _ = run_machines(1, 0, lambda pid: outer())
-        assert outputs == {1: ("inner-done", "outer")}
-        assert inner_seen == [{}]
+        outputs, _ = run_simulation(1, 0, [outer()])
+        assert outputs == {1: ("inner", "outer")}
+        assert inner_calls == ["inner"] and outer_calls == ["outer"]
 
 
 class TestTranscript:
@@ -247,7 +264,7 @@ class TestTranscript:
         assert inboxes[1][2] == (b"hello-1", b"hello-2", b"hello-3")
 
     def test_replay_three_round_run(self):
-        _, tr = run_machines(4, 1, lambda pid: gradecast_all(4, 1, pid, b"x"))
+        _, tr = run_simulation(4, 1, [gradecast_all(4, 1, pid, b"x") for pid in range(1, 5)])
         inboxes = replay_transcript(tr)
         assert set(inboxes) == {1, 2, 3}
         for rnd in inboxes:
@@ -490,7 +507,7 @@ def check_inbox_of_against_a_scan(n, t):
 
     class Checker(Adversary):
         def check(self, view, round):
-            sent = view._sim.transcript.envelopes
+            sent = view.transcript.envelopes
             for rnd in range(round + 2):
                 for pid in range(n + 2):
                     scan = [None] * n  # the first payload per sender
@@ -511,7 +528,8 @@ def check_inbox_of_against_a_scan(n, t):
             seen.append((round, pid, view.inbox_of(1, round)))
             return [(q, b"byz-%d-%d" % (pid, q)) for q in range(1, n + 1)]
 
-    _, tr = run_machines(n, t, lambda pid: gradecast_all(n, t, pid, b"v%d" % pid), Checker())
+    machines = [gradecast_all(n, t, pid, b"v%d" % pid) for pid in range(1, n + 1)]
+    _, tr = run_simulation(n, t, machines, Checker())
     assert tr.rounds_used == 3
     return checked, seen
 

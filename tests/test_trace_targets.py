@@ -1,26 +1,33 @@
-"""Every span the benchmark traces still names a function of the package.
+"""Every span the benchmark traces still names a function of the package,
+and a traced run still passes through it.
 
 perfbench's tracer records a target it cannot find as missing and reports
 the metrics that depend on it as absent, so a rename inside ``treeaa``
-would silently blind a layer.  This test reads the target table from
-``perfbench/run.py`` (without running the benchmark) and resolves each
-entry against the package under test.
+would silently blind a layer; a call that bypasses the binding the tracer
+wraps (a ``from ... import`` of a function that is traced at its module)
+blinds it too.  These tests read the target table from ``perfbench/run.py``
+(without running the benchmark), resolve each entry against the package
+under test, and run one traced protocol run per mode.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import random
 import sys
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+from treeaa import harness
+
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
-def _load_targets() -> tuple:
+def _load_run():
     name = "_perfbench_run_for_targets"
     saved_path = list(sys.path)  # run.py puts perfbench/ on the path
     spec = importlib.util.spec_from_file_location(name, RUN_PY)
@@ -31,10 +38,11 @@ def _load_targets() -> tuple:
     finally:
         sys.path[:] = saved_path
         del sys.modules[name]
-    return module.TARGETS
+    return module
 
 
-TARGETS = _load_targets()
+RUN = _load_run()
+TARGETS = RUN.TARGETS
 
 
 def test_the_table_was_read():
@@ -49,3 +57,29 @@ def test_target_resolves_in_the_package(target):
         assert hasattr(owner, part), f"{target.module}.{target.attr}: no {part!r}"
         owner = getattr(owner, part)
     assert callable(owner) or isinstance(owner, (property, cached_property))
+
+
+GRADECAST = tuple(dict.fromkeys(t.span for t in TARGETS if t.span.startswith("gradecast.")))
+EVERY_RUN = ("simnet.run_simulation", "simnet.program_step", "real_aa.plan_iterations",
+             "real_aa.trim_mean_update", *GRADECAST, "tree_aa.run", "harness.run_one",
+             "adversaries.byzantine_send", "bounds.lb_rounds")
+MUST_REACH = {
+    "final": EVERY_RUN + ("paths.supported_prefix", "paths.decode_tree_path"),
+    "legacy": EVERY_RUN,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MUST_REACH))
+def test_a_traced_run_records_every_layer_it_passes(mode):
+    tree, kind = harness.resolve_tree("random:30")
+    inputs = harness.assign_inputs(tree, 7, "random", random.Random(f"trace:{mode}"))
+    tracer = RUN.Tracer()
+    tracer.install(TARGETS)
+    try:
+        harness.run_one(tree, kind, 7, 2, mode, "equivocator", inputs, 1)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == {} and tracer.errors == Counter()
+    calls = Counter(tracer.names[nid] for nid in tracer.name)
+    assert len(GRADECAST) == 3
+    assert [span for span in MUST_REACH[mode] if calls[span] == 0] == []

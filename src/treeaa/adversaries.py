@@ -1,28 +1,18 @@
 """Registry of Byzantine strategies used by the test harness.
 
-Most strategies steer corrupted parties by running shadow copies of the
-honest state machine on the corrupted party's real message history, with
-inputs or per-receiver routing twisted:
-
-* silent         corrupted parties never send (crash-like);
-* skew-high/low  corrupted parties behave like honest parties whose input
-                 sits at one extreme of the input space;
-* equivocator    round-1 gradecast values differ per receiver (low/high
-                 shadow by receiver parity), other rounds follow the low
-                 shadow;
-* split-world    honest parties are split into two camps; each camp gets a
-                 fully consistent view from one of two shadows;
-* adaptive-late  nobody is corrupted until the final iterations of the
-                 closing real-valued agreement, then behaves like skew-high
-                 (shadows replay the party's history to join mid-protocol).
-
+Each strategy is one ``Strategy`` row of ``REGISTRY``: a corruption
+schedule, the inputs ("faces") of the honest shadow machines each corrupted
+party replays on its real message history, and a rule for the rounds and
+receivers in which the hi face replaces the lo face: the shadow-replay
+attacks on trimmed-mean agreement (Dolev, Lynch, Pinter, Stark, Weihl, JACM
+1986), and a late corruption as in Fekete (Distributed Computing 1990).
 Every choice is driven by the simulation seed, so runs replay bit-exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, NamedTuple
 
 from .bounds import plan_iterations
 from .errors import InvalidParams
@@ -40,32 +30,52 @@ class AdversaryContext:
     planned_rounds: int
 
 
-class _Shadow:
-    """An honest machine replayed against a corrupted party's history."""
+class Strategy(NamedTuple):
+    """One registry row; calling it with a context builds the adversary.
 
-    def __init__(self, machine: Generator):
-        self.program = GeneratorProgram(machine)
+    Every row corrupts the same t pids at a given seed: the first draw of the
+    run's fresh adversary rng, made in the schedule's first round.
+    """
+
+    late: bool = False  # corrupt from round planned_rounds - 5, not round 1
+    faces: tuple[str, ...] = ()  # AdversaryContext inputs of the shadows, lo face first
+    # Two faces: receiver q hears hi if hi_to(q, n), in rounds r with (r - 1) % every == 0.
+    every: int = 1
+    hi_to: Callable[[int, int], bool] | None = None
+
+    def __call__(self, ctx: AdversaryContext) -> RegistryAdversary:
+        return RegistryAdversary(self, ctx)
+
+
+class _Shadow:
+    """One corrupted party's honest machines, one per face, stepped in
+    lockstep on the party's real history: one inbox read per round."""
+
+    def __init__(self, machines: list[Generator]):
+        self.programs = [GeneratorProgram(machine) for machine in machines]
         self.next_round = 1
 
-    def advance(self, pid: int, view: SimulationView, upto: int) -> Outbox:
-        """The outbox of round ``upto``; () once the machine has returned."""
-        out: Outbox = ()
+    def advance(self, pid: int, view: SimulationView, upto: int) -> list[Outbox]:
+        """Each face's outbox of round ``upto``; () once its machine has returned."""
+        outs: list[Outbox] = []
         while self.next_round <= upto:
             inbox = view.inbox_of(pid, self.next_round - 1) if self.next_round > 1 else None
             self.next_round += 1
-            out = self.program.on_round(inbox)
-        return () if type(out) is Finished else out
+            outs.clear()  # a loop, not a comprehension: no frame per round
+            for program in self.programs:
+                out = program.on_round(inbox)
+                outs.append(() if type(out) is Finished else out)
+        return outs
 
 
 class RegistryAdversary(Adversary):
-    """Corrupts a seed-chosen set of t parties at a fixed round."""
+    """Plays one registry row, with one ``_Shadow`` per corrupted pid."""
 
-    corrupt_from = 1
-
-    def __init__(self, ctx: AdversaryContext):
-        self.ctx = ctx
+    def __init__(self, row: Strategy, ctx: AdversaryContext):
+        self.row, self.ctx = row, ctx
+        self.corrupt_from = max(1, ctx.planned_rounds - 5) if row.late else 1
         self._targets: set[int] | None = None
-        self._shadows: dict[Any, _Shadow] = {}
+        self._shadows: dict[int, _Shadow] = {}
 
     def corrupt_decision(self, round: int, view: SimulationView) -> set[int]:
         if self._targets is None and round >= self.corrupt_from:
@@ -74,94 +84,57 @@ class RegistryAdversary(Adversary):
 
     def byzantine_send(self, round: int, pid: int, view: SimulationView) -> Outbox:
         # Computed here, not lazily: shadow steps run inside this call.
-        return self.outbox(round, pid, view)
-
-    def outbox(self, round: int, pid: int, view: SimulationView) -> Outbox:
-        return ()
-
-    def shadow(self, key: Any, pid: int, input_value: Any) -> _Shadow:
-        sh = self._shadows.get(key)
-        if sh is None:
-            sh = _Shadow(self.ctx.machine(pid, input_value))
-            self._shadows[key] = sh
-        return sh
-
-
-class Silent(RegistryAdversary):
-    """Corrupted parties say nothing at all."""
+        row = self.row
+        if not row.faces:
+            return ()
+        shadow = self._shadows.get(pid)
+        if shadow is None:
+            # It replays the whole history, so a late corruption joins mid-protocol coherently.
+            shadow = self._shadows[pid] = _Shadow(
+                [self.ctx.machine(pid, getattr(self.ctx, face)) for face in row.faces])
+        outs = shadow.advance(pid, view, round)
+        if len(outs) == 1 or (round - 1) % row.every:
+            return outs[0]
+        return _spliced(row, outs[0], outs[1], self.n)
 
 
-class Skew(RegistryAdversary):
-    def __init__(self, ctx: AdversaryContext, high: bool):
-        super().__init__(ctx)
-        self.high = high
-
-    def outbox(self, round, pid, view):
-        value = self.ctx.hi_input if self.high else self.ctx.lo_input
-        return self.shadow(pid, pid, value).advance(pid, view, round)
-
-
-class Equivocator(RegistryAdversary):
-    """Splits only the value round of each 3-round block, per receiver parity."""
-
-    def outbox(self, round, pid, view):
-        lo = self.shadow((pid, "lo"), pid, self.ctx.lo_input).advance(pid, view, round)
-        hi = self.shadow((pid, "hi"), pid, self.ctx.hi_input).advance(pid, view, round)
-        if (round - 1) % 3 != 0:  # echo and vote rounds stay single-faced
-            return lo
-        return _spliced("odd", lo, hi, lambda receiver: receiver % 2)
-
-
-class SplitWorld(RegistryAdversary):
-    """Each half of the party space sees one internally consistent shadow."""
-
-    def outbox(self, round, pid, view):
-        lo = self.shadow((pid, "lo"), pid, self.ctx.lo_input).advance(pid, view, round)
-        hi = self.shadow((pid, "hi"), pid, self.ctx.hi_input).advance(pid, view, round)
-        cut = self.n // 2
-        return _spliced(cut, lo, hi, lambda receiver: receiver > cut)
-
-
-def _spliced(rule: Any, lo: Outbox, hi: Outbox, takes_hi: Callable[[int], bool]) -> Outbox:
-    """lo's pairs, each receiver that ``takes_hi`` getting hi's payload to it
-    where hi has one; a tuple memoised on (rule, lo, hi), so corrupted
-    parties with equal shadow outboxes share it and it is checked once."""
+def _spliced(row: Strategy, lo: Outbox, hi: Outbox, n: int) -> Outbox:
+    """lo's pairs, hi's payload to each q with ``row.hi_to(q, n)`` where hi has one;
+    memoised on (row, lo, hi): parties with equal faces share one tuple, checked once."""
     def build():
         hi_by_receiver = dict(hi)
-        return tuple([(receiver, hi_by_receiver.get(receiver, payload) if takes_hi(receiver)
-                       else payload) for receiver, payload in lo])
-    return memoised("spliced", (rule, lo, hi), build)
+        return tuple([(q, hi_by_receiver.get(q, payload) if row.hi_to(q, n) else payload)
+                      for q, payload in lo])
+    return memoised("spliced", (row, lo, hi), build)
 
 
-class AdaptiveLate(RegistryAdversary):
-    """Stays clean until the last two iterations, then skews high."""
-
-    def __init__(self, ctx: AdversaryContext):
-        super().__init__(ctx)
-        self.corrupt_from = max(1, ctx.planned_rounds - 5)
-
-    def outbox(self, round, pid, view):
-        # advance() replays the whole history on first contact, so the
-        # shadow joins mid-protocol with a coherent state.
-        return self.shadow(pid, pid, self.ctx.hi_input).advance(pid, view, round)
-
-
-REGISTRY: dict[str, Callable[[AdversaryContext], RegistryAdversary]] = {
-    "silent": Silent,
-    "skew-high": lambda ctx: Skew(ctx, high=True),
-    "skew-low": lambda ctx: Skew(ctx, high=False),
-    "equivocator": Equivocator,
-    "split-world": SplitWorld,
-    "adaptive-late": AdaptiveLate,
+LO, HI = "lo_input", "hi_input"
+REGISTRY: dict[str, Strategy] = {
+    # Corrupted parties never send (crash-like).
+    "silent": Strategy(),
+    # Corrupted parties act like honest ones whose input is an extreme of the input space.
+    "skew-high": Strategy(faces=(HI,)),
+    "skew-low": Strategy(faces=(LO,)),
+    # The value round of each 3-round gradecast block differs per receiver
+    # (hi to odd receivers); echo and vote rounds follow the lo face.
+    "equivocator": Strategy(faces=(LO, HI), every=3, hi_to=lambda q, n: q % 2 == 1),
+    # Two camps, 1..n//2 and the rest, each get a fully consistent view from one face.
+    "split-world": Strategy(faces=(LO, HI), hi_to=lambda q, n: q > n // 2),
+    # Nobody is corrupted before the last iterations of the closing real-valued AA; then skew-high.
+    "adaptive-late": Strategy(late=True, faces=(HI,)),
 }
 
 
-def make_adversary(name: str, ctx: AdversaryContext) -> RegistryAdversary:
+def strategy(name: str) -> Strategy:
+    """REGISTRY[name]; InvalidParams naming the choices for an unknown name."""
     try:
-        factory = REGISTRY[name]
+        return REGISTRY[name]
     except KeyError:
-        raise InvalidParams(f"unknown adversary {name!r}; choose from {sorted(REGISTRY)}") from None
-    return factory(ctx)
+        raise InvalidParams(f"adversary must be one of {sorted(REGISTRY)}, got {name!r}") from None
+
+
+def make_adversary(name: str, ctx: AdversaryContext) -> RegistryAdversary:
+    return strategy(name)(ctx)
 
 
 def context_for_real_aa(n: int, t: int, d_bound: float, epsilon: float,

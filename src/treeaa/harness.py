@@ -16,7 +16,7 @@ from pathlib import Path as FilePath
 from typing import Any, Sequence
 
 from . import bounds
-from .adversaries import REGISTRY, AdversaryContext, make_adversary
+from .adversaries import AdversaryContext, make_adversary, strategy
 from .errors import InvalidParams
 from .generators import KINDS, generate_tree
 from .tree_aa import planned_rounds, protocol, run_final_tree_aa, run_tree_aa_old
@@ -58,10 +58,9 @@ class ExperimentConfig:
             raise InvalidParams(f"emit_transcripts must be a directory name, got {self.emit_transcripts!r}")
         bounds.check_resilience(self.n, self.t)
         protocol(self.mode)  # InvalidParams for an unknown mode
+        strategy(self.adversary)  # and for an unknown adversary
         if self.out_format not in ("json", "csv"):
             raise InvalidParams(f"format must be json or csv, got {self.out_format!r}")
-        if self.adversary not in REGISTRY:
-            raise InvalidParams(f"unknown adversary {self.adversary!r}")
         if not self.seeds:
             raise InvalidParams("need at least one seed")
 

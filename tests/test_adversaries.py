@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from treeaa import generate_tree, run_final_tree_aa
 from treeaa.adversaries import REGISTRY, RegistryAdversary, _Shadow, make_adversary
 from treeaa.errors import InvalidParams
-from treeaa.simnet import GeneratorProgram, broadcast
+from treeaa.harness import ExperimentConfig
+from treeaa.simnet import GeneratorProgram, SimulationView, broadcast
 
 from test_tree_aa import tree_ctx
 
@@ -15,8 +18,12 @@ def test_registry_has_required_strategies():
 
 
 def test_make_adversary_unknown_name(eight_vertex_tree):
-    with pytest.raises(InvalidParams):
+    # One lookup serves the run and the config check, and names the choices.
+    choices = r"adversary must be one of \['adaptive-late', .*\], got 'zealot'"
+    with pytest.raises(InvalidParams, match=choices):
         make_adversary("zealot", tree_ctx(eight_vertex_tree, 4, 1, "final"))
+    with pytest.raises(InvalidParams, match=choices):
+        ExperimentConfig(tree_source="path:6", n=4, t=1, adversary="zealot")
 
 
 def test_corruption_budget_respected(eight_vertex_tree):
@@ -53,7 +60,8 @@ def test_skew_directions_differ(eight_vertex_tree):
     assert seen["skew-high"] != seen["skew-low"]
 
 
-def test_shadow_steps_run_inside_byzantine_send(eight_vertex_tree, monkeypatch):
+@pytest.mark.parametrize("name", ["skew-high", "equivocator"])
+def test_shadow_steps_run_inside_byzantine_send(eight_vertex_tree, monkeypatch, name):
     # A profiler attributes shadow work to byzantine_send only if the
     # outbox is computed inside the call, not returned as a lazy iterable.
     depth, steps = [0], []
@@ -72,28 +80,90 @@ def test_shadow_steps_run_inside_byzantine_send(eight_vertex_tree, monkeypatch):
 
     monkeypatch.setattr(RegistryAdversary, "byzantine_send", traced_send)
     monkeypatch.setattr(GeneratorProgram, "on_round", traced_step)
-    adv = make_adversary("skew-high", tree_ctx(eight_vertex_tree, 4, 1, "final"))
+    adv = make_adversary(name, tree_ctx(eight_vertex_tree, 4, 1, "final"))
     inputs = {pid: "v3" for pid in range(1, 5)}
     run_final_tree_aa(eight_vertex_tree, 4, 1, inputs, adv, seed=6)
-    shadows = {sh.program for sh in adv._shadows.values()}
-    inside = [program in shadows for program, nested in steps if nested]
-    outside = [program in shadows for program, nested in steps if not nested]
-    assert shadows and inside and all(inside)
+    faces = {program for sh in adv._shadows.values() for program in sh.programs}
+    assert len(faces) == len(adv._shadows) * len(adv.row.faces)
+    inside = [program in faces for program, nested in steps if nested]
+    outside = [program in faces for program, nested in steps if not nested]
+    assert faces and inside and all(inside)
     assert outside and not any(outside)
 
 
-def test_a_shadow_sends_nothing_once_its_machine_returned():
+def test_a_face_sends_nothing_once_its_machine_returned():
+    reads, inboxes = [], []
+
     class View:
         def inbox_of(self, pid, round):
+            reads.append(round)
             return (b"in",) * 3
 
-    inboxes = []
-
-    def machine():
+    def short():
         inboxes.append((yield broadcast(3, b"x")))
         return "done"
 
-    shadow = _Shadow(machine())
-    assert shadow.advance(1, View(), 1) == broadcast(3, b"x")
-    assert shadow.advance(1, View(), 3) == ()  # round 2 finished it; round 3 steps it again
+    def endless():
+        while True:
+            yield broadcast(3, b"y")
+
+    shadow = _Shadow([short(), endless()])
+    assert shadow.advance(1, View(), 1) == [broadcast(3, b"x"), broadcast(3, b"y")]
+    # Round 2 finished the short face; round 3 steps it again, and the other face goes on.
+    assert shadow.advance(1, View(), 3) == [(), broadcast(3, b"y")]
     assert inboxes == [(b"in",) * 3] and shadow.next_round == 4
+    assert reads == [1, 2]  # one inbox read per round for both faces
+
+
+def test_split_world_reads_each_inbox_once_per_corrupted_party(monkeypatch):
+    reads = Counter()
+    inbox_of = SimulationView.inbox_of
+
+    def counted(self, pid, round):
+        reads[pid, round] += 1
+        return inbox_of(self, pid, round)
+
+    monkeypatch.setattr(SimulationView, "inbox_of", counted)
+    tree = generate_tree("path", 30)
+    inputs = {pid: tree.root for pid in range(1, 8)}
+    adv = make_adversary("split-world", tree_ctx(tree, 7, 2, "final"))
+    _, transcript, _ = run_final_tree_aa(tree, 7, 2, inputs, adv, seed=1)
+    byz = transcript.corrupted()
+    assert len(byz) == 2
+    assert reads == Counter({(pid, rnd): 1 for pid in byz
+                             for rnd in range(1, transcript.rounds_used)})
+
+
+def test_every_row_corrupts_the_same_pids(eight_vertex_tree):
+    inputs = {pid: "v3" for pid in range(1, 8)}
+    for seed in range(3):
+        seen = set()
+        for name in sorted(REGISTRY):
+            adv = make_adversary(name, tree_ctx(eight_vertex_tree, 7, 2, "final"))
+            _, transcript, _ = run_final_tree_aa(eight_vertex_tree, 7, 2, inputs, adv, seed=seed)
+            seen.add(frozenset(transcript.corrupted()))
+        assert len(seen) == 1 and len(next(iter(seen))) == 2
+
+
+def test_two_face_rows_route_the_skew_rows_outboxes():
+    # Every row corrupts the same pids, and each face's round-1 outbox is
+    # the matching skew row's.  At seed 8 the corrupted pids, 2 and 4, are
+    # even, so they hear only equivocator's lo face in round 1, and its
+    # single-faced round 2 equals skew-low's too.
+    tree, n, t = generate_tree("path", 30), 7, 2
+    inputs = {pid: sorted(tree.vertices)[3 * pid] for pid in range(1, n + 1)}
+    sent = {}
+    for name in ("skew-low", "skew-high", "equivocator", "split-world"):
+        adv = make_adversary(name, tree_ctx(tree, n, t, "final"))
+        _, transcript, _ = run_final_tree_aa(tree, n, t, inputs, adv, seed=8)
+        byz = transcript.corrupted()
+        sent[name] = {(r, s): dict(pairs) for r, s, pairs in transcript.records if s in byz}
+    assert byz == {2, 4}
+    lo, hi = sent["skew-low"], sent["skew-high"]
+    assert all(lo[1, pid] != hi[1, pid] for pid in byz)
+    for pid in byz:
+        for q in range(1, n + 1):
+            assert sent["equivocator"][1, pid][q] == (hi if q % 2 else lo)[1, pid][q]
+            assert sent["split-world"][1, pid][q] == (hi if q > n // 2 else lo)[1, pid][q]
+        assert sent["equivocator"][2, pid] == lo[2, pid]
+

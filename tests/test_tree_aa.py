@@ -271,16 +271,22 @@ class TestLegacyClampBranch:
         check_agreement(tree, inputs, outputs)
 
 
+EMPTY_PATH = frame(TAG_VALUE, b"\x00\x00\x00\x00")
+
+
 class EmptyPathSender(RegistryAdversary):
-    """Party 1 runs an honest shadow but gradecasts the empty path."""
+    """Party 1 runs skew-low's honest shadow but gradecasts the empty path."""
+
+    def __init__(self, ctx):
+        super().__init__(REGISTRY["skew-low"], ctx)
 
     def corrupt_decision(self, round, view):
         return {1}
 
-    def outbox(self, round, pid, view):
-        honest = self.shadow(pid, pid, self.ctx.lo_input).advance(pid, view, round)
+    def byzantine_send(self, round, pid, view):
+        honest = super().byzantine_send(round, pid, view)
         if round == 1:
-            return [(receiver, frame(TAG_VALUE, b"\x00\x00\x00\x00")) for receiver, _ in honest]
+            return [(receiver, EMPTY_PATH) for receiver, _ in honest]
         return honest
 
 
@@ -292,6 +298,9 @@ class TestByzantinePathBytes:
         inputs = {1: a, 2: a, 3: b, 4: b}
         adversary = EmptyPathSender(tree_ctx(tree, n, t, "final"))
         outputs, transcript, _ = run_final_tree_aa(tree, n, t, inputs, adversary, seed=0)
+        # The fixture really sends: a silent party 1 would also leave [2, 3, 4].
+        assert [(env.receiver, env.payload) for env in transcript.envelopes
+                if env.round == 1 and env.sender == 1] == [(q, EMPTY_PATH) for q in range(1, n + 1)]
         assert sorted(outputs) == [2, 3, 4]
         assert transcript.rounds_used == planned_rounds(tree, n, t, "final")
         check_agreement(tree, inputs, outputs)

@@ -53,8 +53,7 @@ def main():
 @click.option("--emit-transcripts", "emit_transcripts",
               type=click.Path(file_okay=False), default=None,
               help="Directory receiving one replayable transcript per seed.")
-def run(config_path, tree_file, gen_spec, n, t, inputs, adversary, seeds, mode,
-        out_path, out_format, emit_transcripts):
+def run(config_path, tree_file, gen_spec, out_path, **flags):
     """Run a protocol experiment; exit 0 iff every run was valid and 1-close."""
     data: dict = {}
     if config_path:
@@ -66,28 +65,10 @@ def run(config_path, tree_file, gen_spec, n, t, inputs, adversary, seeds, mode,
             raise click.BadParameter("the top level must be a JSON object", param_hint="--config")
     if tree_file and gen_spec:
         raise click.UsageError("--tree and --gen are mutually exclusive")
-    if tree_file:
-        data["tree_source"] = tree_file
-    if gen_spec:
-        data["tree_source"] = gen_spec
-    if n is not None:
-        data["n"] = n
-    if t is not None:
-        data["t"] = t
-    if inputs is not None:
-        data["inputs"] = inputs
-    if adversary is not None:
-        data["adversary"] = adversary
-    if seeds is not None:
-        data["seeds"] = seeds
-    elif "seeds" not in data:
-        data["seeds"] = list(range(10))
-    if mode is not None:
-        data["mode"] = mode
-    if out_format is not None:
-        data["out_format"] = out_format
-    if emit_transcripts is not None:
-        data["emit_transcripts"] = emit_transcripts
+    # Every other flag is named after the config key it sets; an empty tree source is absent.
+    flags["tree_source"] = tree_file or gen_spec or None
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    data.setdefault("seeds", list(range(10)))
     for key in ("tree_source", "n", "t"):
         if key not in data:
             raise click.UsageError(f"missing required option for {key}")

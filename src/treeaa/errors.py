@@ -37,10 +37,6 @@ class InvalidPath(TreeAAError):
     """A vertex sequence that is not a simple path of adjacent vertices."""
 
 
-class DistinctStart(TreeAAError):
-    """Two paths expected to share their first vertex do not."""
-
-
 class InvalidParams(TreeAAError, ValueError):
     """Numeric protocol or bound parameters outside their valid domain."""
 

@@ -9,9 +9,11 @@ honest inputs' hull, by LCA queries, so the hull itself is never built.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path as FilePath
 from typing import Any, Sequence
 
@@ -21,8 +23,6 @@ from .errors import InvalidParams
 from .generators import KINDS, generate_tree
 from .tree_aa import planned_rounds, protocol, run_final_tree_aa, run_tree_aa_old
 from .trees import LabeledTree, parse_tree
-
-CSV_HEADER = "seed,mode,n,t,tree_kind,vertices,diameter,rounds,lb_rounds,max_dist,valid"
 
 
 def _is_int(value: Any) -> bool:
@@ -91,29 +91,14 @@ class RunReport:
     transcript_path: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "mode": self.mode,
-            "n": self.n,
-            "t": self.t,
-            "tree_kind": self.tree_kind,
-            "vertices": self.vertices,
-            "diameter": self.diameter,
-            "rounds": self.rounds,
-            "lb_rounds": self.lb_rounds,
-            "max_dist": self.max_dist,
-            "valid": self.valid,
-            "honest": list(self.honest),
-            "outputs": {str(pid): label for pid, label in self.outputs.items()},
-            "transcript_path": self.transcript_path,
-        }
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["honest"] = list(self.honest)
+        row["outputs"] = {str(pid): label for pid, label in self.outputs.items()}
+        return row
 
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.seed},{self.mode},{self.n},{self.t},{self.tree_kind},"
-            f"{self.vertices},{self.diameter},{self.rounds},{self.lb_rounds},"
-            f"{self.max_dist},{str(self.valid).lower()}"
-        )
+
+_FIELDS = tuple(f.name for f in fields(RunReport))
+CSV_COLUMNS = _FIELDS[:_FIELDS.index("valid") + 1]  # the rest are JSON only
 
 
 def resolve_tree(source: str) -> tuple[LabeledTree, str]:
@@ -232,7 +217,13 @@ def emit_report(reports: Sequence[RunReport], out_format: str) -> str:
     if not reports:
         raise InvalidParams("no reports to emit")
     if out_format == "csv":
-        return "\n".join([CSV_HEADER, *(r.to_csv_row() for r in reports)]) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for r in reports:
+            row = (getattr(r, name) for name in CSV_COLUMNS)
+            writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in row)
+        return out.getvalue()
     if out_format == "json":
         return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     raise InvalidParams(f"format must be json or csv, got {out_format!r}")

@@ -57,21 +57,13 @@ def decode_tree_path(tree: LabeledTree, data: bytes) -> Path | None:
     """Decode and validate a wire path: simple, adjacent, starting at the root.
 
     Anything else, the empty path included, is None; a Byzantine sender's
-    malformed bytes count for nothing.  A run decodes each (tree, bytes)
-    once for all receivers (``simnet.memoised``); the run holds the tree
-    alive, so the tree itself is a sound key while the memo lives.
-    """
-    return memoised("tree_path", (tree, data), lambda: _root_path(tree, data))
-
-
-def _root_path(tree: LabeledTree, data: bytes) -> Path | None:
-    """The path from the root to the v with ``data == root_path_bytes(tree, v)``.
-
-    A non-empty simple path of adjacent vertices from the root is exactly
-    ``path_from_root`` of its last vertex, and the encoding is canonical
-    (exact lengths, strict UTF-8), so this is decode_path + root check +
-    is_path.  The last vertex's record ends the data; every record length
-    is tried, as one label's bytes may end in another label's record.
+    malformed bytes count for nothing.  A non-empty simple path of adjacent
+    vertices from the root is exactly ``path_from_root`` of its last vertex,
+    and the encoding is canonical (exact lengths, strict UTF-8), so the data
+    is valid iff it equals ``own_path_bytes`` of that vertex.  The last
+    vertex's record ends the data; every record length is tried, as one
+    label's bytes may end in another label's record.  ``_path_pair`` is
+    memoised per graded view, so a run decodes a sender's bytes once per view.
     """
     if len(data) < 4:
         return None

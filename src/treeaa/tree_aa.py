@@ -52,16 +52,12 @@ class TreeAAResult:
 def _projection_index(tree: LabeledTree, path: Path, vertex: str) -> int:
     """1-based position of the projection of ``vertex`` onto ``path``.
 
-    A simple path from the canonical root is the root path of its last
-    vertex, so the projection is the last vertex it shares with the root
-    path of ``vertex`` (the walk toward any later path vertex passes
-    through it): their LCA, at position depth + 1.  This is the first
-    mismatch between the two root paths, found in O(log |V|) chain hops
-    instead of a walk along both.
+    The projection is the median of ``vertex`` and the path's two ends
+    (``LabeledTree.median``), so its position is one more than its distance
+    from the first vertex: O(log |V|) chain hops for any path, with no walk
+    along it.
     """
-    if path[0] == tree.root:
-        return tree.depth(tree.lca(path[-1], vertex)) + 1
-    return path.index(tree.project_onto_path(path, vertex)) + 1
+    return tree.distance(path[0], tree.median(path[0], path[-1], vertex)) + 1
 
 
 def tree_aa_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str,

@@ -12,9 +12,9 @@ concurrent simulations:
 A root path crosses at most floor(log2 |V|) + 1 heavy chains, so it is
 joined from that many tuple (or bytes) slices with no per-label walk, and
 the LCA of two vertices is found in as many chain hops per vertex.  The
-distance and the projection onto a path from the root are answered
-through the LCA in O(log |V|), and hull membership in O(log |V|) per
-member, with no further table.
+distance and the projection onto any path (the median of the vertex and
+the path's ends) take O(log |V|) through the LCA, and hull membership
+O(log |V|) per member, with no further table.
 """
 
 from __future__ import annotations
@@ -309,19 +309,19 @@ class LabeledTree:
                    and (label in members or any(lca(label, m) == label for m in members))
                    for label in dict.fromkeys(labels))
 
+    def median(self, u: str, v: str, w: str) -> str:
+        """The one vertex on all three paths between u, v and w.  Of their
+        pairwise LCAs two coincide, at or above the third, which is the median."""
+        x, y = self.lca(u, w), self.lca(v, w)
+        if x == y:
+            return self.lca(u, v)
+        return x if self._depth[x] > self._depth[y] else y
+
     def project_onto_path(self, path: tuple[str, ...], v: str) -> str:
-        """The unique vertex of ``path`` at minimum distance from v."""
+        """The unique vertex of ``path`` at minimum distance from v: the
+        median of v and the path's two ends."""
         self.validate_path(path)
-        self._require(v)
-        if v in path:
-            return v
-        best = None
-        best_d = None
-        for w in path:
-            d = self.distance(v, w)
-            if best_d is None or d < best_d:
-                best, best_d = w, d
-        return best  # type: ignore[return-value]
+        return self.median(path[0], path[-1], v)
 
     # -- Euler list -----------------------------------------------------------
 

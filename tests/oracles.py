@@ -14,7 +14,7 @@ import re
 from collections import deque
 from fractions import Fraction
 
-from treeaa.errors import CorruptTranscript, DistinctStart, InvalidParams, NoSupport
+from treeaa.errors import CorruptTranscript, InvalidParams, NoSupport, TreeAAError
 from treeaa.simnet import Envelope, Record, Transcript
 from treeaa.wire import decode_path
 
@@ -222,6 +222,10 @@ def checked_path_by_decode(tree, data: bytes):
 def is_prefix(p: tuple[str, ...], q: tuple[str, ...]) -> bool:
     """True iff q equals p or extends it (a path is a prefix of itself)."""
     return len(p) <= len(q) and q[: len(p)] == p
+
+
+class DistinctStart(TreeAAError):
+    """Two paths expected to share their first vertex do not."""
 
 
 def longest_common_prefix(p: tuple[str, ...], q: tuple[str, ...]) -> tuple[str, ...]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 import time
@@ -71,6 +72,38 @@ def test_run_with_config_file(tmp_path):
     result = runner.invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 0, result.output
     assert len(json.loads(result.output)) == 3
+
+
+def test_run_flags_override_config_values(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tree_source": "path:6", "n": 7, "t": 2}), encoding="utf-8")
+    result = CliRunner().invoke(main, ["run", "--config", str(path), "--t", "1"])
+    assert result.exit_code == 0, result.output
+    reports = json.loads(result.output)
+    assert [rep["seed"] for rep in reports] == list(range(10))  # the CLI's default seeds
+    assert all(rep["t"] == 1 and rep["n"] == 7 for rep in reports)
+
+
+def test_run_empty_generator_spec_counts_as_absent():
+    result = CliRunner().invoke(main, ["run", "--gen", "", "--n", "4", "--t", "1"])
+    assert result.exit_code == 2, result.output
+    assert "missing required option for tree_source" in result.output
+
+
+def test_run_csv_quotes_a_tree_file_name_with_a_comma(tmp_path):
+    doc = tmp_path / "my,tree.txt"
+    doc.write_text("a b\nb c\nc d\n", encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        "run", "--tree", str(doc), "--n", "4", "--t", "1", "--seeds", "0:3", "--format", "csv",
+    ])
+    assert result.exit_code == 0, result.output
+    header, *rows = csv.reader(result.output.splitlines())
+    assert header == ["seed", "mode", "n", "t", "tree_kind", "vertices", "diameter",
+                      "rounds", "lb_rounds", "max_dist", "valid"]
+    assert len(rows) == 3
+    for row in rows:
+        assert len(row) == 11
+        assert dict(zip(header, row))["tree_kind"] == "my,tree.txt"
 
 
 CONFIG = {"tree_source": "path:8", "n": 4, "t": 1, "seeds": [0, 1]}

@@ -306,10 +306,10 @@ class TestByzantinePathBytes:
         check_agreement(tree, inputs, outputs)
 
 
-class TestProjectionIndexFastPath:
+class TestProjectionIndex:
     def test_matches_public_projection_on_root_paths(self):
-        # The machines use a shared-prefix walk for paths anchored at the
-        # root; it must agree with the general distance-minimizing API.
+        # The machines' position of the median of the vertex and the path's
+        # ends must agree with the public projection API on root paths.
         import oracles
         from treeaa.tree_aa import _projection_index
 
@@ -327,7 +327,7 @@ class TestProjectionIndexFastPath:
                 slow = prefix.index(tree.project_onto_path(prefix, v)) + 1
                 assert fast == slow
 
-    def test_non_root_paths_use_general_projection(self, eight_vertex_tree):
+    def test_non_root_paths(self, eight_vertex_tree):
         from treeaa.tree_aa import _projection_index
 
         path = path_between(eight_vertex_tree, "v6", "v8")

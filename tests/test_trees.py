@@ -7,7 +7,6 @@ from treeaa import LabeledTree, parse_tree
 from treeaa.errors import (
     CycleDetected,
     Disconnected,
-    DistinctStart,
     DuplicateEdge,
     EmptyInput,
     EmptySet,
@@ -20,7 +19,7 @@ from treeaa.tree_aa import _projection_index
 
 import oracles
 from conftest import EIGHT_VERTEX_EULER
-from oracles import is_prefix, longest_common_prefix, path_between
+from oracles import DistinctStart, is_prefix, longest_common_prefix, path_between
 
 
 def random_tree(seed, max_size=12, min_size=1):
@@ -234,6 +233,18 @@ def test_projection_index_matches_brute_projection(tree, data):
         for v in labels:
             expected = path.index(oracles.brute_projection(adj, path, v)) + 1
             assert _projection_index(tree, path, v) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_trees(), st.data())
+def test_median_is_the_one_vertex_on_all_three_paths(tree, data):
+    adj = oracles.adjacency(tree)
+    labels = sorted(tree.vertices)
+    u, v, w = (data.draw(st.sampled_from(labels)) for _ in range(3))
+    paths = [set(oracles.bfs_path(adj, a, b)) for a, b in ((u, v), (u, w), (v, w))]
+    assert set.intersection(*paths) == {tree.median(u, v, w)}
+    with pytest.raises(UnknownVertex):
+        tree.median(u, v, "zz")
 
 
 class TestProjection:

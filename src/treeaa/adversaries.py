@@ -95,17 +95,16 @@ class RegistryAdversary(Adversary):
         outs = shadow.advance(pid, view, round)
         if len(outs) == 1 or (round - 1) % row.every:
             return outs[0]
-        return _spliced(row, outs[0], outs[1], self.n)
+        # Parties with equal faces share one spliced tuple, checked once.
+        lo, hi = outs
+        return memoised("spliced", (row, lo, hi), _spliced, row, lo, hi, self.n)
 
 
 def _spliced(row: Strategy, lo: Outbox, hi: Outbox, n: int) -> Outbox:
-    """lo's pairs, hi's payload to each q with ``row.hi_to(q, n)`` where hi has one;
-    memoised on (row, lo, hi): parties with equal faces share one tuple, checked once."""
-    def build():
-        hi_by_receiver = dict(hi)
-        return tuple([(q, hi_by_receiver.get(q, payload) if row.hi_to(q, n) else payload)
-                      for q, payload in lo])
-    return memoised("spliced", (row, lo, hi), build)
+    """lo's pairs, hi's payload to each q with ``row.hi_to(q, n)`` where hi has one."""
+    hi_by_receiver = dict(hi)
+    return tuple([(q, hi_by_receiver.get(q, payload) if row.hi_to(q, n) else payload)
+                  for q, payload in lo])
 
 
 LO, HI = "lo_input", "hi_input"

@@ -21,16 +21,16 @@ receivers) are established by the adversarial test suites, not assumed.
 A party's inbox is the simulator's per-sender payload tuple (the first
 payload from each sender, None where it sent nothing), so it is read by
 position and serves directly as a memo key.  Inside a simulation each
-distinct echo or vote frame is decoded once, and each distinct inbox gets
-its echo outbox, vote outbox and grades built once (``simnet.memoised``);
-outboxes are tuples, so the parties sharing one cannot alter it.  A
-Byzantine sender's per-receiver frames differ, so the inboxes they reach
-are still told apart.
+distinct echo or vote frame is decoded once, each distinct value gets one
+value broadcast, and each distinct inbox gets its echo outbox, vote outbox
+and grades built once (``simnet.memoised``); outboxes are tuples, so the
+parties sharing one cannot alter it.  A Byzantine sender's per-receiver
+frames differ, so the inboxes they reach are still told apart.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .simnet import Inbox, broadcast, memoised
 from .wire import (
@@ -76,60 +76,76 @@ def received_vectors(n: int, inbox: Inbox, tag: int) -> list[Vector | None]:
     """Per-sender decoded entry vectors for echo or vote rounds."""
     return [
         None if payload is None else memoised(
-            "vector", (n, tag, payload), lambda: _decoded_vector(n, tag, payload))
+            "vector", (n, tag, payload), _decoded_vector, n, tag, payload)
         for payload in inbox
     ]
 
 
-def _tally(column: Iterable[bytes | None]) -> dict[bytes, int]:
+def _plurality(column: tuple[bytes | None, ...]) -> tuple[bytes | None, int]:
+    """The most frequent value of one sender's column and its count, the
+    larger value among equals; (None, 0) when every entry is None.  A first
+    entry held by a strict majority is the only maximum: one C count."""
+    first = column[0]
+    count = column.count(first)
+    if first is not None and 2 * count > len(column):
+        return first, count
     counts: dict[bytes, int] = {}
     for value in column:
         if value is not None:
             counts[value] = counts.get(value, 0) + 1
-    return counts
+    count, best = max(((k, v) for v, k in counts.items()), default=(0, None))
+    return best, count
+
+
+def _pluralities(n: int, vectors: list[Vector | None]) -> list[tuple[bytes | None, int]]:
+    """``_plurality`` of each sender's column of the vectors that are not None."""
+    rows = [vec for vec in vectors if vec is not None]
+    if not rows:
+        return [(None, 0)] * n
+    return list(map(_plurality, zip(*rows)))
 
 
 def compute_candidates(n: int, t: int, echoes: list[Vector | None]) -> list[bytes | None]:
     """Per sender instance, the value echoed by at least n - t parties."""
-    candidates: list[bytes | None] = [None] * n
     threshold = n - t
-    for s in range(n):
-        counts = _tally(vec[s] for vec in echoes if vec is not None)
-        if counts:
-            best = max(counts, key=lambda v: (counts[v], v))
-            if counts[best] >= threshold:
-                candidates[s] = best
-    return candidates
+    return [value if count >= threshold else None for value, count in _pluralities(n, echoes)]
 
 
 def grade_votes(n: int, t: int, votes: list[Vector | None]) -> dict[int, GradedValue]:
     """Fold the vote round into per-sender (value, grade) outputs."""
     outputs: dict[int, GradedValue] = {}
-    for s in range(n):
-        counts = _tally(vec[s] for vec in votes if vec is not None)
-        value, grade = None, 0
-        if counts:
-            best = max(counts, key=lambda v: (counts[v], v))
-            if counts[best] >= n - t:
-                value, grade = best, 2
-            elif counts[best] >= t + 1:
-                value, grade = best, 1
-        outputs[s + 1] = GradedValue(value, grade)
+    for s, (value, count) in enumerate(_pluralities(n, votes), 1):
+        grade = 2 if count >= n - t else 1 if count >= t + 1 else 0
+        outputs[s] = GradedValue(value if grade else None, grade)
     return outputs
+
+
+# Round builders; each looks up the codec and tally functions at call time.
+def _value_outbox(n: int, value: bytes):
+    return broadcast(n, frame(TAG_VALUE, value))
+
+
+def _echo_outbox(n: int, inbox: Inbox):
+    return broadcast(n, frame(TAG_ECHO, encode_vector(received_values(n, inbox))))
+
+
+def _vote_outbox(n: int, t: int, inbox: Inbox):
+    return broadcast(n, frame(TAG_VOTE, encode_vector(
+        compute_candidates(n, t, received_vectors(n, inbox, TAG_ECHO)))))
+
+
+def _grades(n: int, t: int, inbox: Inbox) -> dict[int, GradedValue]:
+    return grade_votes(n, t, received_vectors(n, inbox, TAG_VOTE))
 
 
 def gradecast_all(n: int, t: int, pid: int, value: bytes):
     """3-round machine; returns {sender pid: GradedValue} for all n instances.
 
-    Past round 1 a party's messages and output depend only on its inbox,
-    so each is built once per distinct inbox in a run and shared.
+    A party's messages and output depend only on its value or its inbox, so
+    each is built once per distinct value or inbox in a run and shared.
     """
-    inbox = yield broadcast(n, frame(TAG_VALUE, value))
-    inbox = yield memoised("echo", (n, inbox), lambda: broadcast(
-        n, frame(TAG_ECHO, encode_vector(received_values(n, inbox)))))
-    inbox = yield memoised("vote", (n, t, inbox), lambda: broadcast(
-        n, frame(TAG_VOTE, encode_vector(
-            compute_candidates(n, t, received_vectors(n, inbox, TAG_ECHO))))))
+    inbox = yield memoised("value", (n, value), _value_outbox, n, value)
+    inbox = yield memoised("echo", (n, inbox), _echo_outbox, n, inbox)
+    inbox = yield memoised("vote", (n, t, inbox), _vote_outbox, n, t, inbox)
     # The grades are shared too; each party gets its own copy of the dict.
-    return dict(memoised("grades", (n, t, inbox),
-                         lambda: grade_votes(n, t, received_vectors(n, inbox, TAG_VOTE))))
+    return dict(memoised("grades", (n, t, inbox), _grades, n, t, inbox))

@@ -218,11 +218,14 @@ def emit_report(reports: Sequence[RunReport], out_format: str) -> str:
         raise InvalidParams("no reports to emit")
     if out_format == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in reports:
-            row = (getattr(r, name) for name in CSV_COLUMNS)
+        # Python 3.11 quotes a field holding a terminator character, so "\r\n"
+        # makes it quote a bare "\r" as well; each row then ends in "\n" alone.
+        writer = csv.writer(out, lineterminator="\r\n")
+        for row in [CSV_COLUMNS, *([getattr(r, name) for name in CSV_COLUMNS] for r in reports)]:
             writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in row)
+            out.seek(out.tell() - 2)
+            out.write("\n")
+            out.truncate()
         return out.getvalue()
     if out_format == "json":
         return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"

@@ -50,7 +50,7 @@ def root_path_bytes(tree: LabeledTree, v: str) -> bytes:
 def own_path_bytes(tree: LabeledTree, v: str) -> bytes:
     """``root_path_bytes``, built once per (tree, v) in a run and shared by
     the party sending it and by every decoder checking a path to v."""
-    return memoised("own_path", (tree, v), lambda: root_path_bytes(tree, v))
+    return memoised("own_path", (tree, v), root_path_bytes, tree, v)
 
 
 def decode_tree_path(tree: LabeledTree, data: bytes) -> Path | None:
@@ -133,7 +133,7 @@ def prefix_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, inpu
     graded = yield from gradecast_all(n, t, pid, own_path_bytes(tree, input_vertex))
     # Honest parties mostly share grades: one PathPair per distinct graded view.
     return memoised("path_pair", (tree, n, t, tuple(graded.values())),
-                    lambda: _path_pair(tree, n, t, graded))
+                    _path_pair, tree, n, t, graded)
 
 
 def _path_pair(tree: LabeledTree, n: int, t: int, graded: dict) -> PathPair:

@@ -93,8 +93,7 @@ def real_aa_machine(n: int, t: int, pid: int, value: float, d_bound: float, epsi
         graded = yield from gradecast_all(n, t, pid, encode_double(current))
         # Honest parties mostly share grades and blacklist: one update each.
         current, blacklist = memoised(
-            "real_aa", (n, t, tuple(graded.values()), blacklist),
-            lambda: _update(graded, blacklist, n, t))
+            "real_aa", (n, t, tuple(graded.values()), blacklist), _update, graded, blacklist, n, t)
         history.append(current)
     return RealAAResult(current, blacklist, tuple(history), plan)
 

@@ -19,7 +19,8 @@ Everything else is derived from the records: the envelopes (one per pair),
 the JSONL lines, the inboxes, the adversary's view
 (``SimulationView.inbox_of``) and ``replay_transcript``.  Each record gives
 its sender's column, the n-tuple of its first payload to each receiver;
-a round's inboxes are its columns transposed.
+a round's inboxes are its columns transposed, and the view keeps the last
+finished round's rows.
 
 Honest and corrupted parties send the same way: an outbox of (receiver,
 payload) pairs, recorded under the round and the sender's own pid, so a
@@ -93,18 +94,19 @@ _RUN_MEMO: ContextVar[dict[str, dict] | None] = ContextVar("treeaa_run_memo", de
 _MISS = object()
 
 
-def memoised(table: str, key: Any, compute: Callable[[], Any]) -> Any:
-    """compute(), once per key in the running simulation; always outside one.
-    A hit costs one probe of the table."""
+def memoised(table: str, key: Any, compute: Callable[..., Any], *args: Any) -> Any:
+    """compute(*args), once per key in the running simulation; always outside
+    one.  compute is called on a miss only, and a hit costs one probe of the
+    table, so callers pass a function and its arguments, not a closure."""
     memo = _RUN_MEMO.get()
     if memo is None:
-        return compute()
+        return compute(*args)
     cache = memo.get(table)
     if cache is None:
         cache = memo[table] = {}
     value = cache.get(key, _MISS)
     if value is _MISS:
-        value = cache[key] = compute()
+        value = cache[key] = compute(*args)
     return value
 
 
@@ -313,13 +315,15 @@ class SimulationView:
     each corrupted party's column as soon as it has sent.  So a corruption
     decision sees the rounds before the current one, and `byzantine_send`
     also sees the current round's honest messages and those of the earlier
-    corrupted parties (rushing adversary).
+    corrupted parties (rushing adversary).  It also keeps the last finished
+    round's ``delivered`` rows, the inboxes the loop resumed the parties with.
     """
 
     def __init__(self, transcript: Transcript, corrupted: set[int]):
         self.transcript = transcript
         self._corrupted = corrupted
         self.columns: dict[int, list[Inbox]] = {}
+        self.delivered_round, self.delivered = 0, ()
 
     @property
     def corrupted(self) -> frozenset[int]:
@@ -329,7 +333,10 @@ class SimulationView:
         """pid's inbox from `round` (delivered at that round's end), per sender:
         its entry of every column.  The round being sent reads its messages so
         far (rushing); a pid outside 1..n or a round with nothing sent gets
-        all None."""
+        all None.  The last finished round's inbox is the very row delivered."""
+        rows = self.delivered  # () until round 1 is delivered
+        if round == self.delivered_round and 0 < pid <= len(rows):
+            return rows[pid - 1]
         n = self.transcript.n
         columns = self.columns.get(round)
         if columns is None or not 1 <= pid <= n:
@@ -473,7 +480,7 @@ def run_simulation(
     corrupted: set[int] = set()
     view = SimulationView(tr, corrupted)
     silent: Inbox = (None,) * n
-    inboxes: list[Inbox | None] = [None] * n
+    inboxes: Sequence[Inbox | None] = (None,) * n
     running = range(1, n + 1)  # the parties neither finished nor corrupted, in pid order
     results: dict[int, Any] = {}
     checked: dict[int, tuple[Outbox, Inbox]] = {}  # honest and corrupted outboxes alike
@@ -498,18 +505,20 @@ def run_simulation(
             if not sent:  # all finished on the previous round's deliveries: no round rnd
                 break
 
-            requested = set(adversary.corrupt_decision(rnd, view))
-            if not requested >= corrupted:
-                raise StrategyViolation("adversary un-corrupted a party")
-            if len(requested) > t:
-                raise StrategyViolation(f"corrupted {len(requested)} parties, budget is {t}")
-            if not all(1 <= pid <= n for pid in requested):
-                raise StrategyViolation("corrupted party id out of range")
-            for pid in sorted(requested - corrupted):
-                corrupted.add(pid)
-                events.append(("corrupt", rnd, pid))
-                sent.pop(pid, None)  # corruption suppresses this round's sends
-                columns[pid - 1] = silent
+            requested = adversary.corrupt_decision(rnd, view)
+            if requested != corrupted:  # the unchanged set is valid as it stands
+                requested = set(requested)
+                if not requested >= corrupted:
+                    raise StrategyViolation("adversary un-corrupted a party")
+                if len(requested) > t:
+                    raise StrategyViolation(f"corrupted {len(requested)} parties, budget is {t}")
+                if not all(1 <= pid <= n for pid in requested):
+                    raise StrategyViolation("corrupted party id out of range")
+                for pid in sorted(requested - corrupted):
+                    corrupted.add(pid)
+                    events.append(("corrupt", rnd, pid))
+                    sent.pop(pid, None)  # corruption suppresses this round's sends
+                    columns[pid - 1] = silent
             running = [*sent]
 
             view.columns[rnd] = columns
@@ -524,8 +533,8 @@ def run_simulation(
                 if pairs:
                     records.append(_new(Record, (rnd, pid, pairs)))
 
-            inboxes = list(zip(*columns))
-            tr.rounds_used = rnd
+            inboxes = view.delivered = tuple(zip(*columns))
+            tr.rounds_used = view.delivered_round = rnd
         else:
             raise NonTermination(f"round cap {round_cap} exceeded")
     finally:

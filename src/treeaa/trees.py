@@ -207,12 +207,16 @@ class LabeledTree:
         """Nearest common ancestor of u and v in the rooting, in at most
         2 * (floor(log2 |V|) + 1) heavy-chain hops: while u and v lie on
         different chains, the one whose chain top is deeper moves to that
-        top's parent; on one chain, the one nearer its top is the answer."""
+        top's parent; on one chain, the one nearer its top is the answer.
+        With the root as either argument (every path the machines project
+        onto starts there) the answer is the root, with no hop."""
         chains, at, up = self.heavy_chains
         if u not in at:
             self._require(u)
         if v not in at:
             self._require(v)
+        if u == self.root or v == self.root:
+            return self.root
         depth = self._depth
         cu, ku = at[u]
         cv, kv = at[v]

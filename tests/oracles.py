@@ -208,6 +208,42 @@ def supported_prefix_by_depth(entries, min_grade: int, threshold: int):
     return tuple(prefix)
 
 
+def _tally(column) -> dict[bytes, int]:
+    counts: dict[bytes, int] = {}
+    for value in column:
+        if value is not None:
+            counts[value] = counts.get(value, 0) + 1
+    return counts
+
+
+def candidates_by_tally(n: int, t: int, echoes) -> list:
+    """The original compute_candidates: one dict tally per sender's column."""
+    candidates = [None] * n
+    for s in range(n):
+        counts = _tally(vec[s] for vec in echoes if vec is not None)
+        if counts:
+            best = max(counts, key=lambda v: (counts[v], v))
+            if counts[best] >= n - t:
+                candidates[s] = best
+    return candidates
+
+
+def grades_by_tally(n: int, t: int, votes) -> dict[int, tuple]:
+    """The original grade_votes: {sender: (value, grade)} from one dict tally per column."""
+    outputs = {}
+    for s in range(n):
+        counts = _tally(vec[s] for vec in votes if vec is not None)
+        value, grade = None, 0
+        if counts:
+            best = max(counts, key=lambda v: (counts[v], v))
+            if counts[best] >= n - t:
+                value, grade = best, 2
+            elif counts[best] >= t + 1:
+                value, grade = best, 1
+        outputs[s + 1] = (value, grade)
+    return outputs
+
+
 def checked_path_by_decode(tree, data: bytes):
     """The original decode_tree_path check: reference decode, root, is_path.
 

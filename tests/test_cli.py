@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import struct
 import time
@@ -104,6 +105,23 @@ def test_run_csv_quotes_a_tree_file_name_with_a_comma(tmp_path):
     for row in rows:
         assert len(row) == 11
         assert dict(zip(header, row))["tree_kind"] == "my,tree.txt"
+
+
+@pytest.mark.parametrize("name", ["my,tree.txt", "my\rtree.txt", "cr\r\nlf.txt", 'q"uote.txt'])
+def test_run_csv_reads_back_whatever_the_tree_file_is_named(tmp_path, name):
+    doc = tmp_path / name
+    doc.write_text("a b\nb c\nc d\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    result = CliRunner().invoke(main, [
+        "run", "--tree", str(doc), "--n", "4", "--t", "1", "--seeds", "0:3", "--format", "csv",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    header, *rows = csv.reader(io.StringIO(out.read_bytes().decode(), newline=""))
+    assert len(header) == 11 and len(rows) == 3
+    for row in rows:
+        assert len(row) == 11
+        assert dict(zip(header, row))["tree_kind"] == name
 
 
 CONFIG = {"tree_source": "path:8", "n": 4, "t": 1, "seeds": [0, 1]}

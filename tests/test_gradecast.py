@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from treeaa import gradecast
 from treeaa.adversaries import REGISTRY, AdversaryContext, make_adversary
@@ -22,6 +23,7 @@ from treeaa.simnet import (
 from treeaa.tree_aa import run_tree_aa_old
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_vector, frame
 
+import oracles
 from byzhelpers import InstanceScript, check_consistency
 
 
@@ -159,6 +161,26 @@ def test_each_distinct_inbox_is_answered_once(monkeypatch):
     assert transcript.rounds_used >= 15
     assert len(distinct) == 2 * transcript.rounds_used // 3
     assert len(calls) <= len(distinct)
+
+
+@st.composite
+def tally_cases(draw):
+    """(n, t, vectors): 0..n vectors, each None or n entries from {None, a, b, c}."""
+    n = draw(st.integers(4, 16))
+    t = draw(st.integers(0, (n - 1) // 3))
+    entry = st.sampled_from([None, b"a", b"b", b"c"])
+    vector = st.none() | st.lists(entry, min_size=n, max_size=n).map(tuple)
+    return n, t, draw(st.lists(vector, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tally_cases())
+# Two values tied at t + 1 votes: the larger one is graded 1, whichever comes first.
+@example((4, 1, [(b"a",) * 4, (b"a",) * 4, (b"b",) * 4, (b"b",) * 4]))
+def test_column_kernel_matches_the_tally_oracle(case):
+    n, t, vectors = case
+    assert compute_candidates(n, t, vectors) == oracles.candidates_by_tally(n, t, vectors)
+    assert grade_votes(n, t, vectors) == oracles.grades_by_tally(n, t, vectors)
 
 
 def _registry(name, n, t):

@@ -548,6 +548,59 @@ def test_inbox_of_shows_earlier_corrupted_parties_sends_of_the_round():
         assert inbox[5:] == ((None, None) if pid == 6 else (b"byz-6-1", None))
 
 
+def stepper(n, pid, rounds, got):
+    """Broadcasts in rounds 1..rounds; got[pid, k] is its inbox from round k."""
+    for k in range(1, rounds + 1):
+        got[pid, k] = yield broadcast(n, b"%d-%d" % (k, pid))
+    return "done"
+
+
+def test_inbox_of_the_last_finished_round_is_the_row_delivered():
+    n, rounds, got, checked = 4, 4, {}, []
+    silent = (None,) * n
+
+    class Reader(Adversary):
+        def corrupt_decision(self, round, view):
+            return {n}
+
+        def byzantine_send(self, round, pid, view):
+            last = round - 1
+            for q in range(1, n if last else 1):  # resumed with these rows just before
+                assert view.inbox_of(q, last) is got[q, last]
+                assert view.inbox_of(q, 1) == got[q, 1]  # a late replay from round 1
+            row = view.inbox_of(pid, last)
+            assert row == view.inbox_of(pid, last) and len(row) == n
+            for q in (0, n + 1):
+                assert view.inbox_of(q, last) == silent
+            assert view.inbox_of(1, 0) == view.inbox_of(1, round + 1) == silent
+            checked.append(round)
+            return broadcast(n, b"byz")
+
+    machines = [stepper(n, pid, rounds, got) for pid in range(1, n + 1)]
+    outputs, tr = run_simulation(n, 1, machines, Reader())
+    assert checked == [1, 2, 3, 4] and tr.rounds_used == rounds
+    assert outputs == {pid: "done" for pid in range(1, n)}
+    assert all(got[q, k][n - 1] == b"byz" for q in range(1, n) for k in range(1, rounds + 1))
+
+
+@pytest.mark.parametrize("later, match", [
+    ({2}, "un-corrupted"),
+    ({1, 2, 3}, "budget is 2"),
+    ({1, 5}, "out of range"),
+])
+def test_a_corruption_set_that_changes_after_unchanged_rounds_is_checked(later, match):
+    asked = []
+
+    class Steady(Adversary):
+        def corrupt_decision(self, round, view):
+            asked.append(round)
+            return {1} if round <= 3 else later
+
+    with pytest.raises(StrategyViolation, match=match):
+        run_simulation(4, 2, [never_ends() for _ in range(4)], Steady())
+    assert asked == [1, 2, 3, 4]
+
+
 def test_a_byzantine_bytearray_payload_is_recorded_as_bytes():
     buf = bytearray(b"x")
 

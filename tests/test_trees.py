@@ -197,6 +197,19 @@ def test_lca_and_distance_match_brute_oracles(tree, data):
             call("zz", picked[0])
 
 
+@settings(max_examples=100, deadline=None)
+@given(edge_list_trees())
+def test_the_root_is_its_own_lca_with_every_vertex(tree):
+    root = tree.root
+    for v in tree.vertices:
+        assert tree.lca(root, v) == tree.lca(v, root) == root
+        assert tree.distance(root, v) == tree.distance(v, root) == tree.depth(v)
+    with pytest.raises(UnknownVertex):
+        tree.lca(root, "zz")
+    with pytest.raises(UnknownVertex):
+        tree.lca("zz", root)
+
+
 @settings(max_examples=200, deadline=None)
 @given(edge_list_trees(), st.data())
 def test_hull_membership_matches_brute_hull(tree, data):

@@ -107,7 +107,7 @@ def test_run_csv_quotes_a_tree_file_name_with_a_comma(tmp_path):
         assert dict(zip(header, row))["tree_kind"] == "my,tree.txt"
 
 
-@pytest.mark.parametrize("name", ["my,tree.txt", "my\rtree.txt", "cr\r\nlf.txt", 'q"uote.txt'])
+@pytest.mark.parametrize("name", ["my\rtree.txt", "cr\r\nlf.txt", 'q"uote.txt'])
 def test_run_csv_reads_back_whatever_the_tree_file_is_named(tmp_path, name):
     doc = tmp_path / name
     doc.write_text("a b\nb c\nc d\n", encoding="utf-8")

@@ -24,17 +24,13 @@ finished round's rows.
 
 Honest and corrupted parties send the same way: an outbox of (receiver,
 payload) pairs, recorded under the round and the sender's own pid, so a
-forged sender or round cannot be expressed.  An honest party's
-``broadcast`` of n pairs with a bytes payload is accepted by its shape,
-with the column ``(payload,) * n`` built in C.  Every other outbox, a
-corrupted party's broadcast included (adversary code can build one by hand
-with ``tuple.__new__``), passes one check (it is an iterable of (receiver,
-payload) pairs; receivers are int party ids; a bytearray or memoryview
-payload is copied to bytes, any other non-bytes payload is refused),
-raising ProtocolViolation for an honest party and StrategyViolation for a
-corrupted one.  Parties share memoised outbox tuples, so each distinct
-tuple of (int, bytes) tuples that is checked is checked once per run and
-then kept as its records' pairs without a copy.
+forged sender or round cannot be expressed.  Every outbox passes one check
+(it is an iterable of (receiver, payload) pairs; receivers are int party
+ids; a bytearray or memoryview payload is copied to bytes, any other
+non-bytes payload is refused), raising ProtocolViolation for an honest
+party and StrategyViolation for a corrupted one.  Every outbox is checked
+once per distinct object per run (a mutable one at every send), and the
+view's columns are tuples.
 
 Round structure.  In round k every party neither finished nor corrupted is
 resumed with the inbox from round k-1 (None for k=1) and yields the
@@ -271,9 +267,9 @@ def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
     Returns {round: {pid: inbox}} for rounds 1..rounds_used: each round's
     sender columns (first payload per receiver) transposed, as in the run.
     Raises CorruptTranscript on structural damage: out-of-range rounds or
-    party ids, or round order regressions.  Round and sender are checked
-    once per record and each distinct pairs object's column is built once;
-    a sender's later record in a round merges into a copy.
+    party ids, round order regressions, or a pair, round or sender of the
+    wrong type (a hand-built transcript).  Each distinct pairs object's
+    column is built once; a sender's later record in a round merges into a copy.
     """
     n, rounds = tr.n, tr.rounds_used
     columns: dict[int, list] = {r: [None] * n for r in range(1, rounds + 1)}
@@ -282,22 +278,27 @@ def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
     for r, s, pairs in tr.records:
         if not pairs:
             continue
-        if not 1 <= r <= rounds:
-            raise CorruptTranscript(f"round {r} outside 1..{rounds}")
-        if r < last:
-            raise CorruptTranscript(f"round order regression at {Envelope(r, s, *pairs[0])}")
-        last = r
-        if not 1 <= s <= n:
-            raise CorruptTranscript(f"party id out of range in {Envelope(r, s, *pairs[0])}")
         column = built.get(id(pairs))
         if column is None:
             fresh: list[bytes | None] = [None] * n
-            for q, p in pairs:
-                if not 1 <= q <= n:
-                    raise CorruptTranscript(f"party id out of range in {Envelope(r, s, q, p)}")
-                if fresh[q - 1] is None:
-                    fresh[q - 1] = p
+            try:
+                for q, p in pairs:
+                    if type(q) is not int or type(p) is not bytes:
+                        raise CorruptTranscript(f"malformed envelope {Envelope(r, s, q, p)}")
+                    if not 1 <= q <= n:
+                        raise CorruptTranscript(f"party id out of range in {Envelope(r, s, q, p)}")
+                    if fresh[q - 1] is None:
+                        fresh[q - 1] = p
+            except (TypeError, ValueError) as exc:  # an entry that is not a pair
+                raise CorruptTranscript(f"malformed pairs in round {r!r} of party {s!r}: {exc}") from exc
             column = built[id(pairs)] = tuple(fresh)
+        if type(r) is not int or not 1 <= r <= rounds:
+            raise CorruptTranscript(f"round {r!r} outside 1..{rounds}")
+        if r < last:
+            raise CorruptTranscript(f"round order regression at {Envelope(r, s, *pairs[0])}")
+        last = r
+        if type(s) is not int or not 1 <= s <= n:
+            raise CorruptTranscript(f"party id out of range in {Envelope(r, s, *pairs[0])}")
         row = columns[r]
         prior = row[s - 1]
         row[s - 1] = column if prior is None else tuple(
@@ -317,12 +318,14 @@ class SimulationView:
     also sees the current round's honest messages and those of the earlier
     corrupted parties (rushing adversary).  It also keeps the last finished
     round's ``delivered`` rows, the inboxes the loop resumed the parties with.
+    Each round's columns are a tuple, published again after each corrupted
+    send, so writing to the view changes no party's inbox.
     """
 
     def __init__(self, transcript: Transcript, corrupted: set[int]):
         self.transcript = transcript
         self._corrupted = corrupted
-        self.columns: dict[int, list[Inbox]] = {}
+        self.columns: dict[int, tuple[Inbox, ...]] = {}
         self.delivered_round, self.delivered = 0, ()
 
     @property
@@ -400,16 +403,10 @@ class GeneratorProgram:
             return Finished(stop.value)
 
 
-class _Broadcast(tuple):
-    """((1, payload), ..., (n, payload)), as only ``broadcast`` builds it."""
-
-    __slots__ = ()
-
-
-def broadcast(n: int, payload: bytes) -> _Broadcast:
+def broadcast(n: int, payload: bytes) -> Outbox:
     """Outbox addressing every party (the sender too) with one payload; a
-    tuple, so the parties sending the same outbox can share it."""
-    return _new(_Broadcast, [(pid, payload) for pid in range(1, n + 1)])
+    tuple, so the parties sending the same outbox share it and its check."""
+    return tuple([(pid, payload) for pid in range(1, n + 1)])
 
 
 def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception],
@@ -419,17 +416,14 @@ def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception]
     that is not a pair, or an outbox that cannot be iterated raises
     ``violation``.
 
-    A tuple of (int, bytes) tuples, a broadcast too, cannot change, so it is
-    its own pairs and is checked once per run: ``checked`` maps its id to the
-    result, which holds the outbox and so keeps the id from being reused.
-    Anything else is copied, a bytearray or memoryview payload made bytes.
+    Callers probe ``checked`` by ``id(outbox)`` and call this on a miss.  A
+    tuple of (int, bytes) tuples cannot change: it is its own pairs, and its
+    result goes in ``checked``, which holds it and so keeps its id unused.
+    Anything else is copied (pairs made tuples, payloads bytes), uncached.
     """
-    hit = checked.get(id(outbox))
-    if hit is not None:
-        return hit
     column: list[bytes | None] = [None] * n
     pairs = []
-    same = type(outbox) is tuple or type(outbox) is _Broadcast
+    same = type(outbox) is tuple
     try:
         for pair in outbox:
             receiver, payload = pair
@@ -439,10 +433,10 @@ def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception]
                 if not isinstance(payload, (bytes, bytearray, memoryview)):
                     raise violation(f"party {pid} sent a payload of type {type(payload).__name__}")
                 payload = bytes(payload)
-                same = False
+                pair, same = (receiver, payload), False
             elif type(pair) is not tuple:
-                same = False
-            pairs.append((receiver, payload))
+                pair, same = (receiver, payload), False
+            pairs.append(pair)
             if column[receiver - 1] is None:
                 column[receiver - 1] = payload
     except (TypeError, ValueError) as exc:
@@ -493,13 +487,11 @@ def run_simulation(
             sent: dict[int, Outbox] = {}
             for pid in running:
                 outbox = parties[pid - 1].on_round(inboxes[pid - 1])
-                if type(outbox) is _Broadcast and len(outbox) == n and type(outbox[0][1]) is bytes:
-                    sent[pid], columns[pid - 1] = outbox, (outbox[0][1],) * n  # accepted by its shape
-                elif type(outbox) is Finished:
+                if type(outbox) is Finished:
                     results[pid] = outbox.value
                     events.append(("output", rnd - 1, pid))
-                else:
-                    sent[pid], columns[pid - 1] = _check_outbox(
+                else:  # a hit is a non-empty (pairs, column) pair
+                    sent[pid], columns[pid - 1] = checked.get(id(outbox)) or _check_outbox(
                         n, pid, outbox, ProtocolViolation, checked)
 
             if not sent:  # all finished on the previous round's deliveries: no round rnd
@@ -521,7 +513,7 @@ def run_simulation(
                     columns[pid - 1] = silent
             running = [*sent]
 
-            view.columns[rnd] = columns
+            view.columns[rnd] = tuple(columns)
             for pid, pairs in sent.items():  # honest records first, in pid order
                 if pairs:
                     records.append(_new(Record, (rnd, pid, pairs)))
@@ -529,9 +521,11 @@ def run_simulation(
                 # Asked for after the earlier outboxes are recorded, so the
                 # rushing view shows them.
                 outbox = adversary.byzantine_send(rnd, pid, view)
-                pairs, columns[pid - 1] = _check_outbox(n, pid, outbox, StrategyViolation, checked)
+                pairs, columns[pid - 1] = checked.get(id(outbox)) or _check_outbox(
+                    n, pid, outbox, StrategyViolation, checked)
                 if pairs:
                     records.append(_new(Record, (rnd, pid, pairs)))
+                view.columns[rnd] = tuple(columns)
 
             inboxes = view.delivered = tuple(zip(*columns))
             tr.rounds_used = view.delivered_round = rnd

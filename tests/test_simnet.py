@@ -12,6 +12,7 @@ from treeaa.errors import (
     ProtocolViolation,
     StrategyViolation,
 )
+from treeaa import simnet
 from treeaa.gradecast import gradecast_all
 from treeaa.simnet import (
     Adversary,
@@ -483,6 +484,21 @@ class TestTranscript:
                 "Envelope(round=1, sender=2, receiver=9, payload=b'b')")):
             replay_transcript(tr)
 
+    # Transcript is public, so a hand-built record can hold what the
+    # simulator never records; each is refused, not delivered or crashed on.
+    @pytest.mark.parametrize("record", [
+        Record(1, 2, (("x", b"a"),)),
+        Record(1, 2, ((1,),)),
+        Record(1, 2, ((1, "str"),)),
+        Record(1, 2, ((True, b"a"),)),
+        Record(1, 2, 5),
+        Record(True, 2, ((1, b"a"),)),
+        Record(1, "2", ((1, b"a"),)),
+    ])
+    def test_replay_refuses_a_malformed_hand_built_record(self, record):
+        with pytest.raises(CorruptTranscript):
+            replay_transcript(Transcript(3, 0, 0, [record], [], 1))
+
     def test_jsonl_stable_field_order(self):
         _, tr = echo_run()
         line = tr.to_jsonl().splitlines()[0]
@@ -804,8 +820,8 @@ def test_invalid_receiver_after_an_equal_valid_outbox_names_its_party(bad):
         run_simulation(3, 0, [(o for o in [outbox]) for outbox in outboxes])
 
 
-# An honest Broadcast is accepted by its shape only when it has n pairs and a
-# bytes payload; each case below fails if that shortcut skips the full check.
+# An honest broadcast passes the same check as any other outbox; each case
+# below fails if an honest outbox is accepted without it.
 def test_an_honest_broadcast_to_too_many_parties_names_the_receiver():
     n = 3
     with pytest.raises(ProtocolViolation, match=rf"^party 2 addressed invalid receiver {n + 1}$"):
@@ -834,3 +850,65 @@ def test_a_forged_broadcast_from_a_corrupted_party_is_checked_in_full(pairs, mat
     assert len(forged) == 3
     with pytest.raises(StrategyViolation, match=match):
         echo_run(adversary=SendsOutbox(forged))
+    # The same outbox from honest party 1.
+    with pytest.raises(ProtocolViolation, match=match):
+        run_simulation(3, 0, [(o for o in [forged]), never_ends(), never_ends()])
+
+
+def test_writing_to_the_view_changes_no_delivery():
+    # The rushing adversary tries to overwrite honest party 1's column of
+    # the round being sent, then the whole round; every honest party still
+    # receives what the transcript records.
+    n = 4
+    live = {pid: {} for pid in range(1, n)}
+
+    class Writer(Adversary):
+        def corrupt_decision(self, round, view):
+            return {n}
+
+        def byzantine_send(self, round, pid, view):
+            try:
+                view.columns[round][0] = (b"forged",) * n
+            except TypeError:
+                pass
+            view.columns[round] = ((b"forged",) * n,) * n
+            return ()
+
+    machines = [recording_echo(n, pid, live[pid]) for pid in range(1, n)] + [never_ends()]
+    _, tr = run_simulation(n, 1, machines, Writer())
+    replayed = replay_transcript(tr)
+    assert tr.rounds_used == 2
+    for pid in range(1, n):
+        for rnd in (1, 2):
+            assert live[pid][rnd + 1] == replayed[rnd][pid]
+            assert live[pid][rnd + 1] == tuple(b"r%d-%d" % (rnd, s) for s in range(1, n)) + (None,)
+
+
+def test_each_immutable_outbox_is_checked_once_per_run(monkeypatch):
+    # Four parties, one corrupted, send one shared tuple in two rounds: one
+    # check serves both call sites.  One shared list is checked at every send.
+    n, calls, check = 4, [], simnet._check_outbox
+
+    def counting(*args):
+        calls.append(args[2])  # the outbox
+        return check(*args)
+
+    monkeypatch.setattr(simnet, "_check_outbox", counting)
+
+    def sender(outbox):
+        yield outbox
+        yield outbox
+        return "done"
+
+    shared = tuple((q, b"x") for q in range(1, n + 1))
+    outputs, tr = run_simulation(n, 1, [sender(shared) for _ in range(n)], SendsOutbox(shared))
+    assert outputs == {2: "done", 3: "done", 4: "done"}
+    assert len(tr.records) == 2 * n
+    assert all(pairs is shared for _, _, pairs in tr.records)
+    assert len(calls) == 1
+
+    calls.clear()
+    listed = list(shared)
+    _, tr = run_simulation(n, 0, [sender(listed) for _ in range(n)])
+    assert len(calls) == 2 * n and all(outbox is listed for outbox in calls)
+    assert all(type(pairs) is tuple and pairs == shared for _, _, pairs in tr.records)

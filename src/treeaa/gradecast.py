@@ -21,17 +21,21 @@ receivers) are established by the adversarial test suites, not assumed.
 A party's inbox is the simulator's per-sender payload tuple (the first
 payload from each sender, None where it sent nothing), so it is read by
 position and serves directly as a memo key.  Inside a simulation each
-distinct echo or vote frame is decoded once, each distinct value gets one
-value broadcast, and each distinct inbox gets its echo outbox, vote outbox
-and grades built once (``simnet.memoised``); outboxes are tuples, so the
-parties sharing one cannot alter it.  A Byzantine sender's per-receiver
-frames differ, so the inboxes they reach are still told apart.
+distinct value gets one value broadcast, and each distinct inbox gets its
+echo outbox, vote outbox and grades built once (``simnet.memoised``);
+outboxes are tuples, so the parties sharing one cannot alter it.  Each
+builder records in the memo what its frame decodes to (the value, or the
+entries it encoded), so honest frames are never decoded and entries,
+candidates and grades hold the sender's own bytes.  Other bytes are decoded
+once per run; a Byzantine sender's differing per-receiver frames reach
+inboxes that are still told apart.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import wire
 from .simnet import Inbox, broadcast, memoised
 from .wire import (
     TAG_ECHO,
@@ -51,14 +55,15 @@ class GradedValue(NamedTuple):
     grade: int
 
 
+def _value_body(payload: bytes) -> bytes | None:
+    parsed = parse_frame(payload)
+    return parsed[1] if parsed is not None and parsed[0] == TAG_VALUE else None
+
+
 def received_values(n: int, inbox: Inbox) -> list[bytes | None]:
     """Per-sender value from round-1 frames (index s-1 for sender s)."""
-    out: list[bytes | None] = [None] * n
-    for s, payload in enumerate(inbox):
-        parsed = None if payload is None else parse_frame(payload)
-        if parsed is not None and parsed[0] == TAG_VALUE:
-            out[s] = parsed[1]
-    return out
+    return [None if payload is None else memoised("body", payload, _value_body, payload)
+            for payload in inbox]
 
 
 Vector = tuple[bytes | None, ...]
@@ -122,16 +127,27 @@ def grade_votes(n: int, t: int, votes: list[Vector | None]) -> dict[int, GradedV
 
 # Round builders; each looks up the codec and tally functions at call time.
 def _value_outbox(n: int, value: bytes):
-    return broadcast(n, frame(TAG_VALUE, value))
+    payload = frame(TAG_VALUE, value)
+    if len(value) <= wire._MAX_BODY:  # else parse_frame, so _value_body, gives None
+        memoised("body", payload, bytes, value)  # _value_body's answer; bytes(b) is b
+    return broadcast(n, payload)
+
+
+def _vector_outbox(n: int, tag: int, entries: list[bytes | None]):
+    body = encode_vector(entries)
+    payload = frame(tag, body)
+    if len(body) <= wire._MAX_BODY:  # else _decoded_vector gives None
+        memoised("vector", (n, tag, payload), tuple, entries)  # _decoded_vector's answer
+    return broadcast(n, payload)
 
 
 def _echo_outbox(n: int, inbox: Inbox):
-    return broadcast(n, frame(TAG_ECHO, encode_vector(received_values(n, inbox))))
+    return _vector_outbox(n, TAG_ECHO, received_values(n, inbox))
 
 
 def _vote_outbox(n: int, t: int, inbox: Inbox):
-    return broadcast(n, frame(TAG_VOTE, encode_vector(
-        compute_candidates(n, t, received_vectors(n, inbox, TAG_ECHO)))))
+    return _vector_outbox(n, TAG_VOTE, compute_candidates(
+        n, t, received_vectors(n, inbox, TAG_ECHO)))
 
 
 def _grades(n: int, t: int, inbox: Inbox) -> dict[int, GradedValue]:

@@ -48,17 +48,18 @@ simulation is strictly single-threaded, distinct simulations share nothing.
 One run memoises decoding (``memoised``): honest parties receive
 byte-identical broadcasts, so its machines and adversary shadows decode
 each distinct input once and build the outbox answering each distinct
-inbox once.  The memo is keyed by value and dropped when the run ends; its
-values are shared by parties, so they are immutable (an outbox is a tuple).
+inbox once; gradecast's encoders record what their frames decode to, so
+those are never decoded.  The memo is keyed by value and dropped when the
+run ends; its values are shared, so they are immutable (an outbox is a tuple).
 
 A transcript file is one canonical JSON line per envelope, each ending in
 a newline (``Transcript.to_jsonl``); the lines of one record share one
 head.  ``from_jsonl`` accepts exactly those lines, groups consecutive lines
 of one round and sender into one record, and raises CorruptTranscript on
 anything else.  Broadcasts repeat each payload n times, so the writer
-hexes and the reader decodes each distinct payload once; read-back pairs
-with equal payloads share one bytes object.  Parties sharing an outbox
-send it in a row, and the writer formats it once for the run of records.
+hexes and the reader decodes each distinct payload once; the lines of a
+broadcast share one hex string, and read-back pairs with equal payloads
+share one bytes object.  The writer formats each distinct outbox once.
 The reader takes a record that repeats an earlier record's lines under its
 own head in one compare, and repeated records share one pairs tuple;
 ``replay_transcript`` builds one column per distinct outbox.
@@ -168,25 +169,26 @@ class Transcript:
     def to_jsonl(self) -> str:
         """One canonical JSON line per envelope, each ending in a newline.
 
-        Parties that share a memoised outbox send it in a row, so a record
-        whose pairs object is the previous record's reuses its line tails.
-        Each line's head and tail go to one list, joined once at the end.
+        Each distinct payload is hexed once, and each distinct pairs object
+        (by id; the records keep it alive) gets its line pieces (head slot,
+        receiver part, hex, close) once, so a broadcast's n lines share one
+        hex string.  Each record fills the head slots and adds the pieces to
+        one list, joined once at the end.
         """
         hexed: dict[bytes, str] = {}
-        parts: list[str] = []
-        append = parts.append
-        last = tails = None
+        pieces: dict[int, list[str | None]] = {}
+        parts: list[str | None] = []
         for r, s, pairs in self.records:
             if pairs:
-                if pairs is not last:
-                    last, tails = pairs, [
-                        f'{q},"payload_hex":"{hexed.get(p) or hexed.setdefault(p, p.hex())}"}}\n'
-                        for q, p in pairs]
-                head = f'{{"round":{r},"sender":{s},"receiver":'
-                for tail in tails:
-                    append(head)
-                    append(tail)
-        del last, tails  # freed before the join, where the call's memory peaks
+                lines = pieces.get(id(pairs))
+                if lines is None:
+                    lines = pieces[id(pairs)] = []
+                    for q, p in pairs:
+                        lines += None, f'{q},"payload_hex":"', hexed.get(p) or hexed.setdefault(
+                            p, p.hex()), '"}\n'
+                lines[::4] = (f'{{"round":{r},"sender":{s},"receiver":',) * len(pairs)
+                parts += lines
+        del hexed, pieces  # freed before the join, where the call's memory peaks
         return "".join(parts)
 
     @classmethod
@@ -310,10 +312,12 @@ def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
 class SimulationView:
     """Adversary-facing read view of a running simulation.
 
-    It holds the run's ``transcript``, its corrupted set and ``columns``:
-    per round, each sender's column (entry q-1 its first payload to party
-    q).  A round's columns are shown once its corruptions are decided, and
-    each corrupted party's column as soon as it has sent.  So a corruption
+    It holds ``n``, the corrupted set and ``columns``: per round, each
+    sender's column (entry q-1 its first payload to party q).  Its
+    ``transcript`` is a copy of the run's so far, made on each read, so
+    writing to it changes no record.  A round's columns are shown once its
+    corruptions are decided, and each corrupted party's column as soon as
+    it has sent.  So a corruption
     decision sees the rounds before the current one, and `byzantine_send`
     also sees the current round's honest messages and those of the earlier
     corrupted parties (rushing adversary).  It also keeps the last finished
@@ -323,10 +327,16 @@ class SimulationView:
     """
 
     def __init__(self, transcript: Transcript, corrupted: set[int]):
-        self.transcript = transcript
+        self.n = transcript.n
+        self._transcript = transcript
         self._corrupted = corrupted
         self.columns: dict[int, tuple[Inbox, ...]] = {}
         self.delivered_round, self.delivered = 0, ()
+
+    @property
+    def transcript(self) -> Transcript:
+        tr = self._transcript  # its records, pairs and events are tuples
+        return Transcript(tr.n, tr.t, tr.seed, [*tr.records], [*tr.events], tr.rounds_used)
 
     @property
     def corrupted(self) -> frozenset[int]:
@@ -340,10 +350,9 @@ class SimulationView:
         rows = self.delivered  # () until round 1 is delivered
         if round == self.delivered_round and 0 < pid <= len(rows):
             return rows[pid - 1]
-        n = self.transcript.n
         columns = self.columns.get(round)
-        if columns is None or not 1 <= pid <= n:
-            return (None,) * n
+        if columns is None or not 1 <= pid <= self.n:
+            return (None,) * self.n
         return tuple([column[pid - 1] for column in columns])
 
 

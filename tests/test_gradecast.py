@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treeaa import gradecast
+from treeaa import gradecast, paths, real_aa, simnet, wire
 from treeaa.adversaries import REGISTRY, AdversaryContext, make_adversary
 from treeaa.gradecast import (
     GradedValue,
@@ -20,7 +20,7 @@ from treeaa.simnet import (
     replay_transcript,
     run_simulation,
 )
-from treeaa.tree_aa import run_tree_aa_old
+from treeaa.tree_aa import run_final_tree_aa, run_tree_aa_old
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_vector, frame
 
 import oracles
@@ -257,3 +257,123 @@ def test_duplicate_value_frame_first_one_counts():
     assert received_values(n, inboxes[1][1])[3] == b"w"
     assert all(outputs[pid][4] == GradedValue(None, 0) for pid in outputs)
     check_consistency(outputs, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_recorded_decode_equals_the_decoders_output(data):
+    # An honest encoder records what its frame decodes to; every entry of
+    # the run memo must be what the decoder gives for the same bytes, also
+    # when the body is over a lowered _MAX_BODY (the frame decodes to None).
+    n = data.draw(st.integers(1, 16), label="n")
+    entries = data.draw(st.lists(st.none() | st.binary(max_size=8), min_size=n, max_size=n))
+    limit = data.draw(st.just(wire._MAX_BODY) | st.integers(0, 64), label="limit")
+    memo: dict = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wire, "_MAX_BODY", limit)
+        token = simnet._RUN_MEMO.set(memo)
+        try:
+            values = tuple(None if e is None else gradecast._value_outbox(n, e)[0][1]
+                           for e in entries)
+            echo = gradecast._echo_outbox(n, values)[0][1]
+            gradecast._vote_outbox(n, (n - 1) // 3, (echo,) * n)
+            for tag in (TAG_ECHO, TAG_VOTE):
+                gradecast._vector_outbox(n, tag, entries)
+        finally:
+            simnet._RUN_MEMO.reset(token)
+        for payload, body in memo.get("body", {}).items():
+            assert body == received_values(1, (payload,))[0]  # outside a run: parse_frame
+        for (m, tag, payload), vector in memo.get("vector", {}).items():
+            assert vector == received_vectors(m, (payload,), tag)[0]
+    for e in entries:  # recorded, not decoded: the encoder's own objects
+        if e is not None and len(e) <= limit:
+            assert memo["body"][frame(TAG_VALUE, e)] is e
+    body = encode_vector(entries)
+    if len(body) <= limit:
+        for tag in (TAG_ECHO, TAG_VOTE):
+            recorded = memo["vector"][n, tag, frame(tag, body)]
+            assert all(a is b for a, b in zip(recorded, entries, strict=True))
+
+
+def _spied_run(monkeypatch, tree, n, t, inputs, adversary=None):
+    """run_final_tree_aa with every gradecast invocation and vector decode
+    seen: (outputs, transcript, {pid: values sent}, {pid: grades}, bodies
+    decoded, vote inboxes read), the k-th entry of a pid's lists from its
+    k-th invocation."""
+    sent, graded, decoded, read = {}, {}, [], {}
+    real_gradecast, real_decode = gradecast.gradecast_all, gradecast.decode_vector
+    real_received = gradecast.received_vectors
+
+    def spy(n, t, pid, value):
+        sent.setdefault(pid, []).append(value)
+        grades = yield from real_gradecast(n, t, pid, value)
+        graded.setdefault(pid, []).append(grades)
+        return grades
+
+    def received(n, inbox, tag):
+        vectors = real_received(n, inbox, tag)
+        if tag == TAG_VOTE:
+            read[inbox] = vectors
+        return vectors
+
+    for module in (paths, real_aa):
+        monkeypatch.setattr(module, "gradecast_all", spy)
+    monkeypatch.setattr(gradecast, "received_vectors", received)
+    monkeypatch.setattr(gradecast, "decode_vector",
+                        lambda body, n: decoded.append(body) or real_decode(body, n))
+    outputs, tr, _ = run_final_tree_aa(tree, n, t, inputs, adversary)
+    return outputs, tr, sent, graded, decoded, read
+
+
+class ReplaysAnEcho(Adversary):
+    """Party 7, silent but in the prefix finder's vote round: there it
+    replays party 1's echo frame to parties 1-3 and sends a fresh vote
+    frame to parties 4-7."""
+
+    def __init__(self, fresh: bytes):
+        self.fresh = fresh
+
+    def corrupt_decision(self, round, view):
+        return {7}
+
+    def byzantine_send(self, round, pid, view):
+        if round != 3:
+            return ()
+        replay = view.inbox_of(1, 2)[0]
+        return [(q, replay if q <= 3 else self.fresh) for q in range(1, 8)]
+
+
+def test_honest_frames_are_never_decoded_and_grades_hold_the_senders_bytes(monkeypatch):
+    n, t = 7, 2
+    tree, _ = resolve_tree("path:40")
+    labels = sorted(tree.vertices)
+    inputs = {pid: labels[(11 * pid) % len(labels)] for pid in range(1, n + 1)}
+    outputs, tr, sent, graded, decoded, _ = _spied_run(monkeypatch, tree, n, t, inputs)
+    assert len(outputs) == n and decoded == []
+    assert len(sent[1]) == tr.rounds_used // 3 >= 2
+    for pid in range(1, n + 1):
+        assert sent[pid][0] == paths.root_path_bytes(tree, inputs[pid])
+        for s, (value, grade) in graded[pid][0].items():
+            assert grade == 2 and value is sent[s][0]  # the sender's own-path bytes
+        for k in range(1, len(sent[1])):  # real-AA: equal doubles share one sender's bytes,
+            for s, (value, grade) in graded[pid][k].items():  # perhaps of an earlier iteration
+                assert grade == 2 and value == sent[s][k]
+                assert any(value is v for r in sent for v in sent[r][:k + 1])
+
+    # Party 7 replays an echo frame as a vote, and sends one fresh vote frame.
+    fresh = frame(TAG_VOTE, encode_vector([paths.root_path_bytes(tree, labels[0])] * n))
+    outputs, tr, sent, graded, decoded, read = _spied_run(
+        monkeypatch, tree, n, t, inputs, ReplaysAnEcho(fresh))
+    assert sorted(outputs) == [1, 2, 3, 4, 5, 6]
+    assert decoded == [fresh[5:]]  # once in the run, not once per receiver
+    inboxes = replay_transcript(tr)
+    for pid in outputs:
+        assert inboxes[3][pid][6] == (inboxes[2][1][0] if pid <= 3 else fresh)
+        assert (read[inboxes[3][pid]][6] is None) == (pid <= 3)  # the replay is absent
+        for k, grades in enumerate(graded[pid]):
+            vectors = []  # decoded outside a run, by the codec alone
+            for payload in inboxes[3 * k + 3][pid]:
+                parsed = None if payload is None else wire.parse_frame(payload)
+                ok = parsed is not None and parsed[0] == TAG_VOTE
+                vectors.append(wire.decode_vector(parsed[1], n) if ok else None)
+            assert grades == oracles.grades_by_tally(n, t, vectors)

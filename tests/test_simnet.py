@@ -1,4 +1,6 @@
 import re
+import sys
+import tracemalloc
 from itertools import groupby
 
 import pytest
@@ -323,6 +325,24 @@ class TestTranscript:
         assert back.to_jsonl() == text
         assert back.rounds_used == max((e.round for e in envelopes), default=0)
         assert back.n == max((max(e.sender, e.receiver) for e in envelopes), default=0)
+
+    def test_the_writer_holds_one_hex_string_per_payload(self):
+        # Ten rounds of 16-party broadcasts of one 64 KB payload, from two
+        # senders whose outboxes are distinct objects: every line shares the
+        # payload's one hex string, so the writer's peak is its result plus
+        # about one hex string.  (Two senders, not 16, keep the text at 42 MB.)
+        n, payload = 16, bytes(range(256)) * 256
+        outboxes = broadcast(n, payload), broadcast(n, payload)
+        tr = Transcript(n, 0, 0, [Record(r, s, outboxes[s - 1]) for r in range(1, 11)
+                                  for s in (1, 2)], [], 10)
+        tracemalloc.start()
+        try:
+            text = tr.to_jsonl()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sys.getsizeof(text) + 3 * 2 * len(payload)
+        assert text == to_jsonl_by_json(tr.envelopes)
 
     CANONICAL = '{"round":1,"sender":2,"receiver":3,"payload_hex":"0aff"}\n'
 
@@ -857,8 +877,9 @@ def test_a_forged_broadcast_from_a_corrupted_party_is_checked_in_full(pairs, mat
 
 def test_writing_to_the_view_changes_no_delivery():
     # The rushing adversary tries to overwrite honest party 1's column of
-    # the round being sent, then the whole round; every honest party still
-    # receives what the transcript records.
+    # the round being sent, then the whole round, then party 1's record in
+    # the view's transcript; every honest party still receives what the
+    # returned transcript records.
     n = 4
     live = {pid: {} for pid in range(1, n)}
 
@@ -872,6 +893,7 @@ def test_writing_to_the_view_changes_no_delivery():
             except TypeError:
                 pass
             view.columns[round] = ((b"forged",) * n,) * n
+            view.transcript.records[0] = Record(1, 1, broadcast(n, b"forged"))
             return ()
 
     machines = [recording_echo(n, pid, live[pid]) for pid in range(1, n)] + [never_ends()]

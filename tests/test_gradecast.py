@@ -285,14 +285,16 @@ def test_a_recorded_decode_equals_the_decoders_output(data):
             assert body == received_values(1, (payload,))[0]  # outside a run: parse_frame
         for (m, tag, payload), vector in memo.get("vector", {}).items():
             assert vector == received_vectors(m, (payload,), tag)[0]
-    for e in entries:  # recorded, not decoded: the encoder's own objects
+    first = {}  # recorded, not decoded: the encoder's own objects, the first of equals
+    for e in entries:
+        first.setdefault(e, e)
         if e is not None and len(e) <= limit:
-            assert memo["body"][frame(TAG_VALUE, e)] is e
+            assert memo["body"][frame(TAG_VALUE, e)] is first[e]
     body = encode_vector(entries)
     if len(body) <= limit:
         for tag in (TAG_ECHO, TAG_VOTE):
             recorded = memo["vector"][n, tag, frame(tag, body)]
-            assert all(a is b for a, b in zip(recorded, entries, strict=True))
+            assert all(a is first[b] for a, b in zip(recorded, entries, strict=True))
 
 
 def _spied_run(monkeypatch, tree, n, t, inputs, adversary=None):

@@ -330,7 +330,7 @@ class TestTranscript:
         # Ten rounds of 16-party broadcasts of one 64 KB payload, from two
         # senders whose outboxes are distinct objects: every line shares the
         # payload's one hex string, so the writer's peak is its result plus
-        # about one hex string.  (Two senders, not 16, keep the text at 42 MB.)
+        # about one hex string.  Two senders per round keep the text at 42 MB.
         n, payload = 16, bytes(range(256)) * 256
         outboxes = broadcast(n, payload), broadcast(n, payload)
         tr = Transcript(n, 0, 0, [Record(r, s, outboxes[s - 1]) for r in range(1, 11)

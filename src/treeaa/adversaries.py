@@ -7,6 +7,8 @@ receivers in which the hi face replaces the lo face: the shadow-replay
 attacks on trimmed-mean agreement (Dolev, Lynch, Pinter, Stark, Weihl, JACM
 1986), and a late corruption as in Fekete (Distributed Computing 1990).
 Every choice is driven by the simulation seed, so runs replay bit-exactly.
+Corrupted parties whose delivered inbox histories are equal share one
+shadow, by the contract that ``AdversaryContext.machine`` states.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ from typing import Any, Callable, Generator, NamedTuple
 from .bounds import plan_iterations
 from .errors import InvalidParams
 from .real_aa import real_aa_machine
-from .simnet import Adversary, Finished, GeneratorProgram, Outbox, SimulationView, memoised
+from .simnet import Adversary, Finished, GeneratorProgram, Inbox, Outbox, SimulationView, memoised
 
 
 @dataclass
 class AdversaryContext:
-    """What a strategy needs to know about the protocol under attack."""
+    """What a strategy needs to know about the protocol under attack.
+
+    The contract: the messages and output of ``machine(pid, x)`` depend only
+    on x and the inboxes it is resumed with, never on pid."""
 
     machine: Callable[[int, Any], Generator]  # (pid, input) -> honest machine
     lo_input: Any
@@ -48,28 +53,36 @@ class Strategy(NamedTuple):
 
 
 class _Shadow:
-    """One corrupted party's honest machines, one per face, stepped in
-    lockstep on the party's real history: one inbox read per round."""
+    """Honest machines, one per face, stepped in lockstep on the inbox history
+    ``rows`` (None first); ``outs`` holds each face's last outbox, () once done."""
 
     def __init__(self, machines: list[Generator]):
         self.programs = [GeneratorProgram(machine) for machine in machines]
+        self.rows: list[Inbox | None] = []
+        self.outs: list[Outbox] = []
         self.next_round = 1
 
+    def step(self, inbox: Inbox | None) -> None:
+        self.rows.append(inbox)
+        self.next_round += 1
+        outs = self.outs
+        outs.clear()  # a loop, not a comprehension: no frame per round
+        for program in self.programs:
+            out = program.on_round(inbox)
+            outs.append(() if type(out) is Finished else out)
+
     def advance(self, pid: int, view: SimulationView, upto: int) -> list[Outbox]:
-        """Each face's outbox of round ``upto``; () once its machine has returned."""
-        outs: list[Outbox] = []
+        """Each face's outbox of round ``upto``, reading pid's inboxes once each."""
         while self.next_round <= upto:
-            inbox = view.inbox_of(pid, self.next_round - 1) if self.next_round > 1 else None
-            self.next_round += 1
-            outs.clear()  # a loop, not a comprehension: no frame per round
-            for program in self.programs:
-                out = program.on_round(inbox)
-                outs.append(() if type(out) is Finished else out)
-        return outs
+            self.step(view.inbox_of(pid, self.next_round - 1) if self.next_round > 1 else None)
+        return self.outs
 
 
 class RegistryAdversary(Adversary):
-    """Plays one registry row, with one ``_Shadow`` per corrupted pid."""
+    """Plays one registry row.  ``_shadows[pid]`` is the shadow of pid's
+    inbox history, shared by the pids with that history; each pid reads each
+    of its inboxes once and, where one differs from its shadow's row, moves
+    to the shadow of its own history, started if there is none."""
 
     def __init__(self, row: Strategy, ctx: AdversaryContext):
         self.row, self.ctx = row, ctx
@@ -88,16 +101,30 @@ class RegistryAdversary(Adversary):
         if not row.faces:
             return ()
         shadow = self._shadows.get(pid)
-        if shadow is None:
-            # It replays the whole history, so a late corruption joins mid-protocol coherently.
-            shadow = self._shadows[pid] = _Shadow(
-                [self.ctx.machine(pid, getattr(self.ctx, face)) for face in row.faces])
-        outs = shadow.advance(pid, view, round)
+        if shadow is None:  # a late corruption replays its whole history
+            shadow = self._shadow_of(pid, [None, *[view.inbox_of(pid, r) for r in range(1, round)]])
+        elif shadow.next_round == round:  # the first of its sharers this round
+            shadow.advance(pid, view, round)
+        else:  # a sharer stepped it this round; pid's own inbox of last round decides
+            inbox = view.inbox_of(pid, round - 1)
+            if shadow.rows[round - 1] != inbox:
+                shadow = self._shadow_of(pid, [*shadow.rows[:round - 1], inbox])
+        outs = shadow.outs
         if len(outs) == 1 or (round - 1) % row.every:
             return outs[0]
         # Parties with equal faces share one spliced tuple, checked once.
         lo, hi = outs
         return memoised("spliced", (row, lo, hi), _spliced, row, lo, hi, self.n)
+
+    def _shadow_of(self, pid: int, history: list[Inbox | None]) -> _Shadow:
+        """pid's shadow from now on: the one with rows ``history``, else a new one replaying it."""
+        shadow = next((shadow for shadow in self._shadows.values() if shadow.rows == history), None)
+        if shadow is None:
+            shadow = _Shadow([self.ctx.machine(pid, getattr(self.ctx, face)) for face in self.row.faces])
+            for inbox in history:
+                shadow.step(inbox)
+        self._shadows[pid] = shadow
+        return shadow
 
 
 def _spliced(row: Strategy, lo: Outbox, hi: Outbox, n: int) -> Outbox:

@@ -135,12 +135,14 @@ def k_bound_simple(n: int, t: int, r: int, d: float) -> float:
     return d * _ratio(t, n + t, r)
 
 
+@lru_cache(maxsize=1024)
 def lb_rounds(n: int, t: int, d: float) -> int:
     """Smallest R >= 1 with k_bound_simple(n, t, R, d) <= 1, compared exactly.
 
     It uses the closed form k_bound_simple, not k_bound, so it is the round
     count of the lower bound's asymptotic shape; being at least k_bound, the
-    closed form may need more rounds than k_bound does to reach 1.
+    closed form may need more rounds than k_bound does to reach 1.  Cached
+    like ``plan_iterations``: every report of a configuration asks it again.
     """
     if t < 1 or n <= t:
         raise InvalidParams(f"need n > t >= 1, got n={n} t={t}")

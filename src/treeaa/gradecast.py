@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import wire
-from .simnet import Inbox, broadcast, memoised
+from .simnet import Inbox, _new, broadcast, memoised
 from .wire import (
     TAG_ECHO,
     TAG_VALUE,
@@ -121,7 +121,7 @@ def grade_votes(n: int, t: int, votes: list[Vector | None]) -> dict[int, GradedV
     outputs: dict[int, GradedValue] = {}
     for s, (value, count) in enumerate(_pluralities(n, votes), 1):
         grade = 2 if count >= n - t else 1 if count >= t + 1 else 0
-        outputs[s] = GradedValue(value if grade else None, grade)
+        outputs[s] = _new(GradedValue, (value if grade else None, grade))
     return outputs
 
 

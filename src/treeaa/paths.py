@@ -17,16 +17,15 @@ input tree:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import ne
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import plan_iterations
 from .errors import NoSupport
 from .gradecast import gradecast_all
 from .real_aa import RealAAResult, closest_int, real_aa_machine
-from .simnet import memoised
+from .simnet import _new, memoised
 from .trees import LabeledTree, Path
 # decode_path and encode_path go unused here; perfbench traces them at this name.
 from .wire import _MAX_PATH_VERTICES, _U32, decode_path, encode_path
@@ -120,8 +119,7 @@ def supported_prefix(entries: Sequence[Entry], min_grade: int, threshold: int) -
     return tuple(prefix)
 
 
-@dataclass(frozen=True)
-class PathPair:
+class PathPair(NamedTuple):
     """Output of the prefix finder: own path p, permissive extension q."""
 
     p: Path
@@ -147,11 +145,10 @@ def _path_pair(tree: LabeledTree, n: int, t: int, graded: dict) -> PathPair:
         entries.append((path, grade if path is not None else 0))
     p = supported_prefix(entries, min_grade=2, threshold=n - t)
     q = supported_prefix(entries, min_grade=1, threshold=n - t)
-    return PathPair(p, q)
+    return _new(PathPair, (p, q))
 
 
-@dataclass(frozen=True)
-class LegacyPathResult:
+class LegacyPathResult(NamedTuple):
     path: Path
     start_index: int  # the Euler index this party fed into the agreement
     landed_index: int  # the rounded agreement output
@@ -172,4 +169,4 @@ def legacy_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, inpu
     # Validity keeps the landed index inside the honest index range, hence
     # inside 1..|L|; vertex_at raising would mean a protocol bug.
     endpoint = euler.vertex_at(landed)
-    return LegacyPathResult(tree.path_from_root(endpoint), index, landed, result)
+    return _new(LegacyPathResult, (tree.path_from_root(endpoint), index, landed, result))

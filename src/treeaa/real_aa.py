@@ -13,13 +13,12 @@ the honest input range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .bounds import plan_iterations
 from .errors import InsufficientValues, NonFinite
 from .gradecast import GradedValue, gradecast_all
-from .simnet import memoised
+from .simnet import _new, memoised
 from .wire import decode_double, encode_double
 
 
@@ -50,7 +49,8 @@ def trim_mean_update(
     """One iteration's value update and blacklist growth.
 
     ``received`` carries the decoded gradecast deliveries (value float or
-    None, grade) of every sender not already blacklisted.  Values with
+    None, grade) of the senders not in ``prior_blacklist``: callers pass
+    only those (``_update`` drops the blacklisted ones).  Values with
     grade >= 1 enter the working multiset this iteration even when their
     sender is being blacklisted (grade <= 1) for the following ones.
     The mean is clamped into the kept range, so float rounding can never
@@ -59,8 +59,6 @@ def trim_mean_update(
     new_blacklist = set(prior_blacklist)
     working: list[float] = []
     for sender, gv in received.items():
-        if sender in prior_blacklist:
-            continue
         if gv.grade <= 1:
             new_blacklist.add(sender)
         if gv.grade >= 1 and gv.value is not None:
@@ -73,8 +71,7 @@ def trim_mean_update(
     return min(max(mean, kept[0]), kept[-1]), new_blacklist
 
 
-@dataclass(frozen=True)
-class RealAAResult:
+class RealAAResult(NamedTuple):
     """Per-party outcome plus the diagnostics the property suites assert on."""
 
     value: float
@@ -95,14 +92,14 @@ def real_aa_machine(n: int, t: int, pid: int, value: float, d_bound: float, epsi
         current, blacklist = memoised(
             "real_aa", (n, t, tuple(graded.values()), blacklist), _update, graded, blacklist, n, t)
         history.append(current)
-    return RealAAResult(current, blacklist, tuple(history), plan)
+    return _new(RealAAResult, (current, blacklist, tuple(history), plan))
 
 
 def _update(graded: Mapping[int, GradedValue], blacklist: frozenset[int],
             n: int, t: int) -> tuple[float, frozenset[int]]:
     """trim_mean_update on the decoded grades of the senders not blacklisted."""
     decoded = {
-        sender: GradedValue(decode_double(gv.value) if gv.value is not None else None, gv.grade)
+        sender: _new(GradedValue, (None if gv.value is None else decode_double(gv.value), gv.grade))
         for sender, gv in graded.items()
         if sender not in blacklist
     }

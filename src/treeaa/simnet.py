@@ -135,8 +135,9 @@ class Record(NamedTuple):
     pairs: Outbox
 
 
-# The NamedTuples' own __new__ is a Python function; the hot loops build
-# through tuple.__new__ directly, at about half the cost, with the same result.
+# The NamedTuples' own __new__ is a Python function; the hot loops here and
+# the per-party results of the other modules build through tuple.__new__
+# directly, at about half the cost or less, with the same result.
 _new = tuple.__new__
 
 # Entry s-1 holds the first payload sender s sent this round, or None.

@@ -18,7 +18,6 @@ returning each party's own input in zero rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import simnet
@@ -35,8 +34,7 @@ from .real_aa import RealAAResult, closest_int, real_aa_machine
 from .trees import LabeledTree, Path
 
 
-@dataclass(frozen=True)
-class TreeAAResult:
+class TreeAAResult(NamedTuple):
     """Per-party protocol outcome with the intermediates tests assert on."""
 
     output: str
@@ -70,7 +68,7 @@ def tree_aa_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: s
         raise ProtocolViolation(
             f"landed index {landed} outside 1..{len(q)}; (p, q) preconditions violated"
         )
-    return TreeAAResult(q[landed - 1], p, q, index, landed, False, result)
+    return simnet._new(TreeAAResult, (q[landed - 1], p, q, index, landed, False, result, None))
 
 
 def final_tree_aa_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
@@ -89,7 +87,7 @@ def tree_aa_old_machine(tree: LabeledTree, n: int, t: int, pid: int, input_verte
         raise ProtocolViolation(f"landed index {landed} below 1")
     clamped = landed > k
     output = path[k - 1] if clamped else path[landed - 1]
-    return TreeAAResult(output, path, path, index, landed, clamped, result, finder)
+    return simnet._new(TreeAAResult, (output, path, path, index, landed, clamped, result, finder))
 
 
 class Protocol(NamedTuple):

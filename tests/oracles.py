@@ -18,8 +18,17 @@ from treeaa.errors import CorruptTranscript, InvalidParams, NoSupport, TreeAAErr
 from treeaa.simnet import Envelope, Record, Transcript
 from treeaa.wire import decode_path
 
-CLOSE_SLACK = 2.0 ** -40
-"""Absolute slack absorbing float rounding in closeness assertions."""
+
+def guaranteed_spread(n: int, t: int, r: int, lo: float, hi: float) -> Fraction:
+    """(hi - lo) * t^r / (r (n - 2t))^r, the spread the trimmed mean
+    guarantees after r iterations from honest inputs in [lo, hi], exactly:
+    the floats are exact rationals, so no slack absorbs rounding."""
+    return (Fraction(hi) - Fraction(lo)) * Fraction(t**r, (r * (n - 2 * t)) ** r)
+
+
+def spread(values) -> Fraction:
+    """max(values) - min(values), exactly."""
+    return Fraction(max(values)) - Fraction(min(values))
 
 
 def adjacency(tree) -> dict[str, set[str]]:

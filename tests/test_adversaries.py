@@ -1,14 +1,20 @@
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeaa import generate_tree, run_final_tree_aa
-from treeaa.adversaries import REGISTRY, RegistryAdversary, _Shadow, make_adversary
+from treeaa import generate_tree, run_final_tree_aa, run_tree_aa_old
+from treeaa.adversaries import REGISTRY, RegistryAdversary, _Shadow, _spliced, make_adversary
 from treeaa.errors import InvalidParams
 from treeaa.harness import ExperimentConfig
-from treeaa.simnet import GeneratorProgram, SimulationView, broadcast
+from treeaa.simnet import Finished, GeneratorProgram, SimulationView, broadcast, replay_transcript
+from treeaa.trees import LabeledTree
 
+from oracles import random_edge_list
 from test_tree_aa import tree_ctx
+
+RUNNERS = {"final": run_final_tree_aa, "legacy": run_tree_aa_old}
 
 
 def test_registry_has_required_strategies():
@@ -167,3 +173,145 @@ def test_two_face_rows_route_the_skew_rows_outboxes():
             assert sent["split-world"][1, pid][q] == (hi if q > n // 2 else lo)[1, pid][q]
         assert sent["equivocator"][2, pid] == lo[2, pid]
 
+
+
+class PerPidShadows(RegistryAdversary):
+    """Reference: one shadow per corrupted pid, each face's honest machine
+    resumed with that pid's own inboxes, as before shadows were shared."""
+
+    def __init__(self, row, ctx):
+        super().__init__(row, ctx)
+        self.own = {}  # pid -> (face programs, next round)
+
+    def byzantine_send(self, round, pid, view):
+        row, ctx = self.row, self.ctx
+        if not row.faces:
+            return ()
+        programs, next_round = self.own.get(pid) or (
+            [GeneratorProgram(ctx.machine(pid, getattr(ctx, face))) for face in row.faces], 1)
+        for r in range(next_round, round + 1):
+            inbox = view.inbox_of(pid, r - 1) if r > 1 else None
+            outs = [program.on_round(inbox) for program in programs]
+        self.own[pid] = programs, round + 1
+        outs = [() if type(out) is Finished else out for out in outs]
+        if len(outs) == 1 or (round - 1) % row.every:
+            return outs[0]
+        return _spliced(row, *outs, self.n)
+
+
+def _play(adversary_class, name, tree, n, t, mode, inputs, seed):
+    """(transcript JSONL, outputs, shadow steps) of one run; a shadow step is
+    a program step made inside ``byzantine_send``."""
+    adv = adversary_class(REGISTRY[name], tree_ctx(tree, n, t, mode))
+    steps, send = [0], adv.byzantine_send
+    step = GeneratorProgram.on_round
+
+    def counted_step(program, inbox):
+        steps[0] += 1
+        return step(program, inbox)
+
+    def counted_send(*args):
+        GeneratorProgram.on_round = counted_step
+        try:
+            return send(*args)
+        finally:
+            GeneratorProgram.on_round = step
+
+    adv.byzantine_send = counted_send
+    outputs, transcript, _ = RUNNERS[mode](tree, n, t, inputs, adv, seed)
+    return transcript.to_jsonl(), outputs, steps[0], transcript
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(4, 16))
+    t = draw(st.integers(1, (n - 1) // 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    tree = LabeledTree(random_edge_list(rng, draw(st.integers(3, 10))))
+    labels = sorted(tree.vertices)
+    inputs = {pid: rng.choice(labels) for pid in range(1, n + 1)}
+    return tree, n, t, inputs, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs())
+def test_shared_shadows_send_what_per_pid_shadows_send(config):
+    tree, n, t, inputs, seed = config
+    for mode in RUNNERS:
+        for name in sorted(REGISTRY):
+            shared = _play(RegistryAdversary, name, tree, n, t, mode, inputs, seed)
+            per_pid = _play(PerPidShadows, name, tree, n, t, mode, inputs, seed)
+            assert shared[:2] == per_pid[:2], (mode, name)
+
+
+def test_a_party_whose_inbox_differs_leaves_the_shared_shadow():
+    # split-world at (10, 3): camps 1..5 and 6..10.  With the lowest
+    # corrupted pid in camp 1 and the other two in camp 2, all three share
+    # round 1's shadow; from round 2 the camp-2 pids share a second one.
+    tree, n, t = generate_tree("path", 12), 10, 3
+    inputs = {pid: tree.root for pid in range(1, n + 1)}
+    for seed in range(40):
+        adv = make_adversary("split-world", tree_ctx(tree, n, t, "final"))
+        held, send = [], adv.byzantine_send
+
+        def recorded_send(round, pid, view):
+            out = send(round, pid, view)
+            held.append((round, pid, id(adv._shadows[pid])))
+            return out
+
+        adv.byzantine_send = recorded_send
+        _, transcript, _ = run_final_tree_aa(tree, n, t, inputs, adv, seed)
+        byz = sorted(transcript.corrupted())
+        if [q > n // 2 for q in byz] == [False, True, True]:
+            break
+    else:
+        pytest.fail("no seed splits the corrupted pids 1 + 2 across the camps")
+    lead, a, b = byz
+    shadows = {(rnd, pid): shadow for rnd, pid, shadow in held}
+    assert shadows[1, lead] == shadows[1, a] == shadows[1, b]
+    for rnd in range(2, transcript.rounds_used + 1):
+        assert shadows[rnd, a] == shadows[rnd, b] != shadows[rnd, lead]
+    ref = _play(PerPidShadows, "split-world", tree, n, t, "final", inputs, seed)
+    assert transcript.to_jsonl() == ref[0]
+
+
+def test_shadow_steps_per_distinct_history():
+    tree, n, t = generate_tree("path", 30), 7, 2
+    inputs = {pid: sorted(tree.vertices)[3 * pid] for pid in range(1, n + 1)}
+    for seed in range(4):
+        for name in ("skew-high", "split-world", "equivocator"):
+            faces = len(REGISTRY[name].faces)
+            _, _, steps, transcript = _play(RegistryAdversary, name, tree, n, t, "final", inputs, seed)
+            _, _, per_pid, _ = _play(PerPidShadows, name, tree, n, t, "final", inputs, seed)
+            one_party = faces * transcript.rounds_used
+            assert per_pid == t * one_party
+            if name == "skew-high":  # every inbox is all broadcasts: one history
+                assert steps == one_party
+            assert steps <= 2 * one_party  # the two camps, or the two receiver parities
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_configs(), st.sampled_from(sorted(RUNNERS)), st.sampled_from(sorted(REGISTRY)),
+       st.data())
+def test_a_machine_reads_its_input_and_inboxes_not_its_pid(config, mode, name, data):
+    # The contract shadows are shared by: machine(p1, x) and machine(p2, x)
+    # resumed with the same inboxes send the same and return the same.
+    tree, n, t, inputs, seed = config
+    adv = make_adversary(name, tree_ctx(tree, n, t, mode))
+    _, transcript, _ = RUNNERS[mode](tree, n, t, inputs, adv, seed)
+    delivered = replay_transcript(transcript)
+    q = data.draw(st.integers(1, n))
+    rows = [delivered.get(rnd, {}).get(q, (None,) * n) for rnd in range(1, transcript.rounds_used + 1)]
+    x = data.draw(st.sampled_from(sorted(tree.vertices)))
+    p1, p2 = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+
+    def replayed(pid):
+        program = GeneratorProgram(tree_ctx(tree, n, t, mode).machine(pid, x))
+        outs = [program.on_round(None)]
+        for row in rows:
+            if type(outs[-1]) is Finished:
+                break
+            outs.append(program.on_round(row))
+        return outs
+
+    assert replayed(p1) == replayed(p2)

@@ -12,7 +12,7 @@ from treeaa.bounds import convergence_factor
 from treeaa.real_aa import closest_int, real_aa_machine
 from treeaa.wire import encode_double
 
-from oracles import CLOSE_SLACK, closed_form_iterations
+from oracles import closed_form_iterations, guaranteed_spread, spread
 
 MATRIX_NT = [(4, 1), (7, 2), (10, 3)]
 
@@ -167,7 +167,7 @@ class TestRunRealAA:
 
     def test_unanimous_inputs_fixpoint_exact(self):
         # Strict validity: unanimous honest inputs come back bit for bit,
-        # not merely within CLOSE_SLACK, whatever rounding the mean does.
+        # whatever rounding the mean does.
         rng = random.Random("unanimous")
         for _ in range(300):
             x = rng.uniform(0, 1e6)
@@ -200,15 +200,12 @@ class TestRunRealAA:
                 v0 = [base_inputs[pid] for pid in honest]
                 lo, hi = min(v0), max(v0)
                 values = [outputs[pid] for pid in honest]
-                # epsilon-agreement and validity
-                assert max(values) - min(values) <= 1.0 + CLOSE_SLACK
-                assert all(lo - CLOSE_SLACK <= v <= hi + CLOSE_SLACK for v in values)
-                # per-iteration validity and the convergence bound
+                # epsilon-agreement, validity at every iteration and the
+                # convergence bound, all exact
+                assert spread(values) <= 1
                 for pid in honest:
-                    for v in results[pid].history:
-                        assert lo - CLOSE_SLACK <= v <= hi + CLOSE_SLACK
-                shrink = (hi - lo) * convergence_factor(n, t, plan)
-                assert max(values) - min(values) <= shrink + CLOSE_SLACK
+                    assert all(lo <= v <= hi for v in results[pid].history)
+                assert spread(values) <= guaranteed_spread(n, t, plan, lo, hi)
                 # blacklist soundness: no honest party blacklists an honest one
                 honest_set = set(honest)
                 for pid in honest:

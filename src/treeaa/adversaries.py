@@ -7,8 +7,8 @@ receivers in which the hi face replaces the lo face: the shadow-replay
 attacks on trimmed-mean agreement (Dolev, Lynch, Pinter, Stark, Weihl, JACM
 1986), and a late corruption as in Fekete (Distributed Computing 1990).
 Every choice is driven by the simulation seed, so runs replay bit-exactly.
-Corrupted parties whose delivered inbox histories are equal share one
-shadow, by the contract that ``AdversaryContext.machine`` states.
+An honest machine is built from its input alone, with no pid, so corrupted
+parties whose delivered inbox histories are equal share one shadow.
 """
 
 from __future__ import annotations
@@ -20,16 +20,17 @@ from .bounds import plan_iterations
 from .errors import InvalidParams
 from .real_aa import real_aa_machine
 from .simnet import Adversary, Finished, GeneratorProgram, Inbox, Outbox, SimulationView, memoised
+from .tree_aa import planned_rounds, protocol
+from .trees import LabeledTree
 
 
 @dataclass
 class AdversaryContext:
-    """What a strategy needs to know about the protocol under attack.
+    """What a strategy needs to know about the protocol under attack.  Shadows
+    rest on one premise: two ``machine(x)`` resumed with equal inboxes send
+    the same and return the same."""
 
-    The contract: the messages and output of ``machine(pid, x)`` depend only
-    on x and the inboxes it is resumed with, never on pid."""
-
-    machine: Callable[[int, Any], Generator]  # (pid, input) -> honest machine
+    machine: Callable[[Any], Generator]  # input -> honest machine
     lo_input: Any
     hi_input: Any
     planned_rounds: int
@@ -37,10 +38,8 @@ class AdversaryContext:
 
 class Strategy(NamedTuple):
     """One registry row; calling it with a context builds the adversary.
-
-    Every row corrupts the same t pids at a given seed: the first draw of the
-    run's fresh adversary rng, made in the schedule's first round.
-    """
+    Every row corrupts the same t pids at a given seed: the first draw of
+    the run's fresh adversary rng, made in the schedule's first round."""
 
     late: bool = False  # corrupt from round planned_rounds - 5, not round 1
     faces: tuple[str, ...] = ()  # AdversaryContext inputs of the shadows, lo face first
@@ -120,7 +119,7 @@ class RegistryAdversary(Adversary):
         """pid's shadow from now on: the one with rows ``history``, else a new one replaying it."""
         shadow = next((shadow for shadow in self._shadows.values() if shadow.rows == history), None)
         if shadow is None:
-            shadow = _Shadow([self.ctx.machine(pid, getattr(self.ctx, face)) for face in self.row.faces])
+            shadow = _Shadow([self.ctx.machine(getattr(self.ctx, face)) for face in self.row.faces])
             for inbox in history:
                 shadow.step(inbox)
         self._shadows[pid] = shadow
@@ -153,23 +152,24 @@ REGISTRY: dict[str, Strategy] = {
 
 def strategy(name: str) -> Strategy:
     """REGISTRY[name]; InvalidParams naming the choices for an unknown name."""
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise InvalidParams(f"adversary must be one of {sorted(REGISTRY)}, got {name!r}") from None
+    if name not in REGISTRY:
+        raise InvalidParams(f"adversary must be one of {sorted(REGISTRY)}, got {name!r}")
+    return REGISTRY[name]
 
 
 def make_adversary(name: str, ctx: AdversaryContext) -> RegistryAdversary:
     return strategy(name)(ctx)
 
 
-def context_for_real_aa(n: int, t: int, d_bound: float, epsilon: float,
-                        lo_input: float | None = None,
-                        hi_input: float | None = None) -> AdversaryContext:
-    """Context for attacking a bare real-valued agreement run."""
-    return AdversaryContext(
-        machine=lambda pid, value: real_aa_machine(n, t, pid, value, d_bound, epsilon),
-        lo_input=-2.0 * abs(d_bound) if lo_input is None else lo_input,
-        hi_input=2.0 * abs(d_bound) if hi_input is None else hi_input,
-        planned_rounds=3 * plan_iterations(n, t, d_bound, epsilon),
-    )
+def context_for_real_aa(n: int, t: int, d_bound: float, epsilon: float) -> AdversaryContext:
+    """Context for attacking a bare real-valued agreement run; the faces are -2d and 2d."""
+    return AdversaryContext(lambda value: real_aa_machine(n, t, value, d_bound, epsilon),
+                            -2.0 * abs(d_bound), 2.0 * abs(d_bound),
+                            3 * plan_iterations(n, t, d_bound, epsilon))
+
+
+def context_for_tree(tree: LabeledTree, n: int, t: int, mode: str) -> AdversaryContext:
+    """Context for attacking a ``mode`` tree run; the faces are the root and a deepest vertex."""
+    machine = protocol(mode).machine  # InvalidParams for an unknown mode
+    return AdversaryContext(lambda vertex: machine(tree, n, t, vertex), tree.root, tree.deepest,
+                            planned_rounds(tree, n, t, mode))

@@ -154,11 +154,12 @@ def _grades(n: int, t: int, inbox: Inbox) -> dict[int, GradedValue]:
     return grade_votes(n, t, received_vectors(n, inbox, TAG_VOTE))
 
 
-def gradecast_all(n: int, t: int, pid: int, value: bytes):
+def gradecast_all(n: int, t: int, value: bytes):
     """3-round machine; returns {sender pid: GradedValue} for all n instances.
 
-    A party's messages and output depend only on its value or its inbox, so
-    each is built once per distinct value or inbox in a run and shared.
+    It takes no pid: a party's messages and output depend only on its value
+    and its inboxes, so each is built once per distinct value or inbox in a
+    run and shared.
     """
     inbox = yield memoised("value", (n, value), _value_outbox, n, value)
     inbox = yield memoised("echo", (n, inbox), _echo_outbox, n, inbox)

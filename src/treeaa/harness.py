@@ -18,10 +18,10 @@ from pathlib import Path as FilePath
 from typing import Any, Sequence
 
 from . import bounds
-from .adversaries import AdversaryContext, make_adversary, strategy
+from .adversaries import context_for_tree, make_adversary, strategy
 from .errors import InvalidParams
 from .generators import KINDS, generate_tree
-from .tree_aa import planned_rounds, protocol, run_final_tree_aa, run_tree_aa_old
+from .tree_aa import protocol, run_final_tree_aa, run_tree_aa_old
 from .trees import LabeledTree, parse_tree
 
 
@@ -144,16 +144,9 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
             adversary_name: str, inputs: dict[int, str], seed: int,
             emit_dir: str | None = None) -> RunReport:
     """Execute one protocol run and grade it with the tree oracles."""
-    machine = protocol(mode).machine  # InvalidParams for an unknown mode
-    planned = planned_rounds(tree, n, t, mode)
+    ctx = context_for_tree(tree, n, t, mode)  # InvalidParams for an unknown mode
     # Module globals looked up per call, so a wrapper installed on either is seen.
     runner = run_final_tree_aa if mode == "final" else run_tree_aa_old
-    ctx = AdversaryContext(
-        machine=lambda pid, value: machine(tree, n, t, pid, value),
-        lo_input=tree.root,  # the extremes: the start vertex and a deepest vertex
-        hi_input=tree.deepest,
-        planned_rounds=planned,
-    )
     adversary = make_adversary(adversary_name, ctx)
     outputs, transcript, _ = runner(tree, n, t, inputs, adversary, seed)
 

@@ -126,9 +126,9 @@ class PathPair(NamedTuple):
     q: Path
 
 
-def prefix_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
+def prefix_path_finder_machine(tree: LabeledTree, n: int, t: int, input_vertex: str):
     """3-round machine returning a PathPair (one gradecast invocation)."""
-    graded = yield from gradecast_all(n, t, pid, own_path_bytes(tree, input_vertex))
+    graded = yield from gradecast_all(n, t, own_path_bytes(tree, input_vertex))
     # Honest parties mostly share grades: one PathPair per distinct graded view.
     return memoised("path_pair", (tree, n, t, tuple(graded.values())),
                     _path_pair, tree, n, t, graded)
@@ -160,11 +160,11 @@ def legacy_rounds(tree: LabeledTree, n: int, t: int) -> int:
     return 3 * plan_iterations(n, t, 2 * len(tree), 1.0)
 
 
-def legacy_path_finder_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
+def legacy_path_finder_machine(tree: LabeledTree, n: int, t: int, input_vertex: str):
     """Euler-index agreement; returns a LegacyPathResult."""
     euler = tree.euler
     index = euler.index_of[input_vertex][0]  # smallest index of the input vertex
-    result = yield from real_aa_machine(n, t, pid, float(index), 2 * len(tree), 1.0)
+    result = yield from real_aa_machine(n, t, float(index), 2 * len(tree), 1.0)
     landed = closest_int(result.value)
     # Validity keeps the landed index inside the honest index range, hence
     # inside 1..|L|; vertex_at raising would mean a protocol bug.

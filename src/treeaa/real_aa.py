@@ -80,14 +80,14 @@ class RealAAResult(NamedTuple):
     iterations: int
 
 
-def real_aa_machine(n: int, t: int, pid: int, value: float, d_bound: float, epsilon: float):
+def real_aa_machine(n: int, t: int, value: float, d_bound: float, epsilon: float):
     """Protocol machine: plan_iterations(n,t,d,eps) iterations of 3 rounds."""
     plan = plan_iterations(n, t, d_bound, epsilon)
     blacklist: frozenset[int] = frozenset()
     current = float(value)
     history = [current]
     for _ in range(plan):
-        graded = yield from gradecast_all(n, t, pid, encode_double(current))
+        graded = yield from gradecast_all(n, t, encode_double(current))
         # Honest parties mostly share grades and blacklist: one update each.
         current, blacklist = memoised(
             "real_aa", (n, t, tuple(graded.values()), blacklist), _update, graded, blacklist, n, t)

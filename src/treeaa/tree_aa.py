@@ -58,11 +58,10 @@ def _projection_index(tree: LabeledTree, path: Path, vertex: str) -> int:
     return tree.distance(path[0], tree.median(path[0], path[-1], vertex)) + 1
 
 
-def tree_aa_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str,
-                    p: Path, q: Path):
+def tree_aa_machine(tree: LabeledTree, n: int, t: int, input_vertex: str, p: Path, q: Path):
     """Agreement given paths (p, q) meeting the prefix-finder guarantees."""
     index = _projection_index(tree, p, input_vertex)
-    result = yield from real_aa_machine(n, t, pid, float(index), float(tree.diameter), 1.0)
+    result = yield from real_aa_machine(n, t, float(index), float(tree.diameter), 1.0)
     landed = closest_int(result.value)
     if not 1 <= landed <= len(q):
         raise ProtocolViolation(
@@ -71,17 +70,17 @@ def tree_aa_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: s
     return simnet._new(TreeAAResult, (q[landed - 1], p, q, index, landed, False, result, None))
 
 
-def final_tree_aa_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
-    pair: PathPair = yield from prefix_path_finder_machine(tree, n, t, pid, input_vertex)
-    return (yield from tree_aa_machine(tree, n, t, pid, input_vertex, pair.p, pair.q))
+def final_tree_aa_machine(tree: LabeledTree, n: int, t: int, input_vertex: str):
+    pair: PathPair = yield from prefix_path_finder_machine(tree, n, t, input_vertex)
+    return (yield from tree_aa_machine(tree, n, t, input_vertex, pair.p, pair.q))
 
 
-def tree_aa_old_machine(tree: LabeledTree, n: int, t: int, pid: int, input_vertex: str):
-    finder = yield from legacy_path_finder_machine(tree, n, t, pid, input_vertex)
+def tree_aa_old_machine(tree: LabeledTree, n: int, t: int, input_vertex: str):
+    finder = yield from legacy_path_finder_machine(tree, n, t, input_vertex)
     path = finder.path
     k = len(path)
     index = _projection_index(tree, path, input_vertex)
-    result = yield from real_aa_machine(n, t, pid, float(index), float(tree.diameter), 1.0)
+    result = yield from real_aa_machine(n, t, float(index), float(tree.diameter), 1.0)
     landed = closest_int(result.value)
     if landed < 1:
         raise ProtocolViolation(f"landed index {landed} below 1")
@@ -91,7 +90,7 @@ def tree_aa_old_machine(tree: LabeledTree, n: int, t: int, pid: int, input_verte
 
 
 class Protocol(NamedTuple):
-    machine: Callable  # (tree, n, t, pid, input vertex) -> generator returning TreeAAResult
+    machine: Callable  # (tree, n, t, input vertex) -> generator returning TreeAAResult
     finder_rounds: Callable[[LabeledTree, int, int], int]  # (tree, n, t) -> rounds
 
 
@@ -117,13 +116,13 @@ def planned_rounds(tree: LabeledTree, n: int, t: int, mode: str) -> int:
     return finder_rounds(tree, n, t) + 3 * plan_iterations(n, t, float(tree.diameter), 1.0)
 
 
-def _run(tree, n, t, inputs, mode, adversary, seed, machine=None):
+def _run(tree, n, t, inputs, mode, adversary, seed, machines=None):
     """({honest pid: label}, transcript, {honest pid: TreeAAResult}) of one run.
 
-    Every party runs ``machine`` (by default the ``mode`` machine) on its
-    input; ``mode``'s planned rounds set the round cap.
+    Party pid runs ``machines[pid - 1]`` (by default the ``mode`` machine on
+    its input); ``mode``'s planned rounds set the round cap.
     """
-    machine = machine or protocol(mode).machine
+    machine = protocol(mode).machine
     for pid in range(1, n + 1):
         tree._require(inputs[pid])
     if tree.diameter <= 1:
@@ -134,7 +133,7 @@ def _run(tree, n, t, inputs, mode, adversary, seed, machine=None):
     else:
         # Through the module, so a wrapper installed on simnet.run_simulation sees the run.
         results, transcript = simnet.run_simulation(
-            n, t, [machine(tree, n, t, pid, inputs[pid]) for pid in range(1, n + 1)],
+            n, t, machines or [machine(tree, n, t, inputs[pid]) for pid in range(1, n + 1)],
             adversary, seed, round_cap=10 * (3 + planned_rounds(tree, n, t, mode)),
         )
     return {pid: res.output for pid, res in results.items()}, transcript, results
@@ -149,12 +148,10 @@ def run_tree_aa(tree, n, t, inputs, pairs, adversary=None, seed=0):
     for pid in range(1, n + 1):
         tree.validate_path(pairs[pid].p)
         tree.validate_path(pairs[pid].q)
-
-    def machine(tree, n, t, pid, vertex):
-        return tree_aa_machine(tree, n, t, pid, vertex, pairs[pid].p, pairs[pid].q)
-
+    machines = [tree_aa_machine(tree, n, t, inputs[pid], pairs[pid].p, pairs[pid].q)
+                for pid in range(1, n + 1)]
     # This is final mode without its finder, so final's round count caps it.
-    return _run(tree, n, t, inputs, "final", adversary, seed, machine)
+    return _run(tree, n, t, inputs, "final", adversary, seed, machines)
 
 
 def run_final_tree_aa(tree, n, t, inputs, adversary=None, seed=0):

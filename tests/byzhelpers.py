@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Generator
+
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
 from treeaa.simnet import Adversary
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_vector, frame
@@ -70,3 +72,19 @@ def check_consistency(outputs: dict[int, dict], n: int) -> None:
                 assert abs(gp - gq) <= 1, f"grades {gp},{gq} for sender {s}"
                 if gp > 0 and gq > 0:
                     assert vp == vq, f"values differ at grade>0 for sender {s}"
+
+
+def marked(pid: int, machines: list[Generator], mark: list) -> Generator:
+    """``machines[pid - 1]``, with ``mark[0] = pid`` set before each send.
+
+    Honest machines take no pid, so a test fake called inside one reads
+    ``mark[0]`` to learn which party is being stepped.
+    """
+    machine, inbox = machines[pid - 1], None
+    while True:
+        mark[0] = pid
+        try:
+            outbox = machine.send(inbox)
+        except StopIteration as stop:
+            return stop.value
+        inbox = yield outbox

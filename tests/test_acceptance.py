@@ -169,7 +169,7 @@ _GC_ALPHABET = (b"v", b"w", None)
 
 def gradecast_once(n, t, values, adversary=None, seed=0):
     """({honest pid: {sender pid: GradedValue}}, transcript) of one invocation."""
-    return run_simulation(n, t, [gradecast_all(n, t, pid, values[pid]) for pid in range(1, n + 1)],
+    return run_simulation(n, t, [gradecast_all(n, t, values[pid]) for pid in range(1, n + 1)],
                           adversary, seed)
 
 
@@ -258,7 +258,7 @@ def _real_aa_chunk(args) -> list[str]:
         inputs = {pid: rng.uniform(0.0, d) for pid in range(1, n + 1)}
         adversary = REGISTRY[name](context_for_real_aa(n, t, d, 1.0))
         results, transcript = run_simulation(
-            n, t, [real_aa_machine(n, t, pid, inputs[pid], d, 1.0) for pid in range(1, n + 1)],
+            n, t, [real_aa_machine(n, t, inputs[pid], d, 1.0) for pid in range(1, n + 1)],
             adversary, seed,
         )
         outputs = {pid: res.value for pid, res in results.items()}

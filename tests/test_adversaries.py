@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 
@@ -5,14 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeaa import generate_tree, run_final_tree_aa, run_tree_aa_old
-from treeaa.adversaries import REGISTRY, RegistryAdversary, _Shadow, _spliced, make_adversary
+from treeaa.adversaries import (
+    REGISTRY,
+    RegistryAdversary,
+    _Shadow,
+    _spliced,
+    context_for_real_aa,
+    context_for_tree,
+    make_adversary,
+)
 from treeaa.errors import InvalidParams
+from treeaa.gradecast import gradecast_all
 from treeaa.harness import ExperimentConfig
+from treeaa.paths import legacy_path_finder_machine, prefix_path_finder_machine
+from treeaa.real_aa import real_aa_machine
 from treeaa.simnet import Finished, GeneratorProgram, SimulationView, broadcast, replay_transcript
+from treeaa.tree_aa import MACHINES, tree_aa_machine
 from treeaa.trees import LabeledTree
 
 from oracles import random_edge_list
-from test_tree_aa import tree_ctx
 
 RUNNERS = {"final": run_final_tree_aa, "legacy": run_tree_aa_old}
 
@@ -27,7 +39,7 @@ def test_make_adversary_unknown_name(eight_vertex_tree):
     # One lookup serves the run and the config check, and names the choices.
     choices = r"adversary must be one of \['adaptive-late', .*\], got 'zealot'"
     with pytest.raises(InvalidParams, match=choices):
-        make_adversary("zealot", tree_ctx(eight_vertex_tree, 4, 1, "final"))
+        make_adversary("zealot", context_for_tree(eight_vertex_tree, 4, 1, "final"))
     with pytest.raises(InvalidParams, match=choices):
         ExperimentConfig(tree_source="path:6", n=4, t=1, adversary="zealot")
 
@@ -36,7 +48,7 @@ def test_corruption_budget_respected(eight_vertex_tree):
     tree = eight_vertex_tree
     inputs = {pid: "v6" if pid % 2 else "v8" for pid in range(1, 8)}
     for name in sorted(REGISTRY):
-        adv = make_adversary(name, tree_ctx(tree, 7, 2, "final"))
+        adv = make_adversary(name, context_for_tree(tree, 7, 2, "final"))
         outputs, transcript, _ = run_final_tree_aa(tree, 7, 2, inputs, adv, seed=4)
         assert len(transcript.corrupted()) <= 2
         assert len(outputs) >= 5
@@ -45,7 +57,7 @@ def test_corruption_budget_respected(eight_vertex_tree):
 def test_adaptive_late_corrupts_only_near_the_end():
     tree = generate_tree("path", 40)
     inputs = {pid: ("v00" if pid % 2 else "v40") for pid in range(1, 5)}
-    adv = make_adversary("adaptive-late", tree_ctx(tree, 4, 1, "final"))
+    adv = make_adversary("adaptive-late", context_for_tree(tree, 4, 1, "final"))
     outputs, transcript, _ = run_final_tree_aa(tree, 4, 1, inputs, adv, seed=2)
     corrupt_rounds = [rnd for kind, rnd, _ in transcript.events if kind == "corrupt"]
     assert corrupt_rounds, "expected a late corruption"
@@ -57,7 +69,7 @@ def test_skew_directions_differ(eight_vertex_tree):
     inputs = {pid: "v3" for pid in range(1, 5)}
     seen = {}
     for name in ("skew-high", "skew-low"):
-        adv = make_adversary(name, tree_ctx(tree, 4, 1, "final"))
+        adv = make_adversary(name, context_for_tree(tree, 4, 1, "final"))
         _, transcript, _ = run_final_tree_aa(tree, 4, 1, inputs, adv, seed=6)
         byz = transcript.corrupted()
         seen[name] = [env.payload for env in transcript.envelopes
@@ -86,7 +98,7 @@ def test_shadow_steps_run_inside_byzantine_send(eight_vertex_tree, monkeypatch, 
 
     monkeypatch.setattr(RegistryAdversary, "byzantine_send", traced_send)
     monkeypatch.setattr(GeneratorProgram, "on_round", traced_step)
-    adv = make_adversary(name, tree_ctx(eight_vertex_tree, 4, 1, "final"))
+    adv = make_adversary(name, context_for_tree(eight_vertex_tree, 4, 1, "final"))
     inputs = {pid: "v3" for pid in range(1, 5)}
     run_final_tree_aa(eight_vertex_tree, 4, 1, inputs, adv, seed=6)
     faces = {program for sh in adv._shadows.values() for program in sh.programs}
@@ -132,7 +144,7 @@ def test_split_world_reads_each_inbox_once_per_corrupted_party(monkeypatch):
     monkeypatch.setattr(SimulationView, "inbox_of", counted)
     tree = generate_tree("path", 30)
     inputs = {pid: tree.root for pid in range(1, 8)}
-    adv = make_adversary("split-world", tree_ctx(tree, 7, 2, "final"))
+    adv = make_adversary("split-world", context_for_tree(tree, 7, 2, "final"))
     _, transcript, _ = run_final_tree_aa(tree, 7, 2, inputs, adv, seed=1)
     byz = transcript.corrupted()
     assert len(byz) == 2
@@ -145,7 +157,7 @@ def test_every_row_corrupts_the_same_pids(eight_vertex_tree):
     for seed in range(3):
         seen = set()
         for name in sorted(REGISTRY):
-            adv = make_adversary(name, tree_ctx(eight_vertex_tree, 7, 2, "final"))
+            adv = make_adversary(name, context_for_tree(eight_vertex_tree, 7, 2, "final"))
             _, transcript, _ = run_final_tree_aa(eight_vertex_tree, 7, 2, inputs, adv, seed=seed)
             seen.add(frozenset(transcript.corrupted()))
         assert len(seen) == 1 and len(next(iter(seen))) == 2
@@ -160,7 +172,7 @@ def test_two_face_rows_route_the_skew_rows_outboxes():
     inputs = {pid: sorted(tree.vertices)[3 * pid] for pid in range(1, n + 1)}
     sent = {}
     for name in ("skew-low", "skew-high", "equivocator", "split-world"):
-        adv = make_adversary(name, tree_ctx(tree, n, t, "final"))
+        adv = make_adversary(name, context_for_tree(tree, n, t, "final"))
         _, transcript, _ = run_final_tree_aa(tree, n, t, inputs, adv, seed=8)
         byz = transcript.corrupted()
         sent[name] = {(r, s): dict(pairs) for r, s, pairs in transcript.records if s in byz}
@@ -188,7 +200,7 @@ class PerPidShadows(RegistryAdversary):
         if not row.faces:
             return ()
         programs, next_round = self.own.get(pid) or (
-            [GeneratorProgram(ctx.machine(pid, getattr(ctx, face))) for face in row.faces], 1)
+            [GeneratorProgram(ctx.machine(getattr(ctx, face))) for face in row.faces], 1)
         for r in range(next_round, round + 1):
             inbox = view.inbox_of(pid, r - 1) if r > 1 else None
             outs = [program.on_round(inbox) for program in programs]
@@ -202,7 +214,7 @@ class PerPidShadows(RegistryAdversary):
 def _play(adversary_class, name, tree, n, t, mode, inputs, seed):
     """(transcript JSONL, outputs, shadow steps) of one run; a shadow step is
     a program step made inside ``byzantine_send``."""
-    adv = adversary_class(REGISTRY[name], tree_ctx(tree, n, t, mode))
+    adv = adversary_class(REGISTRY[name], context_for_tree(tree, n, t, mode))
     steps, send = [0], adv.byzantine_send
     step = GeneratorProgram.on_round
 
@@ -251,7 +263,7 @@ def test_a_party_whose_inbox_differs_leaves_the_shared_shadow():
     tree, n, t = generate_tree("path", 12), 10, 3
     inputs = {pid: tree.root for pid in range(1, n + 1)}
     for seed in range(40):
-        adv = make_adversary("split-world", tree_ctx(tree, n, t, "final"))
+        adv = make_adversary("split-world", context_for_tree(tree, n, t, "final"))
         held, send = [], adv.byzantine_send
 
         def recorded_send(round, pid, view):
@@ -293,20 +305,20 @@ def test_shadow_steps_per_distinct_history():
 @settings(max_examples=20, deadline=None)
 @given(small_configs(), st.sampled_from(sorted(RUNNERS)), st.sampled_from(sorted(REGISTRY)),
        st.data())
-def test_a_machine_reads_its_input_and_inboxes_not_its_pid(config, mode, name, data):
-    # The contract shadows are shared by: machine(p1, x) and machine(p2, x)
-    # resumed with the same inboxes send the same and return the same.
+def test_two_machines_on_one_input_and_history_send_and_return_the_same(config, mode, name, data):
+    # The premise shadows are shared by, which a machine reading module
+    # state could break: two fresh ctx.machine(x), resumed with one party's
+    # delivered rows of an attacked run, send the same and return the same.
     tree, n, t, inputs, seed = config
-    adv = make_adversary(name, tree_ctx(tree, n, t, mode))
-    _, transcript, _ = RUNNERS[mode](tree, n, t, inputs, adv, seed)
+    ctx = context_for_tree(tree, n, t, mode)
+    _, transcript, _ = RUNNERS[mode](tree, n, t, inputs, make_adversary(name, ctx), seed)
     delivered = replay_transcript(transcript)
     q = data.draw(st.integers(1, n))
     rows = [delivered.get(rnd, {}).get(q, (None,) * n) for rnd in range(1, transcript.rounds_used + 1)]
     x = data.draw(st.sampled_from(sorted(tree.vertices)))
-    p1, p2 = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
 
-    def replayed(pid):
-        program = GeneratorProgram(tree_ctx(tree, n, t, mode).machine(pid, x))
+    def replayed():
+        program = GeneratorProgram(ctx.machine(x))
         outs = [program.on_round(None)]
         for row in rows:
             if type(outs[-1]) is Finished:
@@ -314,4 +326,15 @@ def test_a_machine_reads_its_input_and_inboxes_not_its_pid(config, mode, name, d
             outs.append(program.on_round(row))
         return outs
 
-    assert replayed(p1) == replayed(p2)
+    assert replayed() == replayed()
+
+
+def test_no_honest_machine_takes_a_pid():
+    machines = [protocol.machine for protocol in MACHINES.values()] + [
+        gradecast_all, real_aa_machine, prefix_path_finder_machine, legacy_path_finder_machine,
+        tree_aa_machine]
+    for machine in machines:
+        assert "pid" not in inspect.signature(machine).parameters, machine.__name__
+    tree = generate_tree("path", 5)
+    for ctx in (context_for_tree(tree, 4, 1, "final"), context_for_real_aa(4, 1, 10.0, 1.0)):
+        assert len(inspect.signature(ctx.machine).parameters) == 1  # input -> machine

@@ -24,7 +24,7 @@ from treeaa.tree_aa import run_final_tree_aa, run_tree_aa_old
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_vector, frame
 
 import oracles
-from byzhelpers import InstanceScript, check_consistency
+from byzhelpers import InstanceScript, check_consistency, marked
 
 
 def values_for(n):
@@ -33,7 +33,7 @@ def values_for(n):
 
 def gradecast_once(n, t, values, adversary=None, seed=0):
     """({honest pid: {sender pid: GradedValue}}, transcript) of one invocation."""
-    return run_simulation(n, t, [gradecast_all(n, t, pid, values[pid]) for pid in range(1, n + 1)],
+    return run_simulation(n, t, [gradecast_all(n, t, values[pid]) for pid in range(1, n + 1)],
                           adversary, seed)
 
 
@@ -128,7 +128,7 @@ def test_registry_adversaries_preserve_consistency():
     for name in sorted(REGISTRY):
         for seed in range(10):
             ctx = AdversaryContext(
-                machine=lambda pid, v: gradecast_all(n, t, pid, v),
+                machine=lambda v: gradecast_all(n, t, v),
                 lo_input=b"lo",
                 hi_input=b"hi",
                 planned_rounds=3,
@@ -154,7 +154,7 @@ def test_each_distinct_inbox_is_answered_once(monkeypatch):
     tree, _ = resolve_tree("caterpillar:40")
     labels = sorted(tree.vertices)
     inputs = {pid: labels[(7 * pid) % len(labels)] for pid in range(1, n + 1)}
-    ctx = AdversaryContext(lambda pid, v: None, labels[0], labels[-1], 0)
+    ctx = AdversaryContext(lambda v: None, labels[0], labels[-1], 0)
     outputs, transcript, _ = run_tree_aa_old(tree, n, t, inputs, make_adversary("silent", ctx), seed=5)
     inboxes = replay_transcript(transcript)
     distinct = {(rnd, inboxes[rnd][pid]) for rnd in inboxes if rnd % 3 != 0 for pid in outputs}
@@ -185,7 +185,7 @@ def test_column_kernel_matches_the_tally_oracle(case):
 
 def _registry(name, n, t):
     return REGISTRY[name](AdversaryContext(
-        machine=lambda pid, v: gradecast_all(n, t, pid, v),
+        machine=lambda v: gradecast_all(n, t, v),
         lo_input=b"lo",
         hi_input=b"hi",
         planned_rounds=3,
@@ -302,15 +302,20 @@ def _spied_run(monkeypatch, tree, n, t, inputs, adversary=None):
     seen: (outputs, transcript, {pid: values sent}, {pid: grades}, bodies
     decoded, vote inboxes read), the k-th entry of a pid's lists from its
     k-th invocation."""
-    sent, graded, decoded, read = {}, {}, [], {}
+    sent, graded, decoded, read, mark = {}, {}, [], {}, [None]
     real_gradecast, real_decode = gradecast.gradecast_all, gradecast.decode_vector
-    real_received = gradecast.received_vectors
+    real_received, real_run = gradecast.received_vectors, simnet.run_simulation
 
-    def spy(n, t, pid, value):
+    def spy(n, t, value):
+        pid = mark[0]  # the party being stepped
         sent.setdefault(pid, []).append(value)
-        grades = yield from real_gradecast(n, t, pid, value)
+        grades = yield from real_gradecast(n, t, value)
         graded.setdefault(pid, []).append(grades)
         return grades
+
+    def marked_run(n, t, machines, *args, **kwargs):
+        return real_run(n, t, [marked(pid, machines, mark) for pid in range(1, n + 1)],
+                        *args, **kwargs)
 
     def received(n, inbox, tag):
         vectors = real_received(n, inbox, tag)
@@ -320,6 +325,7 @@ def _spied_run(monkeypatch, tree, n, t, inputs, adversary=None):
 
     for module in (paths, real_aa):
         monkeypatch.setattr(module, "gradecast_all", spy)
+    monkeypatch.setattr(simnet, "run_simulation", marked_run)
     monkeypatch.setattr(gradecast, "received_vectors", received)
     monkeypatch.setattr(gradecast, "decode_vector",
                         lambda body, n: decoded.append(body) or real_decode(body, n))

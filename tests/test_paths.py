@@ -32,7 +32,7 @@ from oracles import is_prefix, longest_common_prefix, path_between
 
 def run_finder(machine, tree, n, t, inputs, adversary=None, seed=0):
     """({honest pid: finder output}, transcript) of one finder invocation."""
-    return run_simulation(n, t, [machine(tree, n, t, pid, inputs[pid]) for pid in range(1, n + 1)],
+    return run_simulation(n, t, [machine(tree, n, t, inputs[pid]) for pid in range(1, n + 1)],
                           adversary, seed)
 
 
@@ -238,21 +238,19 @@ def test_decode_tree_path_matches_reference_decode(data):
 
 
 def prefix_ctx(tree, n, t):
-    hi = max(tree.vertices, key=lambda v: (tree.depth(v), v))
     return AdversaryContext(
-        machine=lambda pid, v: prefix_path_finder_machine(tree, n, t, pid, v),
+        machine=lambda v: prefix_path_finder_machine(tree, n, t, v),
         lo_input=tree.root,
-        hi_input=hi,
+        hi_input=tree.deepest,
         planned_rounds=3,
     )
 
 
 def legacy_ctx(tree, n, t):
-    hi = max(tree.vertices, key=lambda v: (tree.depth(v), v))
     return AdversaryContext(
-        machine=lambda pid, v: legacy_path_finder_machine(tree, n, t, pid, v),
+        machine=lambda v: legacy_path_finder_machine(tree, n, t, v),
         lo_input=tree.root,
-        hi_input=hi,
+        hi_input=tree.deepest,
         planned_rounds=legacy_rounds(tree, n, t),
     )
 

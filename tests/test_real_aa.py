@@ -12,6 +12,7 @@ from treeaa.bounds import convergence_factor
 from treeaa.real_aa import closest_int, real_aa_machine
 from treeaa.wire import encode_double
 
+from byzhelpers import marked
 from oracles import closed_form_iterations, guaranteed_spread, spread
 
 MATRIX_NT = [(4, 1), (7, 2), (10, 3)]
@@ -19,8 +20,7 @@ MATRIX_NT = [(4, 1), (7, 2), (10, 3)]
 
 def real_aa_once(n, t, inputs, d_bound, epsilon, adversary=None, seed=0):
     """({honest pid: value}, transcript, {honest pid: RealAAResult}) of one run."""
-    machines = [real_aa_machine(n, t, pid, inputs[pid], d_bound, epsilon)
-                for pid in range(1, n + 1)]
+    machines = [real_aa_machine(n, t, inputs[pid], d_bound, epsilon) for pid in range(1, n + 1)]
     results, transcript = run_simulation(n, t, machines, adversary, seed)
     return {pid: res.value for pid, res in results.items()}, transcript, results
 
@@ -226,14 +226,16 @@ class TestRunRealAA:
         scripts = {pid: iter([grades((0.0, 2), (0.0, 2), (0.0, 2), (0.0, 1 if pid == 1 else 2)),
                               second]) for pid in range(1, 5)}
 
-        def scripted_gradecast(n, t, pid, value):
+        mark = [None]  # the pid being stepped
+
+        def scripted_gradecast(n, t, value):
             yield ()
-            return dict(next(scripts[pid]))
+            return dict(next(scripts[mark[0]]))
 
         monkeypatch.setattr(real_aa, "gradecast_all", scripted_gradecast)
         assert plan_iterations(4, 1, 10.0, 1.0) == 2
-        machines = [real_aa_machine(4, 1, pid, 0.0, 10.0, 1.0) for pid in range(1, 5)]
-        results, _ = run_simulation(4, 1, machines)
+        machines = [real_aa_machine(4, 1, 0.0, 10.0, 1.0) for _ in range(4)]
+        results, _ = run_simulation(4, 1, [marked(pid, machines, mark) for pid in range(1, 5)])
         assert (results[1].value, results[1].blacklist) == (0.0, frozenset({4}))
         for pid in (2, 3, 4):
             assert (results[pid].value, results[pid].blacklist) == (1.5, frozenset())

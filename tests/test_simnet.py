@@ -267,7 +267,7 @@ class TestTranscript:
         assert inboxes[1][2] == (b"hello-1", b"hello-2", b"hello-3")
 
     def test_replay_three_round_run(self):
-        _, tr = run_simulation(4, 1, [gradecast_all(4, 1, pid, b"x") for pid in range(1, 5)])
+        _, tr = run_simulation(4, 1, [gradecast_all(4, 1, b"x") for _ in range(1, 5)])
         inboxes = replay_transcript(tr)
         assert set(inboxes) == {1, 2, 3}
         for rnd in inboxes:
@@ -564,7 +564,7 @@ def check_inbox_of_against_a_scan(n, t):
             seen.append((round, pid, view.inbox_of(1, round)))
             return [(q, b"byz-%d-%d" % (pid, q)) for q in range(1, n + 1)]
 
-    machines = [gradecast_all(n, t, pid, b"v%d" % pid) for pid in range(1, n + 1)]
+    machines = [gradecast_all(n, t, b"v%d" % pid) for pid in range(1, n + 1)]
     _, tr = run_simulation(n, t, machines, Checker())
     assert tr.rounds_used == 3
     return checked, seen
@@ -732,14 +732,13 @@ def test_replay_matches_live_inboxes():
 
 def test_events_reproduce_with_seed():
     from treeaa import generate_tree, run_final_tree_aa
-    from treeaa.adversaries import REGISTRY
-    from test_tree_aa import tree_ctx
+    from treeaa.adversaries import REGISTRY, context_for_tree
 
     tree = generate_tree("random", 30, seed=3)
     inputs = {pid: sorted(tree.vertices)[pid] for pid in range(1, 5)}
     runs = []
     for _ in range(2):
-        adv = REGISTRY["adaptive-late"](tree_ctx(tree, 4, 1, "final"))
+        adv = REGISTRY["adaptive-late"](context_for_tree(tree, 4, 1, "final"))
         _, tr, _ = run_final_tree_aa(tree, 4, 1, inputs, adv, seed=11)
         runs.append(tr)
     assert runs[0].envelopes == runs[1].envelopes

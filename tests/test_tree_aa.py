@@ -11,27 +11,15 @@ from treeaa import (
     run_tree_aa,
     run_tree_aa_old,
 )
-from treeaa.adversaries import REGISTRY, AdversaryContext, RegistryAdversary
+from treeaa.adversaries import REGISTRY, RegistryAdversary, context_for_tree
 from treeaa.errors import InvalidParams
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
 from treeaa.simnet import Adversary
 from treeaa.paths import legacy_rounds
-from treeaa.tree_aa import MACHINES
 from treeaa.trees import LabeledTree
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_double, encode_vector, frame
 
 from oracles import is_prefix, path_between
-
-
-def tree_ctx(tree, n, t, mode):
-    machine = MACHINES[mode].machine
-    hi = max(tree.vertices, key=lambda v: (tree.depth(v), v))
-    return AdversaryContext(
-        machine=lambda pid, v: machine(tree, n, t, pid, v),
-        lo_input=tree.root,
-        hi_input=hi,
-        planned_rounds=planned_rounds(tree, n, t, mode),
-    )
 
 
 def check_agreement(tree, inputs, outputs):
@@ -133,7 +121,7 @@ class TestEndToEnd:
         tree = generate_tree("path", 50)
         a, b = tree.diameter_endpoints
         inputs = {pid: a if pid % 2 else b for pid in range(1, 5)}
-        adversary = REGISTRY["silent"](tree_ctx(tree, 4, 1, "final"))
+        adversary = REGISTRY["silent"](context_for_tree(tree, 4, 1, "final"))
         outputs, transcript, _ = run_final_tree_aa(tree, 4, 1, inputs, adversary, seed=1)
         check_agreement(tree, inputs, outputs)
         assert transcript.rounds_used == planned_rounds(tree, 4, 1, "final")
@@ -144,7 +132,7 @@ class TestEndToEnd:
         tree = generate_tree("path", 1000)
         a, b = tree.diameter_endpoints
         inputs = {pid: a if pid % 2 else b for pid in range(1, 5)}
-        adversary = REGISTRY["silent"](tree_ctx(tree, 4, 1, "final"))
+        adversary = REGISTRY["silent"](context_for_tree(tree, 4, 1, "final"))
         outputs, transcript, _ = run_final_tree_aa(tree, 4, 1, inputs, adversary, seed=5)
         check_agreement(tree, inputs, outputs)
         assert transcript.rounds_used == planned_rounds(tree, 4, 1, "final")
@@ -165,7 +153,7 @@ class TestEndToEnd:
             for seed in range(10):
                 rng = random.Random(f"labeling:{name}:{seed}")
                 inputs = {pid: rng.choice(labels) for pid in range(1, 5)}
-                adversary = REGISTRY[name](tree_ctx(tree, 4, 1, "final"))
+                adversary = REGISTRY[name](context_for_tree(tree, 4, 1, "final"))
                 outputs, _, results = run_final_tree_aa(tree, 4, 1, inputs, adversary, seed)
                 check_agreement(tree, inputs, outputs)
                 longest = max((res.p for res in results.values()), key=len)
@@ -183,7 +171,7 @@ class TestEndToEnd:
                 for seed in range(5):
                     rng = random.Random(f"e2e:{mode}:{name}:{seed}")
                     inputs = {pid: rng.choice(labels) for pid in range(1, 5)}
-                    adversary = REGISTRY[name](tree_ctx(tree, 4, 1, mode))
+                    adversary = REGISTRY[name](context_for_tree(tree, 4, 1, mode))
                     outputs, transcript, _ = runner(tree, 4, 1, inputs, adversary, seed)
                     check_agreement(tree, inputs, outputs)
                     assert transcript.rounds_used == expected
@@ -296,7 +284,7 @@ class TestByzantinePathBytes:
         n, t = 4, 1
         a, b = tree.diameter_endpoints
         inputs = {1: a, 2: a, 3: b, 4: b}
-        adversary = EmptyPathSender(tree_ctx(tree, n, t, "final"))
+        adversary = EmptyPathSender(context_for_tree(tree, n, t, "final"))
         outputs, transcript, _ = run_final_tree_aa(tree, n, t, inputs, adversary, seed=0)
         # The fixture really sends: a silent party 1 would also leave [2, 3, 4].
         assert [(env.receiver, env.payload) for env in transcript.envelopes

@@ -23,7 +23,8 @@ payload from each sender, None where it sent nothing), so it is read by
 position and serves directly as a memo key.  Inside a simulation each
 distinct value gets one value broadcast, and each distinct inbox gets its
 echo outbox, vote outbox and grades built once (``simnet.memoised``);
-outboxes are tuples, so the parties sharing one cannot alter it.  Each
+outboxes are tuples and the grades a read-only ``MappingProxyType``, so
+the parties sharing one cannot alter it.  Each
 builder records in the memo what its frame decodes to (the value, or the
 entries it encoded), so honest frames are never decoded and entries,
 candidates and grades hold the sender's own bytes.  Other bytes are decoded
@@ -33,7 +34,8 @@ inboxes that are still told apart.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import wire
 from .simnet import Inbox, _new, broadcast, memoised
@@ -150,19 +152,21 @@ def _vote_outbox(n: int, t: int, inbox: Inbox):
         n, t, received_vectors(n, inbox, TAG_ECHO)))
 
 
-def _grades(n: int, t: int, inbox: Inbox) -> dict[int, GradedValue]:
-    return grade_votes(n, t, received_vectors(n, inbox, TAG_VOTE))
+def _grades(n: int, t: int, inbox: Inbox) -> Mapping[int, GradedValue]:
+    return MappingProxyType(grade_votes(n, t, received_vectors(n, inbox, TAG_VOTE)))
 
 
 def gradecast_all(n: int, t: int, value: bytes):
-    """3-round machine; returns {sender pid: GradedValue} for all n instances.
+    """3-round machine; returns a read-only {sender pid: GradedValue} for all
+    n instances.
 
     It takes no pid: a party's messages and output depend only on its value
     and its inboxes, so each is built once per distinct value or inbox in a
-    run and shared.
+    run and shared.  The parties that read one vote inbox share one grades
+    view (a ``MappingProxyType``), which none of them can write to.
     """
     inbox = yield memoised("value", (n, value), _value_outbox, n, value)
     inbox = yield memoised("echo", (n, inbox), _echo_outbox, n, inbox)
     inbox = yield memoised("vote", (n, t, inbox), _vote_outbox, n, t, inbox)
-    # The grades are shared too; each party gets its own copy of the dict.
-    return dict(memoised("grades", (n, t, inbox), _grades, n, t, inbox))
+    # One read-only view per distinct vote inbox, shared like the outboxes.
+    return memoised("grades", (n, t, inbox), _grades, n, t, inbox)

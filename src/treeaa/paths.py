@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import compress, count, islice
 from operator import ne
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .bounds import plan_iterations
 from .errors import NoSupport
@@ -134,7 +134,7 @@ def prefix_path_finder_machine(tree: LabeledTree, n: int, t: int, input_vertex: 
                     _path_pair, tree, n, t, graded)
 
 
-def _path_pair(tree: LabeledTree, n: int, t: int, graded: dict) -> PathPair:
+def _path_pair(tree: LabeledTree, n: int, t: int, graded: Mapping) -> PathPair:
     """The longest prefixes n - t senders support at grade 2 (p) and >= 1 (q)."""
     entries: list[Entry] = []
     for sender in range(1, n + 1):

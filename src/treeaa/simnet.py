@@ -19,8 +19,9 @@ Everything else is derived from the records: the envelopes (one per pair),
 the JSONL lines, the inboxes, the adversary's view
 (``SimulationView.inbox_of``) and ``replay_transcript``.  Each record gives
 its sender's column, the n-tuple of its first payload to each receiver;
-a round's inboxes are its columns transposed, and the view keeps the last
-finished round's rows.
+a round's inboxes are its columns transposed.  The view reads a party's
+entries from the records, keeping only each round's start offset in them
+and the last finished round's delivered rows.
 
 Honest and corrupted parties send the same way: an outbox of (receiver,
 payload) pairs, recorded under the round and the sender's own pid, so a
@@ -30,7 +31,7 @@ ids; a bytearray or memoryview payload is copied to bytes, any other
 non-bytes payload is refused), raising ProtocolViolation for an honest
 party and StrategyViolation for a corrupted one.  Every outbox is checked
 once per distinct object per run (a mutable one at every send), and the
-view's columns are tuples.
+view holds no column, so writing to it changes no delivery.
 
 Round structure.  In round k every party neither finished nor corrupted is
 resumed with the inbox from round k-1 (None for k=1) and yields the
@@ -50,7 +51,8 @@ byte-identical broadcasts, so its machines and adversary shadows decode
 each distinct input once and build the outbox answering each distinct
 inbox once; gradecast's encoders record what their frames decode to, so
 those are never decoded.  The memo is keyed by value and dropped when the
-run ends; its values are shared, so they are immutable (an outbox is a tuple).
+run ends; its values are shared, so they are immutable (an outbox is a
+tuple, gradecast's grades a read-only ``MappingProxyType``).
 
 A transcript file is one canonical JSON line per envelope, each ending in
 a newline (``Transcript.to_jsonl``); the lines of one record share one
@@ -71,6 +73,7 @@ import random
 import re
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Generator, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -313,25 +316,24 @@ def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
 class SimulationView:
     """Adversary-facing read view of a running simulation.
 
-    It holds ``n``, the corrupted set and ``columns``: per round, each
-    sender's column (entry q-1 its first payload to party q).  Its
-    ``transcript`` is a copy of the run's so far, made on each read, so
-    writing to it changes no record.  A round's columns are shown once its
-    corruptions are decided, and each corrupted party's column as soon as
-    it has sent.  So a corruption
-    decision sees the rounds before the current one, and `byzantine_send`
-    also sees the current round's honest messages and those of the earlier
-    corrupted parties (rushing adversary).  It also keeps the last finished
-    round's ``delivered`` rows, the inboxes the loop resumed the parties with.
-    Each round's columns are a tuple, published again after each corrupted
-    send, so writing to the view changes no party's inbox.
+    It holds ``n`` and the corrupted set, and reads everything else from the
+    run's records.  Its ``transcript`` is a copy of the run's so far, made
+    on each read, so writing to it changes no record.  A round's records
+    are shown once its corruptions are decided, and each corrupted party's
+    record as soon as it has sent.  So a corruption decision sees the rounds
+    before the current one, and `byzantine_send` also sees the current
+    round's honest messages and those of the earlier corrupted parties
+    (rushing adversary).  Beyond each round's start offset in the records,
+    it keeps only the last finished round's ``delivered`` rows, the inboxes
+    the loop resumed the parties with; the loop delivers its own rows, so
+    writing to the view changes no party's inbox.
     """
 
     def __init__(self, transcript: Transcript, corrupted: set[int]):
         self.n = transcript.n
         self._transcript = transcript
         self._corrupted = corrupted
-        self.columns: dict[int, tuple[Inbox, ...]] = {}
+        self._starts: list[int] = []  # entry r-1: round r's first index in the records
         self.delivered_round, self.delivered = 0, ()
 
     @property
@@ -345,16 +347,24 @@ class SimulationView:
 
     def inbox_of(self, pid: int, round: int) -> Inbox:
         """pid's inbox from `round` (delivered at that round's end), per sender:
-        its entry of every column.  The round being sent reads its messages so
-        far (rushing); a pid outside 1..n or a round with nothing sent gets
-        all None.  The last finished round's inbox is the very row delivered."""
+        the first payload to pid in its record of that round.  The round
+        being sent reads its records so far (rushing); a pid outside 1..n or
+        a round with nothing shown gets all None.  The last finished round's
+        inbox is the very row delivered."""
         rows = self.delivered  # () until round 1 is delivered
         if round == self.delivered_round and 0 < pid <= len(rows):
             return rows[pid - 1]
-        columns = self.columns.get(round)
-        if columns is None or not 1 <= pid <= self.n:
-            return (None,) * self.n
-        return tuple([column[pid - 1] for column in columns])
+        inbox: list[bytes | None] = [None] * self.n
+        starts = self._starts
+        if 1 <= pid <= self.n and 1 <= round <= len(starts):
+            records = self._transcript.records
+            stop = starts[round] if round < len(starts) else len(records)
+            for _, s, pairs in islice(records, starts[round - 1], stop):
+                for q, p in pairs:  # a loop, not a generator: no frame per sender
+                    if q == pid:
+                        inbox[s - 1] = p
+                        break
+        return tuple(inbox)
 
 
 class Adversary:
@@ -492,7 +502,7 @@ def run_simulation(
     try:
         adversary.begin(n, t, random.Random(f"adversary:{seed}"))
         for rnd in range(1, round_cap + 1):
-            # Each sender's column this round, shown in the view after corruption.
+            # Each sender's column this round, transposed into the deliveries.
             columns: list[Inbox] = [silent] * n
             sent: dict[int, Outbox] = {}
             for pid in running:
@@ -523,7 +533,7 @@ def run_simulation(
                     columns[pid - 1] = silent
             running = [*sent]
 
-            view.columns[rnd] = tuple(columns)
+            view._starts.append(len(records))
             for pid, pairs in sent.items():  # honest records first, in pid order
                 if pairs:
                     records.append(_new(Record, (rnd, pid, pairs)))
@@ -535,7 +545,6 @@ def run_simulation(
                     n, pid, outbox, StrategyViolation, checked)
                 if pairs:
                     records.append(_new(Record, (rnd, pid, pairs)))
-                view.columns[rnd] = tuple(columns)
 
             inboxes = view.delivered = tuple(zip(*columns))
             tr.rounds_used = view.delivered_round = rnd

@@ -17,46 +17,59 @@ class InstanceScript(Adversary):
     the scripted per-receiver value frames, and in rounds 2/3 it sends
     honest echo/vote vectors with the target entry replaced per receiver.
     A scripted value of None means silence (round 1) or an absent entry.
+
+    With ``later`` values, the script repeats in the 3-round blocks after
+    the first, one block per value: in block b >= 1 every scripted value
+    that is not None becomes ``later[b - 1]``.  The party is silent in
+    every round after its last block.
     """
 
     def __init__(self, byz_pid: int, target: int,
                  r1: dict[int, bytes | None],
                  r2: dict[int, bytes | None],
                  r3: dict[int, bytes | None],
-                 own_value: bytes = b"B"):
+                 own_value: bytes = b"B",
+                 later: tuple[bytes, ...] = ()):
         self.byz_pid = byz_pid
         self.target = target
         self.r1, self.r2, self.r3 = r1, r2, r3
         self.own_value = own_value
+        self.later = later
 
     def corrupt_decision(self, round, view):
         return {self.byz_pid}
 
+    def scripted(self, script, q, block):
+        value = script.get(q)
+        return value if value is None or block == 0 else self.later[block - 1]
+
     def byzantine_send(self, round, pid, view):
         n = self.n
         out = []
-        if round == 1:
+        block, step = divmod(round - 1, 3)
+        if block > len(self.later):
+            return []
+        first = 3 * block + 1  # the block's value round
+        if step == 0:
             for q in range(1, n + 1):
-                value = self.r1.get(q) if self.target == pid else self.own_value
+                value = self.scripted(self.r1, q, block) if self.target == pid else self.own_value
                 if value is not None:
                     out.append((q, frame(TAG_VALUE, value)))
             return out
-        if round == 2:
-            mine = received_values(n, view.inbox_of(pid, 1))
+        if step == 1:
+            mine = received_values(n, view.inbox_of(pid, first))
             for q in range(1, n + 1):
                 entries = list(mine)
-                entries[self.target - 1] = self.r2.get(q)
+                entries[self.target - 1] = self.scripted(self.r2, q, block)
                 out.append((q, frame(TAG_ECHO, encode_vector(entries))))
             return out
-        if round == 3:
-            echoes = received_vectors(n, view.inbox_of(pid, 2), TAG_ECHO)
-            candidates = compute_candidates(n, self.t, echoes)
-            for q in range(1, n + 1):
-                entries = list(candidates)
-                entries[self.target - 1] = self.r3.get(q)
-                out.append((q, frame(TAG_VOTE, encode_vector(entries))))
-            return out
-        return []
+        echoes = received_vectors(n, view.inbox_of(pid, first + 1), TAG_ECHO)
+        candidates = compute_candidates(n, self.t, echoes)
+        for q in range(1, n + 1):
+            entries = list(candidates)
+            entries[self.target - 1] = self.scripted(self.r3, q, block)
+            out.append((q, frame(TAG_VOTE, encode_vector(entries))))
+        return out
 
 
 def check_consistency(outputs: dict[int, dict], n: int) -> None:

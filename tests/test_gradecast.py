@@ -79,8 +79,10 @@ def test_receivers_share_one_immutable_vector():
 
 
 def test_each_receiver_gets_its_own_output_dict():
+    # The grades are a shared read-only view: a party cannot write to them.
     outputs, _ = gradecast_once(4, 1, values_for(4))
-    outputs[1][1] = GradedValue(None, 0)
+    with pytest.raises(TypeError):
+        outputs[1][1] = GradedValue(None, 0)
     assert outputs[2][1] == GradedValue(b"val-1", 2)
 
 

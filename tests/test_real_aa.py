@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,7 @@ from treeaa.bounds import convergence_factor
 from treeaa.real_aa import closest_int, real_aa_machine
 from treeaa.wire import encode_double
 
-from byzhelpers import marked
+from byzhelpers import InstanceScript, marked
 from oracles import closed_form_iterations, guaranteed_spread, spread
 
 MATRIX_NT = [(4, 1), (7, 2), (10, 3)]
@@ -239,6 +240,25 @@ class TestRunRealAA:
         assert (results[1].value, results[1].blacklist) == (0.0, frozenset({4}))
         for pid in (2, 3, 4):
             assert (results[pid].value, results[pid].blacklist) == (1.5, frozenset())
+
+    def test_a_grade_one_split_counts_once(self):
+        # Party 4 splits its own instance in both iterations: value x to
+        # parties 1 and 2, echo to party 1, votes to parties 1 and 2, so they
+        # grade x as 1 and party 3 grades it 0.  Iteration 1 meets the
+        # guarantee with equality; in iteration 2 every honest party has
+        # blacklisted party 4, so its second split counts for nothing.
+        inputs = {1: 0.0, 2: 0.0, 3: 10.0, 4: 0.0}
+        x = encode_double(10.0)
+        script = InstanceScript(4, 4, {1: x, 2: x}, {1: x}, {1: x, 2: x},
+                                later=(encode_double(0.0),))
+        assert plan_iterations(4, 1, 10.0, 1.0) == 2
+        _, _, results = real_aa_once(4, 1, inputs, 10.0, 1.0, script)
+        assert sorted(results) == [1, 2, 3]
+        first = [res.history[1] for res in results.values()]
+        second = [res.history[2] for res in results.values()]
+        assert spread(first) == guaranteed_spread(4, 1, 1, 0, 10) == 5
+        assert spread(second) <= guaranteed_spread(4, 1, 2, 0, 10) == Fraction(5, 8)
+        assert spread(second) == 0
 
 
 def test_pairwise_sum_matches_fsum():

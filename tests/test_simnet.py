@@ -1,7 +1,9 @@
 import re
 import sys
 import tracemalloc
+from contextvars import ContextVar
 from itertools import groupby
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +16,7 @@ from treeaa.errors import (
     ProtocolViolation,
     StrategyViolation,
 )
-from treeaa import simnet
+from treeaa import harness, simnet
 from treeaa.gradecast import gradecast_all
 from treeaa.simnet import (
     Adversary,
@@ -239,6 +241,35 @@ class TestRunMemo:
         assert len(calls) == 1
         memoised("t", "k", compute)
         assert len(calls) == 2
+
+    def test_every_value_is_immutable(self, monkeypatch, eight_vertex_tree):
+        # Parties share memo values, so each must be hashable, or a read-only
+        # view of hashable values.  A stand-in for the memo's ContextVar
+        # keeps each run's memo for inspection after the run.
+        var = ContextVar("kept_run_memo", default=None)
+        kept = []
+
+        class Keeping:
+            def get(self):
+                return var.get()
+
+            def set(self, memo):
+                kept.append(memo)
+                return var.set(memo)
+
+            def reset(self, token):
+                var.reset(token)
+
+        monkeypatch.setattr(simnet, "_RUN_MEMO", Keeping())
+        inputs = {1: "v6", 2: "v8", 3: "v5", 4: "v1"}
+        for mode in ("final", "legacy"):
+            harness.run_one(eight_vertex_tree, "eight", 4, 1, mode, "split-world", inputs, 0)
+        assert len(kept) == 2
+        tables = [table for memo in kept for table in memo.values()]
+        for table in tables:
+            for value in table.values():
+                hash(tuple(value.items()) if isinstance(value, MappingProxyType) else value)
+        assert any(isinstance(v, MappingProxyType) for table in tables for v in table.values())
 
     def test_nested_run_has_its_own_memo(self):
         outer_compute, outer_calls = counting("outer")
@@ -875,10 +906,9 @@ def test_a_forged_broadcast_from_a_corrupted_party_is_checked_in_full(pairs, mat
 
 
 def test_writing_to_the_view_changes_no_delivery():
-    # The rushing adversary tries to overwrite honest party 1's column of
-    # the round being sent, then the whole round, then party 1's record in
-    # the view's transcript; every honest party still receives what the
-    # returned transcript records.
+    # The rushing adversary tries to overwrite party 1's record in the
+    # view's transcript, then the delivered rows; every honest party still
+    # receives what the returned transcript records.
     n = 4
     live = {pid: {} for pid in range(1, n)}
 
@@ -887,12 +917,8 @@ def test_writing_to_the_view_changes_no_delivery():
             return {n}
 
         def byzantine_send(self, round, pid, view):
-            try:
-                view.columns[round][0] = (b"forged",) * n
-            except TypeError:
-                pass
-            view.columns[round] = ((b"forged",) * n,) * n
             view.transcript.records[0] = Record(1, 1, broadcast(n, b"forged"))
+            view.delivered = ((b"forged",) * n,) * n
             return ()
 
     machines = [recording_echo(n, pid, live[pid]) for pid in range(1, n)] + [never_ends()]

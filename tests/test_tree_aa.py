@@ -12,6 +12,7 @@ from treeaa import (
     run_tree_aa_old,
 )
 from treeaa.adversaries import REGISTRY, RegistryAdversary, context_for_tree
+from treeaa import paths
 from treeaa.errors import InvalidParams
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
 from treeaa.simnet import Adversary
@@ -19,6 +20,7 @@ from treeaa.paths import legacy_rounds
 from treeaa.trees import LabeledTree
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_double, encode_vector, frame
 
+from byzhelpers import InstanceScript
 from oracles import is_prefix, path_between
 
 
@@ -145,6 +147,22 @@ class TestEndToEnd:
             assert outputs == inputs
             assert transcript.rounds_used == 0
             assert transcript.envelopes == []
+
+    def test_a_grade_one_split_makes_q_longer_than_p(self):
+        # Party 4 gradecasts the root path to v3 so that parties 1 and 2
+        # grade it 1 and party 3 grades it 0: only parties 1 and 2 count a
+        # fourth path for q, which then runs past p.
+        tree = generate_tree("path", 3)
+        x = paths.root_path_bytes(tree, "v3")
+        script = InstanceScript(4, 4, {1: x, 2: x}, {1: x}, {1: x, 2: x})
+        inputs = {1: "v3", 2: "v3", 3: "v0", 4: "v0"}
+        outputs, _, results = run_final_tree_aa(tree, 4, 1, inputs, script)
+        assert {pid: (res.p, res.q) for pid, res in results.items()} == {
+            1: (("v0",), ("v0", "v1", "v2", "v3")),
+            2: (("v0",), ("v0", "v1", "v2", "v3")),
+            3: (("v0",), ("v0",)),
+        }
+        check_agreement(tree, inputs, outputs)
 
     def test_consistent_labeling_across_honest_parties(self, eight_vertex_tree):
         tree = eight_vertex_tree

@@ -12,11 +12,10 @@ from treeaa import (
     run_tree_aa_old,
 )
 from treeaa.adversaries import REGISTRY, RegistryAdversary, context_for_tree
-from treeaa import paths
 from treeaa.errors import InvalidParams
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
 from treeaa.simnet import Adversary
-from treeaa.paths import legacy_rounds
+from treeaa.paths import legacy_rounds, root_path_bytes
 from treeaa.trees import LabeledTree
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_double, encode_vector, frame
 
@@ -153,7 +152,7 @@ class TestEndToEnd:
         # grade it 1 and party 3 grades it 0: only parties 1 and 2 count a
         # fourth path for q, which then runs past p.
         tree = generate_tree("path", 3)
-        x = paths.root_path_bytes(tree, "v3")
+        x = root_path_bytes(tree, "v3")
         script = InstanceScript(4, 4, {1: x, 2: x}, {1: x}, {1: x, 2: x})
         inputs = {1: "v3", 2: "v3", 3: "v0", 4: "v0"}
         outputs, _, results = run_final_tree_aa(tree, 4, 1, inputs, script)

@@ -53,35 +53,27 @@ class Strategy(NamedTuple):
 
 class _Shadow:
     """Honest machines, one per face, stepped in lockstep on the inbox history
-    ``rows`` (None first); ``outs`` holds each face's last outbox, () once done."""
+    ``rows`` (None first; r rows in round r); ``outs``: each face's last outbox, () once done."""
 
     def __init__(self, machines: list[Generator]):
         self.programs = [GeneratorProgram(machine) for machine in machines]
         self.rows: list[Inbox | None] = []
         self.outs: list[Outbox] = []
-        self.next_round = 1
 
     def step(self, inbox: Inbox | None) -> None:
         self.rows.append(inbox)
-        self.next_round += 1
         outs = self.outs
         outs.clear()  # a loop, not a comprehension: no frame per round
         for program in self.programs:
             out = program.on_round(inbox)
             outs.append(() if type(out) is Finished else out)
 
-    def advance(self, pid: int, view: SimulationView, upto: int) -> list[Outbox]:
-        """Each face's outbox of round ``upto``, reading pid's inboxes once each."""
-        while self.next_round <= upto:
-            self.step(view.inbox_of(pid, self.next_round - 1) if self.next_round > 1 else None)
-        return self.outs
-
 
 class RegistryAdversary(Adversary):
-    """Plays one registry row.  ``_shadows[pid]`` is the shadow of pid's
-    inbox history, shared by the pids with that history; each pid reads each
-    of its inboxes once and, where one differs from its shadow's row, moves
-    to the shadow of its own history, started if there is none."""
+    """Plays one registry row.  ``_shadows[pid]`` is the shadow of pid's inbox
+    history, shared by the pids with that history.  Each round each pid reads
+    its last inbox once: the first sharer steps the shadow with it, and a later
+    one whose inbox differs moves to the shadow of its own history (new if none)."""
 
     def __init__(self, row: Strategy, ctx: AdversaryContext):
         self.row, self.ctx = row, ctx
@@ -102,12 +94,12 @@ class RegistryAdversary(Adversary):
         shadow = self._shadows.get(pid)
         if shadow is None:  # a late corruption replays its whole history
             shadow = self._shadow_of(pid, [None, *[view.inbox_of(pid, r) for r in range(1, round)]])
-        elif shadow.next_round == round:  # the first of its sharers this round
-            shadow.advance(pid, view, round)
-        else:  # a sharer stepped it this round; pid's own inbox of last round decides
+        else:  # pid's inbox of last round steps the shadow, or moves pid off it
             inbox = view.inbox_of(pid, round - 1)
-            if shadow.rows[round - 1] != inbox:
-                shadow = self._shadow_of(pid, [*shadow.rows[:round - 1], inbox])
+            if len(shadow.rows) < round:  # the first of its sharers this round
+                shadow.step(inbox)
+            elif shadow.rows[-1] != inbox:  # a sharer stepped it on another inbox
+                shadow = self._shadow_of(pid, [*shadow.rows[:-1], inbox])
         outs = shadow.outs
         if len(outs) == 1 or (round - 1) % row.every:
             return outs[0]

@@ -29,6 +29,14 @@ def _parse_seeds(ctx, param, spec: str | None) -> list[int] | None:
         raise click.BadParameter(f'expected "lo:hi" or a comma list, got {spec!r}') from None
 
 
+def _write(path: str, text: str) -> None:
+    """Write an --out file; an unwritable path is the CLI's error, not a traceback."""
+    try:
+        FilePath(path).write_text(text, encoding="utf-8")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise click.ClickException(f"cannot write {path!r}: {exc}") from None
+
+
 @click.group()
 def main():
     """Byzantine approximate agreement on trees."""
@@ -79,7 +87,7 @@ def run(config_path, tree_file, gen_spec, out_path, **flags):
         raise click.ClickException(str(exc)) from exc
     document = emit_report(reports, cfg.out_format)
     if out_path:
-        FilePath(out_path).write_text(document, encoding="utf-8")
+        _write(out_path, document)
         click.echo(f"wrote {len(reports)} reports to {out_path}")
     else:
         click.echo(document, nl=False)
@@ -102,7 +110,7 @@ def gen_tree(kind, size, seed, out_path):
     else:
         text = "".join(f"{a} {b}\n" for a, b in sorted(tree.edges()))
     if out_path:
-        FilePath(out_path).write_text(text, encoding="utf-8")
+        _write(out_path, text)
         click.echo(f"wrote {len(tree)} vertices to {out_path}")
     else:
         click.echo(text, nl=False)

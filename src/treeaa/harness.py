@@ -157,10 +157,13 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
     transcript_path = None
     if emit_dir is not None:
         out = FilePath(emit_dir)
-        out.mkdir(parents=True, exist_ok=True)
         name = f"{mode}-{tree_kind.replace('(', '-').rstrip(')')}-n{n}-{adversary_name}-s{seed}.jsonl"
         target = out / name
-        target.write_text(transcript.to_jsonl(), encoding="utf-8")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            target.write_text(transcript.to_jsonl(), encoding="utf-8")
+        except OSError as exc:  # emit_dir is a file, or not writable
+            raise InvalidParams(f"cannot write transcripts to {emit_dir!r}: {exc}") from None
         transcript_path = str(target)
     return RunReport(
         seed=seed,

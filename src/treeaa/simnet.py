@@ -20,8 +20,8 @@ the JSONL lines, the inboxes, the adversary's view
 (``SimulationView.inbox_of``) and ``replay_transcript``.  Each record gives
 its sender's column, the n-tuple of its first payload to each receiver;
 a round's inboxes are its columns transposed.  The view reads a party's
-entries from the records, keeping only each round's start offset in them
-and the last finished round's delivered rows.
+entries from the records, which are kept in round order, by bisecting on
+their round; it keeps only the last finished round's delivered rows.
 
 Honest and corrupted parties send the same way: an outbox of (receiver,
 payload) pairs, recorded under the round and the sender's own pid, so a
@@ -71,9 +71,9 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any, Callable, Generator, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -318,23 +318,23 @@ class SimulationView:
 
     It holds ``n`` and the corrupted set, and reads everything else from the
     run's records.  Its ``transcript`` is a copy of the run's so far, made
-    on each read, so writing to it changes no record.  A round's records
-    are shown once its corruptions are decided, and each corrupted party's
-    record as soon as it has sent.  So a corruption decision sees the rounds
-    before the current one, and `byzantine_send` also sees the current
-    round's honest messages and those of the earlier corrupted parties
-    (rushing adversary).  Beyond each round's start offset in the records,
-    it keeps only the last finished round's ``delivered`` rows, the inboxes
-    the loop resumed the parties with; the loop delivers its own rows, so
-    writing to the view changes no party's inbox.
+    on each read, so writing to it changes no record.  It finds a round's
+    records by their round, and shows each as soon as it is recorded: a
+    round's honest records are appended after its corruptions are decided,
+    and each corrupted party's as soon as it has sent.  So a corruption
+    decision sees the rounds before the current one, and `byzantine_send`
+    also sees the current round's honest messages and those of the earlier
+    corrupted parties (rushing adversary).  It keeps only the last finished
+    round's ``delivered`` rows, the inboxes the loop resumed the parties
+    with; the loop delivers its own rows, so writing to the view changes no
+    party's inbox.
     """
 
     def __init__(self, transcript: Transcript, corrupted: set[int]):
         self.n = transcript.n
         self._transcript = transcript
         self._corrupted = corrupted
-        self._starts: list[int] = []  # entry r-1: round r's first index in the records
-        self.delivered_round, self.delivered = 0, ()
+        self.delivered: tuple[Inbox, ...] = ()  # the rows of round transcript.rounds_used
 
     @property
     def transcript(self) -> Transcript:
@@ -352,14 +352,13 @@ class SimulationView:
         a round with nothing shown gets all None.  The last finished round's
         inbox is the very row delivered."""
         rows = self.delivered  # () until round 1 is delivered
-        if round == self.delivered_round and 0 < pid <= len(rows):
+        if round == self._transcript.rounds_used and 0 < pid <= len(rows):
             return rows[pid - 1]
         inbox: list[bytes | None] = [None] * self.n
-        starts = self._starts
-        if 1 <= pid <= self.n and 1 <= round <= len(starts):
+        if 1 <= pid <= self.n:
             records = self._transcript.records
-            stop = starts[round] if round < len(starts) else len(records)
-            for _, s, pairs in islice(records, starts[round - 1], stop):
+            start = bisect_left(records, (round,))  # (r,) sorts just before round r's records
+            for _, s, pairs in records[start:bisect_left(records, (round + 1,), start)]:
                 for q, p in pairs:  # a loop, not a generator: no frame per sender
                     if q == pid:
                         inbox[s - 1] = p
@@ -519,13 +518,17 @@ def run_simulation(
 
             requested = adversary.corrupt_decision(rnd, view)
             if requested != corrupted:  # the unchanged set is valid as it stands
-                requested = set(requested)
+                try:
+                    requested = set(requested)
+                except TypeError as exc:  # None, or an iterable of unhashables
+                    raise StrategyViolation(f"not a set of party ids: {exc}") from None
+                # Int party ids, as for receivers: True or 2.0 would be recorded as a sender.
+                if not all(type(pid) is int and 1 <= pid <= n for pid in requested):
+                    raise StrategyViolation(f"corrupted party id not an int or out of range: {requested}")
                 if not requested >= corrupted:
                     raise StrategyViolation("adversary un-corrupted a party")
                 if len(requested) > t:
                     raise StrategyViolation(f"corrupted {len(requested)} parties, budget is {t}")
-                if not all(1 <= pid <= n for pid in requested):
-                    raise StrategyViolation("corrupted party id out of range")
                 for pid in sorted(requested - corrupted):
                     corrupted.add(pid)
                     events.append(("corrupt", rnd, pid))
@@ -533,7 +536,6 @@ def run_simulation(
                     columns[pid - 1] = silent
             running = [*sent]
 
-            view._starts.append(len(records))
             for pid, pairs in sent.items():  # honest records first, in pid order
                 if pairs:
                     records.append(_new(Record, (rnd, pid, pairs)))
@@ -547,7 +549,7 @@ def run_simulation(
                     records.append(_new(Record, (rnd, pid, pairs)))
 
             inboxes = view.delivered = tuple(zip(*columns))
-            tr.rounds_used = view.delivered_round = rnd
+            tr.rounds_used = rnd
         else:
             raise NonTermination(f"round cap {round_cap} exceeded")
     finally:

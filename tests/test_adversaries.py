@@ -110,12 +110,7 @@ def test_shadow_steps_run_inside_byzantine_send(eight_vertex_tree, monkeypatch, 
 
 
 def test_a_face_sends_nothing_once_its_machine_returned():
-    reads, inboxes = [], []
-
-    class View:
-        def inbox_of(self, pid, round):
-            reads.append(round)
-            return (b"in",) * 3
+    inboxes, inbox = [], (b"in",) * 3
 
     def short():
         inboxes.append((yield broadcast(3, b"x")))
@@ -126,14 +121,18 @@ def test_a_face_sends_nothing_once_its_machine_returned():
             yield broadcast(3, b"y")
 
     shadow = _Shadow([short(), endless()])
-    assert shadow.advance(1, View(), 1) == [broadcast(3, b"x"), broadcast(3, b"y")]
+    shadow.step(None)
+    assert shadow.outs == [broadcast(3, b"x"), broadcast(3, b"y")]
     # Round 2 finished the short face; round 3 steps it again, and the other face goes on.
-    assert shadow.advance(1, View(), 3) == [(), broadcast(3, b"y")]
-    assert inboxes == [(b"in",) * 3] and shadow.next_round == 4
-    assert reads == [1, 2]  # one inbox read per round for both faces
+    shadow.step(inbox)
+    shadow.step(inbox)
+    assert shadow.outs == [(), broadcast(3, b"y")]
+    assert inboxes == [inbox] and len(shadow.rows) == 3
 
 
-def test_split_world_reads_each_inbox_once_per_corrupted_party(monkeypatch):
+# adaptive-late corrupts late, so its first send replays the rounds before.
+@pytest.mark.parametrize("name", ["split-world", "adaptive-late"])
+def test_split_world_reads_each_inbox_once_per_corrupted_party(monkeypatch, name):
     reads = Counter()
     inbox_of = SimulationView.inbox_of
 
@@ -144,7 +143,7 @@ def test_split_world_reads_each_inbox_once_per_corrupted_party(monkeypatch):
     monkeypatch.setattr(SimulationView, "inbox_of", counted)
     tree = generate_tree("path", 30)
     inputs = {pid: tree.root for pid in range(1, 8)}
-    adv = make_adversary("split-world", context_for_tree(tree, 7, 2, "final"))
+    adv = make_adversary(name, context_for_tree(tree, 7, 2, "final"))
     _, transcript, _ = run_final_tree_aa(tree, 7, 2, inputs, adv, seed=1)
     byz = transcript.corrupted()
     assert len(byz) == 2

@@ -1,11 +1,16 @@
 import argparse
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
@@ -103,3 +108,53 @@ def test_the_failed_share_is_compared_as_a_share(change_failed, expected):
             r["output"]["attempted"] = 5  # half of the parent's 10
     summary = bench_pairs.summarise(runs)
     assert bench_pairs.regressions(summary) == expected
+
+
+# main with git and perfbench stubbed: its one perfbench child writes its pid, then sleeps.
+STUBBED_MAIN = """
+import importlib.util, subprocess, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+bench_pairs.commit_of = lambda rev: rev
+bench_pairs.export = lambda commit, dest: dest.mkdir(parents=True)
+
+def run_perfbench(tree, workload, seed, seconds):
+    sleeper = "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid())); time.sleep(60)"
+    subprocess.run([sys.executable, "-c", sleeper, sys.argv[2]], capture_output=True)
+    raise AssertionError("the sleeper was not killed")
+
+bench_pairs.run_perfbench = run_perfbench
+sys.exit(bench_pairs.main(["--parent", "a", "--change", "b", "--pairs", "w=1:2",
+                           "--claim", "none", "--out", sys.argv[3]]))
+"""
+
+
+def test_sigterm_kills_the_perfbench_child_and_removes_the_exports(tmp_path):
+    tmp, pid_file = tmp_path / "tmp", tmp_path / "child.pid"
+    tmp.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STUBBED_MAIN, str(TOOL), str(pid_file), str(tmp_path / "out.json")],
+        env={**os.environ, "TMPDIR": str(tmp)})
+    child = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        assert [p.name for p in tmp.iterdir()][0].startswith("bench_pairs_")
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(child, 0)
+        assert not list(tmp.glob("bench_pairs_*"))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

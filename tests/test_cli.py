@@ -200,6 +200,27 @@ def test_run_rejects_an_unreadable_tree_file(tmp_path, how):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("how", ["run --out", "gen-tree --out", "emit_transcripts"])
+def test_an_unwritable_output_path_is_an_error(tmp_path, how):
+    if how == "emit_transcripts":
+        target = tmp_path / "taken.txt"
+        target.write_text("a file, not a directory\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**CONFIG, "tree_source": "path:6", "seeds": [0],
+                                    "emit_transcripts": str(target)}), encoding="utf-8")
+        args = ["run", "--config", str(path)]
+    else:
+        target = tmp_path / "missing" / "out.txt"
+        args = (["run", "--gen", "path:6", "--n", "4", "--t", "1", "--seeds", "0"]
+                if how == "run --out" else ["gen-tree", "--kind", "path", "--size", "6"])
+        args += ["--out", str(target)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and repr(str(target)) in result.output
+    assert "Traceback" not in result.output
+
+
 def test_gen_tree_roundtrips_through_run(tmp_path):
     runner = CliRunner()
     doc = tmp_path / "tree.txt"

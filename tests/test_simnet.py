@@ -114,6 +114,21 @@ def test_byzantine_receiver_must_be_an_int_party_id(receiver):
         echo_run(n=4, adversary=ByzantineSendsTo(receiver))
 
 
+class Corrupts(Adversary):
+    def __init__(self, requested):
+        self.requested = requested
+
+    def corrupt_decision(self, round, view):
+        return self.requested
+
+
+# As for receivers: True and 2.0 would be recorded as senders true and 2.0.
+@pytest.mark.parametrize("requested", [{True}, {2.0}, {"2"}, None, {0}, {5}], ids=repr)
+def test_corrupted_pid_must_be_an_int_party_id(requested):
+    with pytest.raises(StrategyViolation):
+        echo_run(n=4, adversary=Corrupts(requested))
+
+
 def test_round_cap_turns_liveness_bug_into_error():
     machines = [never_ends(), never_ends()]
     with pytest.raises(NonTermination):

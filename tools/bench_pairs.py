@@ -17,7 +17,9 @@ summary per workload and metric (median and quartiles per side, in how
 many pairs the change was lower and higher, and a verdict; per workload,
 each side's failed runs as ``failed/attempted``), the list of regressions
 (see ``regressions``) and every raw run.  It is rewritten after every
-pair, so an interrupted run keeps the pairs it finished.
+pair, so an interrupted run keeps the pairs it finished.  SIGTERM exits
+with status 143, killing the running perfbench child and removing both
+exports first.
 
 A metric's verdict, by its ``better`` direction and ``bound`` in
 ``BENCHMARK.json``: ``gain`` when the change is better in at least 9 of
@@ -34,6 +36,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -160,6 +163,12 @@ def regressions(summary: dict) -> list[str]:
     return found
 
 
+def _exit_on_sigterm(signum: int, frame) -> None:
+    """SIGTERM as SystemExit: ``subprocess.run`` kills the running perfbench
+    child and ``TemporaryDirectory`` removes both exports on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="Parent commit (any git revision).")
@@ -169,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", required=True, help="What the pairs are meant to show.")
     parser.add_argument("--out", required=True, help="JSON file to write.")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     spec = load_spec()
     seconds = spec["run_seconds"]
 

@@ -34,7 +34,8 @@ def _least_rounds(t: int, m: int, d: float, eps: float = 1.0) -> int:
     The R = 0 sides are d and eps (0^0 = 1), so R = 0 exactly when d <= eps.
     Both callers have m > t, so (R m / t)^R grows with R and every R past
     the answer meets the inequality too: the search doubles R until it
-    does, then bisects.
+    does, then bisects.  It ends before R = 512: d / eps < 2^2098 for finite
+    d, eps > 0, and (R m / t)^R >= R^R passes that (R <= 262 at the extremes).
     """
     (a, b), (c, e) = d.as_integer_ratio(), eps.as_integer_ratio()
     p, q = a * e, b * c  # d / eps = p / q
@@ -45,8 +46,6 @@ def _least_rounds(t: int, m: int, d: float, eps: float = 1.0) -> int:
     hi = 1
     while not meets(hi):
         hi *= 2
-        if hi > 10_000:  # d and eps are finite, so the search always stops well before
-            raise InvalidParams("round search diverged")
     return bisect_left(range(hi), True, key=meets)
 
 

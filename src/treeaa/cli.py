@@ -82,6 +82,8 @@ def run(config_path, tree_file, gen_spec, out_path, **flags):
             raise click.UsageError(f"missing required option for {key}")
     try:
         cfg = ExperimentConfig.from_dict(data)
+        if out_path:  # emptied now, so an unwritable path fails before the first seed
+            _write(out_path, "")
         reports = run_experiment(cfg)
     except TreeAAError as exc:
         raise click.ClickException(str(exc)) from exc

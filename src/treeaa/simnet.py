@@ -182,16 +182,15 @@ class Transcript:
         hexed: dict[bytes, str] = {}
         pieces: dict[int, list[str | None]] = {}
         parts: list[str | None] = []
-        for r, s, pairs in self.records:
-            if pairs:
-                lines = pieces.get(id(pairs))
-                if lines is None:
-                    lines = pieces[id(pairs)] = []
-                    for q, p in pairs:
-                        lines += None, f'{q},"payload_hex":"', hexed.get(p) or hexed.setdefault(
-                            p, p.hex()), '"}\n'
-                lines[::4] = (f'{{"round":{r},"sender":{s},"receiver":',) * len(pairs)
-                parts += lines
+        for r, s, pairs in self.records:  # empty pairs add no piece
+            lines = pieces.get(id(pairs))
+            if lines is None:
+                lines = pieces[id(pairs)] = []
+                for q, p in pairs:
+                    lines += None, f'{q},"payload_hex":"', hexed.get(p) or hexed.setdefault(
+                        p, p.hex()), '"}\n'
+            lines[::4] = (f'{{"round":{r},"sender":{s},"receiver":',) * len(pairs)
+            parts += lines
         del hexed, pieces  # freed before the join, where the call's memory peaks
         return "".join(parts)
 

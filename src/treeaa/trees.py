@@ -52,9 +52,6 @@ class EulerList:
     entries: tuple[str, ...]
     index_of: dict[str, tuple[int, ...]]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def vertex_at(self, index: int) -> str:
         """Vertex at a 1-based position."""
         if not 1 <= index <= len(self.entries):

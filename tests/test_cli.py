@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import runpy
 import struct
+import sys
 import time
 
 import pytest
 from click.testing import CliRunner
 
+from treeaa import harness, parse_tree
 from treeaa.cli import main
 
 
@@ -140,18 +143,23 @@ CONFIG = {"tree_source": "path:8", "n": 4, "t": 1, "seeds": [0, 1]}
     {"adversary": ["silent"]},
     {"mode": None},
     {"out_format": 1},
+    {"out_format": "xml"},
     {"inputs": 5},
     {"inputs": ["v0", 1]},
+    {"inputs": []},
     {"emit_transcripts": 1},
 ])
-def test_run_config_rejects_wrong_types(tmp_path, override):
+def test_run_config_rejects_wrong_types(tmp_path, monkeypatch, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**CONFIG, **override}), encoding="utf-8")
+    seeds_run = []
+    monkeypatch.setattr(harness, "run_one", lambda *args: seeds_run.append(args[7]))
     result = CliRunner().invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Error:" in result.output
     assert '"valid"' not in result.output
+    assert seeds_run == []  # refused before the first seed
 
 
 @pytest.mark.parametrize("document", ['{"n": 4,', "[1,2]", '"path:8"', "\xff"])
@@ -201,7 +209,10 @@ def test_run_rejects_an_unreadable_tree_file(tmp_path, how):
 
 
 @pytest.mark.parametrize("how", ["run --out", "gen-tree --out", "emit_transcripts"])
-def test_an_unwritable_output_path_is_an_error(tmp_path, how):
+def test_an_unwritable_output_path_is_an_error(tmp_path, monkeypatch, how):
+    seeds_run = []
+    run_one = harness.run_one
+    monkeypatch.setattr(harness, "run_one", lambda *args: seeds_run.append(args[7]) or run_one(*args))
     if how == "emit_transcripts":
         target = tmp_path / "taken.txt"
         target.write_text("a file, not a directory\n")
@@ -219,6 +230,35 @@ def test_an_unwritable_output_path_is_an_error(tmp_path, how):
     assert isinstance(result.exception, SystemExit)
     assert "Error:" in result.output and repr(str(target)) in result.output
     assert "Traceback" not in result.output
+    if how == "run --out":  # the report file is opened before the first seed
+        assert seeds_run == []
+
+
+@pytest.mark.parametrize("args", [["gen-tree", "--kind", "path", "--size", "0"],
+                                  ["bounds", "--n", "4", "--t", "0", "--d", "10"]],
+                         ids=["gen-tree", "bounds"])
+def test_a_parameter_the_library_refuses_is_an_error(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_gen_tree_prints_a_one_vertex_tree_that_parses_back():
+    result = CliRunner().invoke(main, ["gen-tree", "--kind", "binary", "--size", "1"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "v0\n"
+    assert parse_tree(result.output).vertices == {"v0"}
+
+
+@pytest.mark.filterwarnings("ignore:'treeaa.cli' found in sys.modules:RuntimeWarning")
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["treeaa", "bounds", "--n", "4", "--t", "1", "--d", "1000"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("treeaa.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert json.loads(capsys.readouterr().out)["lb_rounds"] == 3
 
 
 def test_gen_tree_roundtrips_through_run(tmp_path):

@@ -222,6 +222,8 @@ class TestEmitReport:
     def test_empty_list_is_error(self):
         with pytest.raises(InvalidParams):
             emit_report([], "json")
+        with pytest.raises(InvalidParams, match="format must be json or csv"):
+            emit_report(self.make_reports(), "xml")
 
 
 def test_every_exported_name_resolves():

@@ -1,13 +1,16 @@
+import random
 import re
 import sys
 import tracemalloc
 from contextvars import ContextVar
-from itertools import groupby
+from functools import partial
+from itertools import groupby, product
 from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from byzhelpers import InstanceScript
 from oracles import from_jsonl_by_regex, to_jsonl_by_json, transcript_from_envelopes
 from treeaa.errors import (
     CorruptTranscript,
@@ -16,8 +19,13 @@ from treeaa.errors import (
     ProtocolViolation,
     StrategyViolation,
 )
-from treeaa import harness, simnet
+from treeaa import generate_tree, harness, run_final_tree_aa, run_tree_aa_old, simnet
+from treeaa.adversaries import REGISTRY, context_for_tree, make_adversary
+from treeaa.generators import KINDS
 from treeaa.gradecast import gradecast_all
+from treeaa.paths import root_path_bytes
+from treeaa.real_aa import real_aa_machine
+from treeaa.wire import encode_double
 from treeaa.simnet import (
     Adversary,
     Envelope,
@@ -219,6 +227,34 @@ def counting(value):
     return compute, calls
 
 
+def registry_run(kind, n, t, mode, name, seed):
+    """(transcript, honest results) of a registry adversary's run on a 10-vertex tree."""
+    tree = generate_tree(kind, 10)
+    inputs = harness.assign_inputs(tree, n, "random", random.Random(f"inputs:{seed}"))
+    runner = run_final_tree_aa if mode == "final" else run_tree_aa_old
+    _, tr, results = runner(tree, n, t, inputs, make_adversary(name, context_for_tree(tree, n, t, mode)), seed)
+    return tr, results
+
+
+def grade_one_split_real():
+    """Real agreement at (4, 1) where party 4 splits its instance: parties 1
+    and 2 grade its 10.0 as 1, party 3 as 0 (tests/test_real_aa.py)."""
+    x = encode_double(10.0)
+    script = InstanceScript(4, 4, {1: x, 2: x}, {1: x}, {1: x, 2: x}, later=(encode_double(0.0),))
+    results, tr = run_simulation(4, 1, [real_aa_machine(4, 1, v, 10.0, 1.0) for v in (0.0, 0.0, 10.0, 0.0)],
+                                 script)
+    return tr, results
+
+
+def grade_one_split_tree():
+    """Final mode on path:3 where the same split makes q longer than p (tests/test_tree_aa.py)."""
+    tree = generate_tree("path", 3)
+    x = root_path_bytes(tree, "v3")
+    script = InstanceScript(4, 4, {1: x, 2: x}, {1: x}, {1: x, 2: x})
+    _, tr, results = run_final_tree_aa(tree, 4, 1, {1: "v3", 2: "v3", 3: "v0", 4: "v0"}, script)
+    return tr, results
+
+
 class TestRunMemo:
     """The run memo, seen through ``memoised`` and a count of computes."""
 
@@ -285,6 +321,35 @@ class TestRunMemo:
             for value in table.values():
                 hash(tuple(value.items()) if isinstance(value, MappingProxyType) else value)
         assert any(isinstance(v, MappingProxyType) for table in tables for v in table.values())
+
+    def test_runs_are_the_same_with_the_memo_off(self, monkeypatch):
+        # A differential check of the memo: with no run memo every memoised
+        # value is computed where it is asked for and every frame is decoded,
+        # and the transcripts, events and honest results must not change.
+        class NoMemo:  # a stand-in for the memo's ContextVar: no run has a memo
+            def get(self):
+                return None
+
+            def set(self, memo):
+                return None
+
+            def reset(self, token):
+                pass
+
+        def observe(run):
+            tr, results = run()
+            return tr.to_jsonl(), tr.events, tr.rounds_used, results
+
+        cases = [((kind, n, t, mode, name, seed), partial(registry_run, kind, n, t, mode, name, seed))
+                 for kind, (n, t), mode, name, seed in product(
+                     KINDS, ((4, 1), (7, 2), (10, 3)), ("final", "legacy"), sorted(REGISTRY), (0, 1))]
+        cases += [("grade-1 split, real", grade_one_split_real), ("grade-1 split, tree", grade_one_split_tree)]
+        memo_on = [observe(run) for _, run in cases]
+        monkeypatch.setattr(simnet, "_RUN_MEMO", NoMemo())
+        memo_off = [observe(run) for _, run in cases]
+        assert len(cases) == 362
+        for (case, _), on, off in zip(cases, memo_on, memo_off):
+            assert on == off, case
 
     def test_nested_run_has_its_own_memo(self):
         outer_compute, outer_calls = counting("outer")
@@ -417,6 +482,9 @@ class TestTranscript:
         '{"round":1,"sender":2,"receiver":3,"payload_hex":"0a\\"ff"}\n',
         '{"round":1,"sender":2,"receiver":3,"payload_hex":"0a\nff"}\n',
         '{"round":1,"sender":2,"receiver":3,"payload_hex":"0a\tff"}\n',
+        # Ints past int()'s 4,300-digit limit, in the head and in the tail.
+        '{"round":' + "1" * 5000 + ',"sender":2,"receiver":3,"payload_hex":"0aff"}\n',
+        '{"round":1,"sender":2,"receiver":' + "3" * 5000 + ',"payload_hex":"0aff"}\n',
     ])
     def test_jsonl_refuses_non_canonical_lines(self, text):
         assert Transcript.from_jsonl(self.CANONICAL).envelopes == [Envelope(1, 2, 3, b"\n\xff")]
@@ -543,6 +611,20 @@ class TestTranscript:
                                   Record(1, 2, ((2, b"b"), (1, b"z")))], [], 1)
         assert replay_transcript(tr)[1] == {1: (None, b"a", b"a"), 2: (None, b"b", None),
                                             3: (None, None, None)}
+
+    def test_an_empty_hand_built_record_is_silent(self):
+        # It holds no envelope and writes no line, so replay skips it
+        # unchecked, as it replays the JSONL form without it.
+        tr = Transcript(3, 0, 0, [Record(1, 2, ()), Record(1, 3, ((1, b"a"),)), Record(9, 0, ())],
+                        [], 1)
+        assert replay_transcript(tr)[1] == {1: (None, None, b"a"), 2: (None,) * 3, 3: (None,) * 3}
+        assert tr.to_jsonl() == '{"round":1,"sender":3,"receiver":1,"payload_hex":"61"}\n'
+        assert replay_transcript(Transcript.from_jsonl(tr.to_jsonl(), n=3)) == replay_transcript(tr)
+
+    def test_replay_refuses_a_round_order_regression(self):
+        tr = Transcript(3, 0, 0, [Record(2, 1, ((1, b"a"),)), Record(1, 2, ((1, b"b"),))], [], 2)
+        with pytest.raises(CorruptTranscript, match="^round order regression at Envelope"):
+            replay_transcript(tr)
 
     def test_replay_names_a_bad_receiver_in_a_later_pair(self):
         tr = Transcript(3, 0, 0, [Record(1, 2, ((1, b"a"), (9, b"b")))], [], 1)
@@ -740,6 +822,13 @@ def test_a_malformed_outbox_is_a_violation_naming_its_party(outbox):
         echo_run(adversary=SendsOutbox(outbox))
     for raised in (honest, corrupted):
         assert isinstance(raised.value.__cause__, (TypeError, ValueError))
+
+
+def test_a_list_pair_in_a_tuple_outbox_is_recorded_as_a_tuple():
+    _, tr = echo_run(adversary=SendsOutbox(((1, b"x"), [2, b"y"])))
+    (record,) = [r for r in tr.records if r.sender == 1]
+    assert record.pairs == ((1, b"x"), (2, b"y"))
+    assert all(type(pair) is tuple for pair in record.pairs)
 
 
 def test_a_corrupted_party_can_send_an_honest_outbox_unchanged():

@@ -11,11 +11,13 @@ from treeaa import (
     run_tree_aa,
     run_tree_aa_old,
 )
+from treeaa import tree_aa
 from treeaa.adversaries import REGISTRY, RegistryAdversary, context_for_tree
-from treeaa.errors import InvalidParams
+from treeaa.errors import InvalidParams, ProtocolViolation
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
 from treeaa.simnet import Adversary
 from treeaa.paths import legacy_rounds, root_path_bytes
+from treeaa.real_aa import RealAAResult
 from treeaa.trees import LabeledTree
 from treeaa.wire import TAG_ECHO, TAG_VALUE, TAG_VOTE, encode_double, encode_vector, frame
 
@@ -103,6 +105,15 @@ class TestTreeAAGivenPaths:
                 pairs[pid] = PathPair(q[: rng.randint(1, len(q))], q)
             outputs, _, _ = run_tree_aa(tree, 4, 1, inputs, pairs, seed=seed)
             check_agreement(tree, inputs, outputs)
+
+    def test_pairs_breaking_the_finder_guarantee_are_a_protocol_violation(self):
+        # Every p runs to v6, so the parties agree on index 7; q holds the root alone.
+        tree = generate_tree("path", 6)
+        pairs = {pid: PathPair(path_between(tree, tree.root, "v6"), (tree.root,))
+                 for pid in range(1, 5)}
+        inputs = {pid: "v6" for pid in range(1, 5)}
+        with pytest.raises(ProtocolViolation, match=r"^landed index 7 outside 1\.\.1;"):
+            run_tree_aa(tree, 4, 1, inputs, pairs)
 
 
 class TestEndToEnd:
@@ -274,6 +285,17 @@ class TestLegacyClampBranch:
             assert not results[pid].clamped
             assert outputs[pid] == "d"
         check_agreement(tree, inputs, outputs)
+
+    def test_a_landed_index_below_one_is_a_protocol_violation(self, monkeypatch):
+        # A stand-in real agreement that lands every party at 0.4, which rounds to 0.
+        def lands_low(n, t, value, d_bound, epsilon):
+            return RealAAResult(0.4, frozenset(), (0.4,), 0)
+            yield  # pragma: no cover
+
+        monkeypatch.setattr(tree_aa, "real_aa_machine", lands_low)
+        tree = generate_tree("path", 6)
+        with pytest.raises(ProtocolViolation, match="^landed index 0 below 1$"):
+            run_tree_aa_old(tree, 4, 1, {pid: "v3" for pid in range(1, 5)})
 
 
 EMPTY_PATH = frame(TAG_VALUE, b"\x00\x00\x00\x00")

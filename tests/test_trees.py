@@ -65,6 +65,8 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             parse_tree("# nothing here\n\n")
+        with pytest.raises(EmptyInput):
+            LabeledTree(())
 
     def test_malformed_line(self):
         with pytest.raises(ParseError):
@@ -276,6 +278,7 @@ class TestProjection:
             eight_vertex_tree.project_onto_path(("v1", "v3"), "v5")
         with pytest.raises(UnknownVertex):
             eight_vertex_tree.project_onto_path(("v1", "zz"), "v5")
+        assert not eight_vertex_tree.is_path(("zz",))
 
     def test_matches_distance_scan(self):
         for seed in range(60):
@@ -329,6 +332,10 @@ class TestEulerList:
         assert euler.index_of["v3"] == (3, 5, 7)
         assert euler.index_of["v6"] == (4,)
         assert euler.index_of["v5"] == (13,)
+        assert euler.vertex_at(1) == euler.vertex_at(15) == "v1"
+        for index in (0, 16):
+            with pytest.raises(IndexError):
+                euler.vertex_at(index)
 
     def test_single_vertex(self):
         euler = parse_tree("solo\n").euler_list("solo")

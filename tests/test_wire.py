@@ -24,6 +24,7 @@ def test_vector_roundtrip():
 
 def test_vector_rejects_bad_flag_and_sizes():
     assert wire.decode_vector(b"\x02", 1) is None
+    assert wire.decode_vector(b"\x01\x00\x00", 1) is None  # a cut length field
     assert wire.decode_vector(b"\x01\x00\x00\x00\x05ab", 1) is None
     body = wire.encode_vector([b"a", b"b"])
     assert wire.decode_vector(body, 3) is None

@@ -92,7 +92,7 @@ def run(config_path, tree_file, gen_spec, out_path, **flags):
         _write(out_path, document)
         click.echo(f"wrote {len(reports)} reports to {out_path}")
     else:
-        click.echo(document, nl=False)
+        click.echo(document, nl=False, color=True)
     sys.exit(0 if all_good(reports) else 1)
 
 
@@ -115,7 +115,7 @@ def gen_tree(kind, size, seed, out_path):
         _write(out_path, text)
         click.echo(f"wrote {len(tree)} vertices to {out_path}")
     else:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, color=True)
 
 
 @main.command("bounds")

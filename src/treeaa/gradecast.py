@@ -62,7 +62,7 @@ def _value_body(payload: bytes) -> bytes | None:
     return parsed[1] if parsed is not None and parsed[0] == TAG_VALUE else None
 
 
-def received_values(n: int, inbox: Inbox) -> list[bytes | None]:
+def received_values(inbox: Inbox) -> list[bytes | None]:
     """Per-sender value from round-1 frames (index s-1 for sender s)."""
     return [None if payload is None else memoised("body", payload, _value_body, payload)
             for payload in inbox]
@@ -144,7 +144,7 @@ def _vector_outbox(n: int, tag: int, entries: list[bytes | None]):
 
 
 def _echo_outbox(n: int, inbox: Inbox):
-    return _vector_outbox(n, TAG_ECHO, received_values(n, inbox))
+    return _vector_outbox(n, TAG_ECHO, received_values(inbox))
 
 
 def _vote_outbox(n: int, t: int, inbox: Inbox):

@@ -55,6 +55,8 @@ def trim_mean_update(
     sender is being blacklisted (grade <= 1) for the following ones.
     The mean is clamped into the kept range, so float rounding can never
     move it outside (three kept copies of 0.1 average to 0.10000000000000002).
+    ``n`` is not read: the frozen reference package (perfbench/reference)
+    is run with this function in place of its own, and passes n.
     """
     new_blacklist = set(prior_blacklist)
     working: list[float] = []

@@ -29,9 +29,10 @@ forged sender or round cannot be expressed.  Every outbox passes one check
 (it is an iterable of (receiver, payload) pairs; receivers are int party
 ids; a bytearray or memoryview payload is copied to bytes, any other
 non-bytes payload is refused), raising ProtocolViolation for an honest
-party and StrategyViolation for a corrupted one.  Every outbox is checked
-once per distinct object per run (a mutable one at every send), and the
-view holds no column, so writing to it changes no delivery.
+party and StrategyViolation for a corrupted one; ``replay_transcript``
+checks each record with it, raising CorruptTranscript.  Every outbox is
+checked once per distinct object per run (a mutable one at every send),
+and the view holds no column, so writing to it changes no delivery.
 
 Round structure.  In round k every party neither finished nor corrupted is
 resumed with the inbox from round k-1 (None for k=1) and yields the
@@ -63,8 +64,8 @@ hexes and the reader decodes each distinct payload once; the lines of a
 broadcast share one hex string, and read-back pairs with equal payloads
 share one bytes object.  The writer formats each distinct outbox once.
 The reader takes a record that repeats an earlier record's lines under its
-own head in one compare, and repeated records share one pairs tuple;
-``replay_transcript`` builds one column per distinct outbox.
+own head in one compare, and repeated records share one pairs tuple,
+which ``replay_transcript`` checks once.
 """
 
 from __future__ import annotations
@@ -270,33 +271,21 @@ def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
     """Every party's inbox per round, as the simulator delivered it.
 
     Returns {round: {pid: inbox}} for rounds 1..rounds_used: each round's
-    sender columns (first payload per receiver) transposed, as in the run.
-    Raises CorruptTranscript on structural damage: out-of-range rounds or
-    party ids, round order regressions, or a pair, round or sender of the
-    wrong type (a hand-built transcript).  Each distinct pairs object's
-    column is built once; a sender's later record in a round merges into a copy.
+    sender columns transposed, as in the run.  Each non-empty record passes
+    the run's outbox check, once per distinct immutable pairs object: a pair
+    the run refuses raises CorruptTranscript with the run's message, and a
+    bytearray or memoryview payload replays as its bytes.  A round or sender
+    out of range, or a round order regression, raises CorruptTranscript.  A
+    sender's later record in a round merges into a copy of its column.
     """
     n, rounds = tr.n, tr.rounds_used
     columns: dict[int, list] = {r: [None] * n for r in range(1, rounds + 1)}
-    built: dict[int, Inbox] = {}  # id(pairs) -> its column; tr keeps the pairs alive
+    built: dict[int, tuple[Outbox, Inbox]] = {}  # id(pairs) -> (pairs, column), as in the run
     last = 1
     for r, s, pairs in tr.records:
         if not pairs:
             continue
-        column = built.get(id(pairs))
-        if column is None:
-            fresh: list[bytes | None] = [None] * n
-            try:
-                for q, p in pairs:
-                    if type(q) is not int or type(p) is not bytes:
-                        raise CorruptTranscript(f"malformed envelope {Envelope(r, s, q, p)}")
-                    if not 1 <= q <= n:
-                        raise CorruptTranscript(f"party id out of range in {Envelope(r, s, q, p)}")
-                    if fresh[q - 1] is None:
-                        fresh[q - 1] = p
-            except (TypeError, ValueError) as exc:  # an entry that is not a pair
-                raise CorruptTranscript(f"malformed pairs in round {r!r} of party {s!r}: {exc}") from exc
-            column = built[id(pairs)] = tuple(fresh)
+        pairs, column = built.get(id(pairs)) or _check_outbox(n, s, pairs, CorruptTranscript, built)
         if type(r) is not int or not 1 <= r <= rounds:
             raise CorruptTranscript(f"round {r!r} outside 1..{rounds}")
         if r < last:

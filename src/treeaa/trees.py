@@ -375,9 +375,10 @@ class LabeledTree:
 
     @cached_property
     def _longest_path(self) -> tuple[tuple[str, str], int]:
-        """Double BFS: a vertex a farthest from the root, then the vertex b
-        farthest from a, whose distance is the diameter."""
-        a, _ = self._farthest_from(self.root)
+        """Double BFS whose first pass is ``_rooted``'s: a deepest vertex a,
+        then the vertex b farthest from a; the smallest label wins ties."""
+        depth = self._depth
+        a = min(self._order, key=lambda v: (-depth[v], v))
         b, d = self._farthest_from(a)
         return ((a, b) if a <= b else (b, a)), d
 

@@ -57,7 +57,7 @@ class InstanceScript(Adversary):
                     out.append((q, frame(TAG_VALUE, value)))
             return out
         if step == 1:
-            mine = received_values(n, view.inbox_of(pid, first))
+            mine = received_values(view.inbox_of(pid, first))
             for q in range(1, n + 1):
                 entries = list(mine)
                 entries[self.target - 1] = self.scripted(self.r2, q, block)

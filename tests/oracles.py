@@ -112,6 +112,22 @@ def brute_diameter(adj: dict[str, set[str]]) -> int:
     return max(max(bfs_dists(adj, v).values()) for v in adj)
 
 
+def double_bfs_longest_path(tree) -> tuple[tuple[str, str], int]:
+    """Diameter endpoints by two full BFS runs: a vertex a farthest from the
+    root, then b farthest from a, each the smallest label among ties;
+    returns ((a, b) in label order, diameter)."""
+    adj = adjacency(tree)
+
+    def farthest(source: str) -> tuple[str, int]:
+        dist = bfs_dists(adj, source)
+        far = min(dist, key=lambda v: (-dist[v], v))
+        return far, dist[far]
+
+    a, _ = farthest(tree.root)
+    b, d = farthest(a)
+    return (min(a, b), max(a, b)), d
+
+
 def ancestors(parent: dict[str, str | None], v: str) -> list[str]:
     chain = [v]
     while parent[chain[-1]] is not None:

@@ -127,6 +127,19 @@ def test_run_csv_reads_back_whatever_the_tree_file_is_named(tmp_path, name):
         assert dict(zip(header, row))["tree_kind"] == name
 
 
+def test_a_piped_report_equals_its_out_file(tmp_path):
+    # click.echo strips ANSI escapes when stdout is not a terminal unless told not to.
+    doc = tmp_path / "t\x1b[31mx.txt"
+    doc.write_text("a b\nb c\nc d\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    args = ["run", "--tree", str(doc), "--n", "4", "--t", "1", "--seeds", "0:2", "--format", "csv"]
+    piped = CliRunner().invoke(main, args)
+    written = CliRunner().invoke(main, [*args, "--out", str(out)])
+    assert piped.exit_code == written.exit_code == 0, piped.output
+    assert "\x1b[31m" in out.read_text(encoding="utf-8")
+    assert piped.stdout_bytes == out.read_bytes()
+
+
 CONFIG = {"tree_source": "path:8", "n": 4, "t": 1, "seeds": [0, 1]}
 
 

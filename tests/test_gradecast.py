@@ -216,7 +216,7 @@ def test_shared_replies_never_merge_distinct_inboxes(make, vote_frames):
     sent = {(e.round, e.sender): e.payload for e in transcript.envelopes if e.sender in outputs}
     for pid in outputs:  # outside a run nothing is memoised
         echoes = received_vectors(n, inboxes[2][pid], TAG_ECHO)
-        assert sent[2, pid] == frame(TAG_ECHO, encode_vector(received_values(n, inboxes[1][pid])))
+        assert sent[2, pid] == frame(TAG_ECHO, encode_vector(received_values(inboxes[1][pid])))
         assert sent[3, pid] == frame(TAG_VOTE, encode_vector(compute_candidates(n, t, echoes)))
         assert outputs[pid] == grade_votes(n, t, received_vectors(n, inboxes[3][pid], TAG_VOTE))
     assert len({sent[2, pid] for pid in outputs}) == 2
@@ -253,10 +253,10 @@ def test_duplicate_value_frame_first_one_counts():
     sent = {(e.round, e.sender): e.payload for e in transcript.envelopes if e.sender in outputs}
     for pid in outputs:  # outside a run nothing is memoised
         echoes = received_vectors(n, inboxes[2][pid], TAG_ECHO)
-        assert sent[2, pid] == frame(TAG_ECHO, encode_vector(received_values(n, inboxes[1][pid])))
+        assert sent[2, pid] == frame(TAG_ECHO, encode_vector(received_values(inboxes[1][pid])))
         assert sent[3, pid] == frame(TAG_VOTE, encode_vector(compute_candidates(n, t, echoes)))
         assert outputs[pid] == grade_votes(n, t, received_vectors(n, inboxes[3][pid], TAG_VOTE))
-    assert received_values(n, inboxes[1][1])[3] == b"w"
+    assert received_values(inboxes[1][1])[3] == b"w"
     assert all(outputs[pid][4] == GradedValue(None, 0) for pid in outputs)
     check_consistency(outputs, n)
 
@@ -284,7 +284,7 @@ def test_a_recorded_decode_equals_the_decoders_output(data):
         finally:
             simnet._RUN_MEMO.reset(token)
         for payload, body in memo.get("body", {}).items():
-            assert body == received_values(1, (payload,))[0]  # outside a run: parse_frame
+            assert body == received_values((payload,))[0]  # outside a run: parse_frame
         for (m, tag, payload), vector in memo.get("vector", {}).items():
             assert vector == received_vectors(m, (payload,), tag)[0]
     first = {}  # recorded, not decoded: the encoder's own objects, the first of equals

@@ -628,8 +628,7 @@ class TestTranscript:
 
     def test_replay_names_a_bad_receiver_in_a_later_pair(self):
         tr = Transcript(3, 0, 0, [Record(1, 2, ((1, b"a"), (9, b"b")))], [], 1)
-        with pytest.raises(CorruptTranscript, match=re.escape(
-                "Envelope(round=1, sender=2, receiver=9, payload=b'b')")):
+        with pytest.raises(CorruptTranscript, match="^party 2 addressed invalid receiver 9$"):
             replay_transcript(tr)
 
     # Transcript is public, so a hand-built record can hold what the
@@ -646,6 +645,35 @@ class TestTranscript:
     def test_replay_refuses_a_malformed_hand_built_record(self, record):
         with pytest.raises(CorruptTranscript):
             replay_transcript(Transcript(3, 0, 0, [record], [], 1))
+
+    # The pair-level bad outboxes of the tests above and of
+    # test_a_forged_broadcast_from_a_corrupted_party_is_checked_in_full,
+    # each sent by honest party `sender`: replay refuses the record holding
+    # it with the run's message.
+    @pytest.mark.parametrize("sender, pairs", [
+        (1, ((1, b"x"), (5, b"x"), (3, b"x"))),
+        (1, ((1, "x"), (2, "x"), (3, "x"))),
+        (1, ((1, b"x"), (2, "x"), (3, b"x"))),
+        (2, (("x", b"a"),)),
+        (2, ((1,),)),
+        (2, ((1, "str"),)),
+        (2, ((True, b"a"),)),
+        (2, 5),
+    ])
+    def test_replay_refuses_a_bad_pair_with_the_runs_message(self, sender, pairs):
+        machines = [never_ends() for _ in range(3)]
+        machines[sender - 1] = (o for o in [pairs])
+        with pytest.raises(ProtocolViolation) as run:
+            run_simulation(3, 0, machines)
+        with pytest.raises(CorruptTranscript) as replay:
+            replay_transcript(Transcript(3, 0, 0, [Record(1, sender, pairs)], [], 1))
+        assert str(replay.value) == str(run.value)
+
+    def test_a_hand_built_buffer_payload_replays_as_its_bytes(self):
+        pairs = ((1, bytearray(b"a")), (3, memoryview(b"b")))
+        inboxes = replay_transcript(Transcript(3, 0, 0, [Record(1, 2, pairs)], [], 1))[1]
+        assert inboxes == {1: (None, b"a", None), 2: (None,) * 3, 3: (None, b"b", None)}
+        assert type(inboxes[1][1]) is bytes and type(inboxes[3][1]) is bytes
 
     def test_jsonl_stable_field_order(self):
         _, tr = echo_run()
@@ -863,6 +891,42 @@ def test_replay_matches_live_inboxes():
             # round rnd+1 resumed the party with what was sent in round rnd
             assert live[pid][rnd + 1] == tuple(b"r%d-%d" % (rnd, s) for s in range(1, n + 1))
             assert replayed[rnd][pid] == live[pid][rnd + 1]
+
+
+def resumed_with(machine, inboxes):
+    """``machine``, appending each inbox it is resumed with to ``inboxes``."""
+    inbox = None
+    while True:
+        try:
+            outbox = machine.send(inbox)
+        except StopIteration as stop:
+            return stop.value
+        inbox = yield outbox
+        inboxes.append(inbox)
+
+
+def test_replay_gives_each_honest_party_the_inboxes_it_was_resumed_with(monkeypatch):
+    # Every registry row in both modes: the replay of the transcript, and
+    # of its JSONL read-back, holds for each party never corrupted exactly
+    # the inboxes its machine was resumed with, round by round.
+    real_run, seen = simnet.run_simulation, []
+
+    def recording_run(n, t, machines, *args, **kwargs):
+        seen[:] = [[] for _ in machines]
+        return real_run(n, t, [resumed_with(m, inboxes) for m, inboxes in zip(machines, seen)],
+                        *args, **kwargs)
+
+    monkeypatch.setattr(simnet, "run_simulation", recording_run)
+    cases = list(product(KINDS, ((4, 1), (7, 2)), ("final", "legacy"), sorted(REGISTRY), (0, 1)))
+    for case in cases:
+        kind, (n, t), mode, name, seed = case
+        seen.clear()
+        tr, results = registry_run(kind, n, t, mode, name, seed)
+        replayed = replay_transcript(tr)
+        assert replay_transcript(Transcript.from_jsonl(tr.to_jsonl(), n=n)) == replayed, case
+        for pid in results:
+            assert [replayed[r][pid] for r in replayed] == seen[pid - 1], (case, pid)
+    assert len(cases) == 240
 
 
 def test_events_reproduce_with_seed():

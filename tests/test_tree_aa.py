@@ -242,7 +242,7 @@ class ClampFixture(Adversary):
                 value, targets = self.TRICK, range(1, n + 1)
             return [(q, frame(TAG_VALUE, value)) for q in targets]
         if local == 2:
-            mirror = received_values(n, view.inbox_of(pid, round - 1))
+            mirror = received_values(view.inbox_of(pid, round - 1))
             out = []
             for q in range(1, n + 1):
                 entries = list(mirror)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeaa import LabeledTree, parse_tree
+from treeaa import LabeledTree, generate_tree, parse_tree
 from treeaa.errors import (
     CycleDetected,
     Disconnected,
@@ -15,6 +15,7 @@ from treeaa.errors import (
     ParseError,
     UnknownVertex,
 )
+from treeaa.generators import KINDS
 from treeaa.tree_aa import _projection_index
 
 import oracles
@@ -323,6 +324,13 @@ class TestDiameter:
         for seed in range(60):
             tree, _ = random_tree(seed)
             assert tree.diameter == oracles.brute_diameter(oracles.adjacency(tree))
+
+    def test_endpoints_match_the_double_bfs_of_the_root(self):
+        trees = [random_tree(seed, max_size=40)[0] for seed in range(100)]
+        trees += [generate_tree(kind, size, seed)
+                  for kind in KINDS for size in (1, 2, 3, 8, 31) for seed in range(4)]
+        for tree in trees:
+            assert (tree.diameter_endpoints, tree.diameter) == oracles.double_bfs_longest_path(tree)
 
 
 class TestEulerList:

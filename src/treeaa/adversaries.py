@@ -37,7 +37,7 @@ class AdversaryContext:
 
 
 class Strategy(NamedTuple):
-    """One registry row; calling it with a context builds the adversary.
+    """One registry row; ``make_adversary`` plays it against a context.
     Every row corrupts the same t pids at a given seed: the first draw of
     the run's fresh adversary rng, made in the schedule's first round."""
 
@@ -46,9 +46,6 @@ class Strategy(NamedTuple):
     # Two faces: receiver q hears hi if hi_to(q, n), in rounds r with (r - 1) % every == 0.
     every: int = 1
     hi_to: Callable[[int, int], bool] | None = None
-
-    def __call__(self, ctx: AdversaryContext) -> RegistryAdversary:
-        return RegistryAdversary(self, ctx)
 
 
 class _Shadow:
@@ -150,7 +147,7 @@ def strategy(name: str) -> Strategy:
 
 
 def make_adversary(name: str, ctx: AdversaryContext) -> RegistryAdversary:
-    return strategy(name)(ctx)
+    return RegistryAdversary(strategy(name), ctx)
 
 
 def context_for_real_aa(n: int, t: int, d_bound: float, epsilon: float) -> AdversaryContext:

@@ -157,7 +157,7 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
     transcript_path = None
     if emit_dir is not None:
         out = FilePath(emit_dir)
-        name = f"{mode}-{tree_kind.replace('(', '-').rstrip(')')}-n{n}-{adversary_name}-s{seed}.jsonl"
+        name = f"{mode}-{tree_kind.replace('(', '-').rstrip(')')}-n{n}-t{t}-{adversary_name}-s{seed}.jsonl"
         target = out / name
         try:
             out.mkdir(parents=True, exist_ok=True)

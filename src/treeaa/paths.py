@@ -30,9 +30,6 @@ from .trees import LabeledTree, Path
 # decode_path and encode_path go unused here; perfbench traces them at this name.
 from .wire import _MAX_PATH_VERTICES, _U32, decode_path, encode_path
 
-Entry = tuple[Path | None, int]  # decoded path (None when invalid) and its grade
-
-
 def root_path_bytes(tree: LabeledTree, v: str) -> bytes:
     """``encode_path(tree.path_from_root(v))``, joined from one slice of each
     heavy chain's record blob."""
@@ -77,14 +74,13 @@ def decode_tree_path(tree: LabeledTree, data: bytes) -> Path | None:
     return None
 
 
-def supported_prefix(entries: Sequence[Entry], min_grade: int, threshold: int) -> Path:
-    """Longest path that prefixes at least ``threshold`` qualifying entries.
+def supported_prefix(paths: Sequence[Path], threshold: int) -> Path:
+    """Longest path that prefixes at least ``threshold`` of ``paths``.
 
-    Qualifying entries are valid paths with grade >= min_grade.  Uniqueness
-    at every depth holds because two distinct extensions have disjoint
-    supporter sets and the protocol calls this with 2 * threshold > n; the
-    deterministic (count, label) tie-break only matters for direct calls
-    with weaker thresholds.
+    Uniqueness at every depth holds because two distinct extensions have
+    disjoint supporter sets and the protocol calls this with 2 * threshold
+    > n; the deterministic (count, label) tie-break only matters for direct
+    calls with weaker thresholds.
 
     Python work happens only at branch points.  The pooled paths share
     exactly what the smallest shares with the largest (cut to the
@@ -92,18 +88,17 @@ def supported_prefix(entries: Sequence[Entry], min_grade: int, threshold: int) -
     holds ``threshold`` paths that run is supported, so it is taken whole.
     Each branch step then drops at least one path from the pool.
     """
-    pool = [path for path, grade in entries if path is not None and grade >= min_grade]
     prefix: list[str] = []
-    while pool and len(pool) >= threshold:
-        lo = min(pool)
-        hi = max(path[: len(lo)] for path in pool)
+    while paths and len(paths) >= threshold:
+        lo = min(paths)
+        hi = max(path[: len(lo)] for path in paths)
         start = len(prefix)
         # First index past the common run, found by C iterators, not a Python loop.
         mismatches = map(ne, islice(lo, start, None), islice(hi, start, None))
         depth = next(compress(count(start), mismatches), len(hi))
         prefix.extend(lo[start:depth])
         counts: dict[str, int] = {}
-        for path in pool:
+        for path in paths:
             if len(path) > depth:
                 v = path[depth]
                 counts[v] = counts.get(v, 0) + 1
@@ -113,9 +108,9 @@ def supported_prefix(entries: Sequence[Entry], min_grade: int, threshold: int) -
         if counts[best] < threshold:
             break
         prefix.append(best)
-        pool = [p for p in pool if len(p) > depth and p[depth] == best]
+        paths = [p for p in paths if len(p) > depth and p[depth] == best]
     if not prefix:
-        raise NoSupport(f"no prefix supported by {threshold} entries")
+        raise NoSupport(f"no prefix supported by {threshold} paths")
     return tuple(prefix)
 
 
@@ -135,17 +130,17 @@ def prefix_path_finder_machine(tree: LabeledTree, n: int, t: int, input_vertex: 
 
 
 def _path_pair(tree: LabeledTree, n: int, t: int, graded: Mapping) -> PathPair:
-    """The longest prefixes n - t senders support at grade 2 (p) and >= 1 (q)."""
-    entries: list[Entry] = []
-    for sender in range(1, n + 1):
-        value, grade = graded[sender]
-        path = None
-        if grade > 0 and value is not None:
-            path = decode_tree_path(tree, value)
-        entries.append((path, grade if path is not None else 0))
-    p = supported_prefix(entries, min_grade=2, threshold=n - t)
-    q = supported_prefix(entries, min_grade=1, threshold=n - t)
-    return _new(PathPair, (p, q))
+    """The longest prefixes n - t senders support at grade 2 (p) and >= 1 (q):
+    the one reader of grades.  Only a value of grade >= 1 is decoded, and one
+    that decodes to no path supports neither."""
+    p_pool: list[Path] = []
+    q_pool: list[Path] = []
+    for value, grade in graded.values():
+        if grade and (path := decode_tree_path(tree, value)) is not None:
+            q_pool.append(path)
+            if grade == 2:
+                p_pool.append(path)
+    return _new(PathPair, (supported_prefix(p_pool, n - t), supported_prefix(q_pool, n - t)))
 
 
 class LegacyPathResult(NamedTuple):

@@ -43,7 +43,6 @@ def _pairwise_sum(xs: list[float]) -> float:
 def trim_mean_update(
     received: Mapping[int, GradedValue],
     prior_blacklist: set[int] | frozenset[int],
-    n: int,
     t: int,
 ) -> tuple[float, set[int]]:
     """One iteration's value update and blacklist growth.
@@ -55,8 +54,6 @@ def trim_mean_update(
     sender is being blacklisted (grade <= 1) for the following ones.
     The mean is clamped into the kept range, so float rounding can never
     move it outside (three kept copies of 0.1 average to 0.10000000000000002).
-    ``n`` is not read: the frozen reference package (perfbench/reference)
-    is run with this function in place of its own, and passes n.
     """
     new_blacklist = set(prior_blacklist)
     working: list[float] = []
@@ -92,18 +89,18 @@ def real_aa_machine(n: int, t: int, value: float, d_bound: float, epsilon: float
         graded = yield from gradecast_all(n, t, encode_double(current))
         # Honest parties mostly share grades and blacklist: one update each.
         current, blacklist = memoised(
-            "real_aa", (n, t, tuple(graded.values()), blacklist), _update, graded, blacklist, n, t)
+            "real_aa", (n, t, tuple(graded.values()), blacklist), _update, graded, blacklist, t)
         history.append(current)
     return _new(RealAAResult, (current, blacklist, tuple(history), plan))
 
 
 def _update(graded: Mapping[int, GradedValue], blacklist: frozenset[int],
-            n: int, t: int) -> tuple[float, frozenset[int]]:
+            t: int) -> tuple[float, frozenset[int]]:
     """trim_mean_update on the decoded grades of the senders not blacklisted."""
     decoded = {
         sender: _new(GradedValue, (None if gv.value is None else decode_double(gv.value), gv.grade))
         for sender, gv in graded.items()
         if sender not in blacklist
     }
-    value, grown = trim_mean_update(decoded, blacklist, n, t)
+    value, grown = trim_mean_update(decoded, blacklist, t)
     return value, frozenset(grown)

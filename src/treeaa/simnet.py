@@ -20,7 +20,7 @@ the JSONL lines, the inboxes, the adversary's view
 (``SimulationView.inbox_of``) and ``replay_transcript``.  Each record gives
 its sender's column, the n-tuple of its first payload to each receiver;
 a round's inboxes are its columns transposed.  The view reads a party's
-entries from the records, which are kept in round order, by bisecting on
+entries from the records' columns, kept in round order, by bisecting on
 their round; it keeps only the last finished round's delivered rows.
 
 Honest and corrupted parties send the same way: an outbox of (receiver,
@@ -32,7 +32,8 @@ non-bytes payload is refused), raising ProtocolViolation for an honest
 party and StrategyViolation for a corrupted one; ``replay_transcript``
 checks each record with it, raising CorruptTranscript.  Every outbox is
 checked once per distinct object per run (a mutable one at every send),
-and the view holds no column, so writing to it changes no delivery.
+and the check's (pairs, column) result is kept under the id of the pairs
+it records, so the view reads the very columns the loop delivered.
 
 Round structure.  In round k every party neither finished nor corrupted is
 resumed with the inbox from round k-1 (None for k=1) and yields the
@@ -304,8 +305,9 @@ def replay_transcript(tr: Transcript) -> dict[int, dict[int, Inbox]]:
 class SimulationView:
     """Adversary-facing read view of a running simulation.
 
-    It holds ``n`` and the corrupted set, and reads everything else from the
-    run's records.  Its ``transcript`` is a copy of the run's so far, made
+    It holds ``n``, the corrupted set and the run's ``checked`` outboxes
+    (id(pairs) -> (pairs, column), tuples), and reads everything else from
+    the run's records.  Its ``transcript`` is a copy of the run's so far, made
     on each read, so writing to it changes no record.  It finds a round's
     records by their round, and shows each as soon as it is recorded: a
     round's honest records are appended after its corruptions are decided,
@@ -318,10 +320,11 @@ class SimulationView:
     party's inbox.
     """
 
-    def __init__(self, transcript: Transcript, corrupted: set[int]):
+    def __init__(self, transcript: Transcript, corrupted: set[int], checked: dict):
         self.n = transcript.n
         self._transcript = transcript
         self._corrupted = corrupted
+        self._checked = checked
         self.delivered: tuple[Inbox, ...] = ()  # the rows of round transcript.rounds_used
 
     @property
@@ -334,23 +337,20 @@ class SimulationView:
         return frozenset(self._corrupted)
 
     def inbox_of(self, pid: int, round: int) -> Inbox:
-        """pid's inbox from `round` (delivered at that round's end), per sender:
-        the first payload to pid in its record of that round.  The round
-        being sent reads its records so far (rushing); a pid outside 1..n or
-        a round with nothing shown gets all None.  The last finished round's
-        inbox is the very row delivered."""
+        """pid's inbox from `round` (delivered at that round's end): entry
+        pid - 1 of each of that round's record columns, the first payload to
+        pid per sender.  The round being sent reads its records so far
+        (rushing); a pid outside 1..n or a round with nothing shown gets all
+        None.  The last finished round's inbox is the very row delivered."""
         rows = self.delivered  # () until round 1 is delivered
         if round == self._transcript.rounds_used and 0 < pid <= len(rows):
             return rows[pid - 1]
         inbox: list[bytes | None] = [None] * self.n
         if 1 <= pid <= self.n:
-            records = self._transcript.records
+            records, checked = self._transcript.records, self._checked
             start = bisect_left(records, (round,))  # (r,) sorts just before round r's records
             for _, s, pairs in records[start:bisect_left(records, (round + 1,), start)]:
-                for q, p in pairs:  # a loop, not a generator: no frame per sender
-                    if q == pid:
-                        inbox[s - 1] = p
-                        break
+                inbox[s - 1] = checked[id(pairs)][1][pid - 1]
         return tuple(inbox)
 
 
@@ -424,9 +424,9 @@ def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception]
     ``violation``.
 
     Callers probe ``checked`` by ``id(outbox)`` and call this on a miss.  A
-    tuple of (int, bytes) tuples cannot change: it is its own pairs, and its
-    result goes in ``checked``, which holds it and so keeps its id unused.
-    Anything else is copied (pairs made tuples, payloads bytes), uncached.
+    tuple of (int, bytes) tuples cannot change: it is its own pairs.  Others
+    are copied (pairs made tuples, payloads bytes), so they miss at each send.
+    The result goes in ``checked`` under ``id(pairs)``; holding pairs keeps that id live.
     """
     column: list[bytes | None] = [None] * n
     pairs = []
@@ -448,9 +448,8 @@ def _check_outbox(n: int, pid: int, outbox: Iterable, violation: type[Exception]
                 column[receiver - 1] = payload
     except (TypeError, ValueError) as exc:
         raise violation(f"party {pid} sent a malformed outbox: {exc}") from exc
-    if not same:
-        return tuple(pairs), tuple(column)
-    hit = checked[id(outbox)] = outbox, tuple(column)
+    pairs = outbox if same else tuple(pairs)
+    hit = checked[id(pairs)] = pairs, tuple(column)
     return hit
 
 
@@ -479,12 +478,12 @@ def run_simulation(
     tr = Transcript(n, t, seed)
     records, events = tr.records, tr.events
     corrupted: set[int] = set()
-    view = SimulationView(tr, corrupted)
+    checked: dict[int, tuple[Outbox, Inbox]] = {}  # honest and corrupted outboxes alike
+    view = SimulationView(tr, corrupted, checked)
     silent: Inbox = (None,) * n
     inboxes: Sequence[Inbox | None] = (None,) * n
     running = range(1, n + 1)  # the parties neither finished nor corrupted, in pid order
     results: dict[int, Any] = {}
-    checked: dict[int, tuple[Outbox, Inbox]] = {}  # honest and corrupted outboxes alike
     token = _RUN_MEMO.set({})
     try:
         adversary.begin(n, t, random.Random(f"adversary:{seed}"))

@@ -196,22 +196,21 @@ def k_bound_simple_exact(n: int, t: int, r: int, d: float) -> float:
     return d * float(Fraction(t**r, (r * (n + t)) ** r))
 
 
-def enumerate_supported_prefix(entries, min_grade: int, threshold: int):
+def enumerate_supported_prefix(paths, threshold: int):
     """Longest prefix by direct enumeration of every prefix of every path."""
-    qualifying = [p for p, g in entries if p is not None and g >= min_grade]
     best = None
-    for path in qualifying:
+    for path in paths:
         for cut in range(1, len(path) + 1):
             prefix = path[:cut]
-            support = sum(1 for q in qualifying if q[: len(prefix)] == prefix)
+            support = sum(1 for q in paths if q[: len(prefix)] == prefix)
             if support >= threshold and (best is None or len(prefix) > len(best)):
                 best = prefix
     return best
 
 
-def supported_prefix_by_depth(entries, min_grade: int, threshold: int):
+def supported_prefix_by_depth(paths, threshold: int):
     """The original supported_prefix: one (count, label) vote per depth."""
-    pool = [path for path, grade in entries if path is not None and grade >= min_grade]
+    pool = paths
     prefix: list[str] = []
     depth = 0
     while True:
@@ -229,7 +228,7 @@ def supported_prefix_by_depth(entries, min_grade: int, threshold: int):
         pool = [p for p in pool if len(p) > depth and p[depth] == best]
         depth += 1
     if not prefix:
-        raise NoSupport(f"no prefix supported by {threshold} entries")
+        raise NoSupport(f"no prefix supported by {threshold} paths")
     return tuple(prefix)
 
 

@@ -28,7 +28,7 @@ from treeaa import (
     planned_rounds,
     run_simulation,
 )
-from treeaa.adversaries import REGISTRY, context_for_real_aa
+from treeaa.adversaries import REGISTRY, context_for_real_aa, make_adversary
 from treeaa.bounds import (
     k_bound,
     k_bound_simple,
@@ -213,7 +213,7 @@ def _gc_registry_chunk(args) -> list[str]:
     values = {pid: b"reg-%d" % pid for pid in range(1, n + 1)}
     for seed in seeds:
         ctx = context_for_real_aa(n, t, 100.0, 1.0)
-        adversary = REGISTRY[name](ctx)
+        adversary = make_adversary(name, ctx)
         outputs, transcript = gradecast_once(n, t, values, adversary, seed=seed)
         if transcript.rounds_used != 3:
             bad.append(f"{name} n={n} seed={seed}: rounds {transcript.rounds_used}")
@@ -256,7 +256,7 @@ def _real_aa_chunk(args) -> list[str]:
     for seed in seeds:
         rng = random.Random(f"realaa-inputs:{n}:{d}:{seed}")
         inputs = {pid: rng.uniform(0.0, d) for pid in range(1, n + 1)}
-        adversary = REGISTRY[name](context_for_real_aa(n, t, d, 1.0))
+        adversary = make_adversary(name, context_for_real_aa(n, t, d, 1.0))
         results, transcript = run_simulation(
             n, t, [real_aa_machine(n, t, inputs[pid], d, 1.0) for pid in range(1, n + 1)],
             adversary, seed,

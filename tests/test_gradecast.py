@@ -135,7 +135,7 @@ def test_registry_adversaries_preserve_consistency():
                 hi_input=b"hi",
                 planned_rounds=3,
             )
-            adversary = REGISTRY[name](ctx)
+            adversary = make_adversary(name, ctx)
             outputs, transcript = gradecast_once(n, t, values, adversary, seed=seed)
             assert transcript.rounds_used == 3
             check_consistency(outputs, n)
@@ -186,7 +186,7 @@ def test_column_kernel_matches_the_tally_oracle(case):
 
 
 def _registry(name, n, t):
-    return REGISTRY[name](AdversaryContext(
+    return make_adversary(name, AdversaryContext(
         machine=lambda v: gradecast_all(n, t, v),
         lo_input=b"lo",
         hi_input=b"hi",

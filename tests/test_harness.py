@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import treeaa
 from treeaa import generate_tree, harness
 from treeaa.errors import InvalidParams
-from treeaa.simnet import Transcript
+from treeaa.simnet import Transcript, replay_transcript
 from treeaa.trees import LabeledTree
 from treeaa.harness import (
     ExperimentConfig,
@@ -156,6 +156,17 @@ class TestRunExperiment:
         text = (tmp_path / report.transcript_path.split("/")[-1]).read_text()
         assert text.count("\n") == len(text.splitlines())
         assert '"round":1' in text.splitlines()[0]
+
+    def test_transcript_names_keep_runs_that_differ_only_in_t_apart(self, tmp_path):
+        tree, kind = resolve_tree("path:20")
+        inputs = assign_inputs(tree, 7, "endpoints", random.Random(0))
+        reports = [run_one(tree, kind, 7, t, "final", "silent", inputs, 0, str(tmp_path))
+                   for t in (1, 2)]
+        assert len({report.transcript_path for report in reports}) == len(list(tmp_path.iterdir())) == 2
+        for report in reports:
+            text = open(report.transcript_path, encoding="utf-8").read()
+            assert len(replay_transcript(Transcript.from_jsonl(text, 7))) == report.rounds
+        assert reports[0].rounds != reports[1].rounds
 
     def test_verdicts_recomputed_from_oracles(self, eight_vertex_tree):
         tree, kind = resolve_tree("random:12:5")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeaa import generate_tree, supported_prefix
-from treeaa.adversaries import REGISTRY, AdversaryContext
+from treeaa.adversaries import REGISTRY, AdversaryContext, make_adversary
 from treeaa.errors import NoSupport, UnknownVertex
 from treeaa.gradecast import grade_votes, received_vectors
 from treeaa.harness import run_one
@@ -36,38 +36,30 @@ def run_finder(machine, tree, n, t, inputs, adversary=None, seed=0):
                           adversary, seed)
 
 
+def qualifying(entries, min_grade):
+    """The paths of the (path or None, grade) entries with grade >= min_grade."""
+    return [path for path, grade in entries if path is not None and grade >= min_grade]
+
+
 class TestSupportedPrefix:
     def test_unanimous(self):
-        entries = [(("a", "b"), 2)] * 4
-        assert supported_prefix(entries, 2, 3) == ("a", "b")
+        assert supported_prefix([("a", "b")] * 4, 3) == ("a", "b")
 
     def test_majority_prefix(self):
-        entries = [
-            (("a", "b", "c"), 2),
-            (("a", "b", "c"), 2),
-            (("a", "b", "d"), 2),
-            (("a",), 2),
-        ]
-        assert supported_prefix(entries, 2, 3) == ("a", "b")
+        paths = [("a", "b", "c"), ("a", "b", "c"), ("a", "b", "d"), ("a",)]
+        assert supported_prefix(paths, 3) == ("a", "b")
 
     def test_invalid_entries_count_for_nothing(self):
-        entries = [(("a", "b"), 2)] * 3 + [(None, 0)]
-        assert supported_prefix(entries, 2, 3) == ("a", "b")
-
-    def test_min_grade_filter(self):
-        entries = [(("a", "b"), 2), (("a", "b"), 2), (("a", "b"), 1), (("a",), 2)]
-        assert supported_prefix(entries, 2, 3) == ("a",)
-        assert supported_prefix(entries, 1, 3) == ("a", "b")
+        assert supported_prefix([("a", "b")] * 3, 3) == ("a", "b")
 
     def test_weak_threshold_tie_goes_to_larger_label(self):
-        entries = [(("a", "b"), 2), (("a", "c"), 2), (("a", "c"), 2), (("a", "b"), 2)]
-        assert supported_prefix(entries, 2, 2) == ("a", "c")
-        assert oracles.supported_prefix_by_depth(entries, 2, 2) == ("a", "c")
+        paths = [("a", "b"), ("a", "c"), ("a", "c"), ("a", "b")]
+        assert supported_prefix(paths, 2) == ("a", "c")
+        assert oracles.supported_prefix_by_depth(paths, 2) == ("a", "c")
 
     def test_no_support(self):
-        entries = [(("a", "b"), 2), (("b", "a"), 2), (None, 0)]
         with pytest.raises(NoSupport):
-            supported_prefix(entries, 2, 3)
+            supported_prefix([("a", "b"), ("b", "a")], 3)
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random("prefix")
@@ -82,15 +74,49 @@ class TestSupportedPrefix:
                     path = ("r", *rng.sample(labels[1:], depth - 1))
                     entries.append((path, rng.randint(0, 2)))
             threshold = rng.randint(1, len(entries))
-            min_grade = rng.randint(1, 2)
+            paths = qualifying(entries, rng.randint(1, 2))
             if threshold <= len(entries) // 2:
                 continue  # uniqueness needs a majority threshold
-            expected = oracles.enumerate_supported_prefix(entries, min_grade, threshold)
+            expected = oracles.enumerate_supported_prefix(paths, threshold)
             if expected is None:
                 with pytest.raises(NoSupport):
-                    supported_prefix(entries, min_grade, threshold)
+                    supported_prefix(paths, threshold)
             else:
-                assert supported_prefix(entries, min_grade, threshold) == expected
+                assert supported_prefix(paths, threshold) == expected
+
+
+class TestPathPair:
+    """``_path_pair`` reads each sender's (value, grade) once: a value of
+    grade >= 1 that decodes supports Q, and P too at grade 2."""
+
+    N, T = 4, 1
+
+    @pytest.fixture
+    def views(self, eight_vertex_tree):
+        tree = eight_vertex_tree
+        x, a = root_path_bytes(tree, "v8"), root_path_bytes(tree, "v2")
+        return tree, x, a, path_between(tree, "v1", "v8"), path_between(tree, "v1", "v2")
+
+    def test_a_grade_one_path_supports_q_but_not_p(self, views):
+        tree, x, a, to_x, to_a = views
+        graded = {1: (x, 2), 2: (x, 2), 3: (x, 1), 4: (a, 2)}
+        assert _path_pair(tree, self.N, self.T, graded) == PathPair(to_a, to_x)
+        graded[3] = (x, 2)
+        assert _path_pair(tree, self.N, self.T, graded) == PathPair(to_x, to_x)
+
+    def test_an_undecodable_grade_two_value_supports_neither(self, views):
+        tree, x, a, to_x, to_a = views
+        graded = {1: (x, 2), 2: (x, 2), 3: (x[:-1], 2), 4: (a, 2)}
+        assert _path_pair(tree, self.N, self.T, graded) == PathPair(to_a, to_a)
+
+    def test_a_grade_zero_entry_is_never_decoded(self, views, monkeypatch):
+        tree, x, a, to_x, _ = views
+        decoded = []
+        monkeypatch.setattr("treeaa.paths.decode_tree_path",
+                            lambda tree, data: decoded.append(data) or decode_tree_path(tree, data))
+        graded = {1: (x, 2), 2: (x, 2), 3: (x, 2), 4: (a, 0)}
+        assert _path_pair(tree, self.N, self.T, graded) == PathPair(to_x, to_x)
+        assert decoded == [x, x, x]
 
 
 @st.composite
@@ -123,20 +149,20 @@ def prefix_cases(draw):
         path = from_root(draw(st.sampled_from(leaves) | st.sampled_from(vertices)))
         entries.append((path[: draw(st.integers(1, len(path)))], grade))
     threshold = draw(st.integers(0, 2) | st.integers(0, len(entries) + 1))
-    return entries, draw(st.integers(0, 2)), threshold
+    return qualifying(entries, draw(st.integers(0, 2))), threshold
 
 
 @settings(max_examples=150, deadline=None)
 @given(prefix_cases())
 def test_supported_prefix_matches_per_depth_reference(case):
-    entries, min_grade, threshold = case
+    paths, threshold = case
     try:
-        expected = oracles.supported_prefix_by_depth(entries, min_grade, threshold)
+        expected = oracles.supported_prefix_by_depth(paths, threshold)
     except NoSupport:
         with pytest.raises(NoSupport):
-            supported_prefix(entries, min_grade, threshold)
+            supported_prefix(paths, threshold)
     else:
-        assert supported_prefix(entries, min_grade, threshold) == expected
+        assert supported_prefix(paths, threshold) == expected
 
 
 class TestDecodeTreePath:
@@ -297,7 +323,7 @@ class TestPrefixPathFinder:
             for seed in range(15):
                 rng = random.Random(f"fox:{name}:{seed}")
                 inputs = {pid: rng.choice(labels) for pid in range(1, n + 1)}
-                adversary = REGISTRY[name](prefix_ctx(tree, n, t))
+                adversary = make_adversary(name, prefix_ctx(tree, n, t))
                 pairs, transcript = run_finder(
                     prefix_path_finder_machine, tree, n, t, inputs, adversary, seed
                 )
@@ -319,7 +345,7 @@ def test_each_distinct_graded_view_gets_one_path_pair(monkeypatch, adversary, vi
     inputs = {pid: labels[(7 * pid) % len(labels)] for pid in range(1, n + 1)}
     if adversary == "split-world":
         pairs, transcript = run_finder(prefix_path_finder_machine, tree, n, t, inputs,
-                                       REGISTRY["split-world"](prefix_ctx(tree, n, t)), seed=1)
+                                       make_adversary("split-world", prefix_ctx(tree, n, t)), seed=1)
     else:
         x, y = root_path_bytes(tree, tree.deepest), root_path_bytes(tree, labels[1])
         script = InstanceScript(n, n, {q: x if q <= 6 else y for q in range(1, n)},
@@ -331,12 +357,10 @@ def test_each_distinct_graded_view_gets_one_path_pair(monkeypatch, adversary, vi
     graded = {pid: grade_votes(n, t, received_vectors(n, vote_inboxes[pid], TAG_VOTE))
               for pid in pairs}
     for pid, view in graded.items():  # outside a run nothing is memoised
-        entries = []
-        for value, grade in view.values():
-            path = oracles.checked_path_by_decode(tree, value) if grade else None
-            entries.append((path, grade if path is not None else 0))
-        assert pairs[pid] == PathPair(supported_prefix(entries, 2, n - t),
-                                      supported_prefix(entries, 1, n - t))
+        entries = [(oracles.checked_path_by_decode(tree, value) if grade else None, grade)
+                   for value, grade in view.values()]
+        assert pairs[pid] == PathPair(supported_prefix(qualifying(entries, 2), n - t),
+                                      supported_prefix(qualifying(entries, 1), n - t))
     assert len(calls) == len({tuple(view.values()) for view in graded.values()}) == views
 
 
@@ -400,7 +424,7 @@ class TestLegacyPathFinder:
             for seed in range(10):
                 rng = random.Random(f"legacy:{name}:{seed}")
                 inputs = {pid: rng.choice(labels) for pid in range(1, n + 1)}
-                adversary = REGISTRY[name](legacy_ctx(tree, n, t))
+                adversary = make_adversary(name, legacy_ctx(tree, n, t))
                 results, transcript = run_finder(
                     legacy_path_finder_machine, tree, n, t, inputs, adversary, seed
                 )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treeaa import plan_iterations, run_simulation, trim_mean_update
-from treeaa.adversaries import REGISTRY, context_for_real_aa
+from treeaa.adversaries import REGISTRY, context_for_real_aa, make_adversary
 from treeaa.errors import InsufficientValues, InvalidParams, NonFinite
 from treeaa.gradecast import GradedValue
 from treeaa.bounds import convergence_factor
@@ -120,43 +120,43 @@ def graded(mapping):
 class TestTrimMeanUpdate:
     def test_trims_one_from_each_side(self):
         received = graded({1: (0.0, 2), 2: (10.0, 2), 3: (20.0, 2), 4: (30.0, 2)})
-        value, blacklist = trim_mean_update(received, set(), 4, 1)
+        value, blacklist = trim_mean_update(received, set(), 1)
         assert value == 15.0
         assert blacklist == set()
 
     def test_no_trim_without_faults(self):
         received = graded({1: (0.0, 2), 2: (4.0, 2), 3: (8.0, 2), 4: (12.0, 2)})
-        value, blacklist = trim_mean_update(received, set(), 4, 0)
+        value, blacklist = trim_mean_update(received, set(), 0)
         assert value == 6.0
         assert blacklist == set()
 
     def test_grade_one_used_now_blacklisted_later(self):
         received = graded({1: (0.0, 2), 2: (10.0, 2), 3: (20.0, 2), 4: (100.0, 1)})
-        value, blacklist = trim_mean_update(received, set(), 4, 1)
+        value, blacklist = trim_mean_update(received, set(), 1)
         assert blacklist == {4}
         assert value == 15.0  # 100 participated and got trimmed
 
     def test_grade_zero_excluded_and_blacklisted(self):
         received = graded({1: (1.0, 2), 2: (2.0, 2), 3: (3.0, 2), 4: (None, 0)})
-        value, blacklist = trim_mean_update(received, set(), 4, 1)
+        value, blacklist = trim_mean_update(received, set(), 1)
         assert blacklist == {4}
         assert value == 2.0
 
     def test_prior_blacklist_only_grows(self):
         received = graded({1: (1.0, 2), 2: (2.0, 2), 3: (3.0, 2)})
-        value, blacklist = trim_mean_update(received, {4}, 4, 1)
+        value, blacklist = trim_mean_update(received, {4}, 1)
         assert blacklist == {4}
         assert value == 2.0
 
     def test_insufficient_values(self):
         received = graded({1: (1.0, 2), 2: (None, 0), 3: (None, 0), 4: (None, 0)})
         with pytest.raises(InsufficientValues):
-            trim_mean_update(received, set(), 4, 1)
+            trim_mean_update(received, set(), 1)
 
     def test_mean_stays_in_kept_range(self):
         # The three kept copies of 0.1 sum to 0.30000000000000004.
         received = graded({pid: (0.1, 2) for pid in range(1, 8)})
-        value, _ = trim_mean_update(received, set(), 7, 2)
+        value, _ = trim_mean_update(received, set(), 2)
         assert value == 0.1
 
 
@@ -193,7 +193,7 @@ class TestRunRealAA:
         for name in sorted(REGISTRY):
             for seed in range(50):
                 ctx = context_for_real_aa(n, t, d, 1.0)
-                adversary = REGISTRY[name](ctx)
+                adversary = make_adversary(name, ctx)
                 outputs, transcript, results = real_aa_once(
                     n, t, base_inputs, d, 1.0, adversary, seed
                 )

@@ -692,8 +692,8 @@ def recording_echo(n, pid, inboxes):
 
 def check_inbox_of_against_a_scan(n, t):
     """Run gradecast with the last t parties corrupted from round 2, checking
-    every inbox_of answer against a scan of the transcript's envelopes at
-    each adversary hook; returns (checked rounds, party 1's current-round
+    every inbox_of answer against a first-payload scan of the transcript's
+    envelopes at each adversary hook; returns (checked rounds, party 1's current-round
     inbox as each byzantine_send saw it)."""
     checked, seen = [], []
 
@@ -718,7 +718,8 @@ def check_inbox_of_against_a_scan(n, t):
             # parties before pid sent.
             self.check(view, round)
             seen.append((round, pid, view.inbox_of(1, round)))
-            return [(q, b"byz-%d-%d" % (pid, q)) for q in range(1, n + 1)]
+            # A list, so the run records a copy; party 1 hears from pid twice.
+            return [(q, b"byz-%d-%d" % (pid, q)) for q in range(1, n + 1)] + [(1, b"late")]
 
     machines = [gradecast_all(n, t, b"v%d" % pid) for pid in range(1, n + 1)]
     _, tr = run_simulation(n, t, machines, Checker())
@@ -931,13 +932,13 @@ def test_replay_gives_each_honest_party_the_inboxes_it_was_resumed_with(monkeypa
 
 def test_events_reproduce_with_seed():
     from treeaa import generate_tree, run_final_tree_aa
-    from treeaa.adversaries import REGISTRY, context_for_tree
+    from treeaa.adversaries import context_for_tree, make_adversary
 
     tree = generate_tree("random", 30, seed=3)
     inputs = {pid: sorted(tree.vertices)[pid] for pid in range(1, 5)}
     runs = []
     for _ in range(2):
-        adv = REGISTRY["adaptive-late"](context_for_tree(tree, 4, 1, "final"))
+        adv = make_adversary("adaptive-late", context_for_tree(tree, 4, 1, "final"))
         _, tr, _ = run_final_tree_aa(tree, 4, 1, inputs, adv, seed=11)
         runs.append(tr)
     assert runs[0].envelopes == runs[1].envelopes

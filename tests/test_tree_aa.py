@@ -12,7 +12,7 @@ from treeaa import (
     run_tree_aa_old,
 )
 from treeaa import tree_aa
-from treeaa.adversaries import REGISTRY, RegistryAdversary, context_for_tree
+from treeaa.adversaries import REGISTRY, RegistryAdversary, context_for_tree, make_adversary
 from treeaa.errors import InvalidParams, ProtocolViolation
 from treeaa.gradecast import compute_candidates, received_values, received_vectors
 from treeaa.simnet import Adversary
@@ -133,7 +133,7 @@ class TestEndToEnd:
         tree = generate_tree("path", 50)
         a, b = tree.diameter_endpoints
         inputs = {pid: a if pid % 2 else b for pid in range(1, 5)}
-        adversary = REGISTRY["silent"](context_for_tree(tree, 4, 1, "final"))
+        adversary = make_adversary("silent", context_for_tree(tree, 4, 1, "final"))
         outputs, transcript, _ = run_final_tree_aa(tree, 4, 1, inputs, adversary, seed=1)
         check_agreement(tree, inputs, outputs)
         assert transcript.rounds_used == planned_rounds(tree, 4, 1, "final")
@@ -144,7 +144,7 @@ class TestEndToEnd:
         tree = generate_tree("path", 1000)
         a, b = tree.diameter_endpoints
         inputs = {pid: a if pid % 2 else b for pid in range(1, 5)}
-        adversary = REGISTRY["silent"](context_for_tree(tree, 4, 1, "final"))
+        adversary = make_adversary("silent", context_for_tree(tree, 4, 1, "final"))
         outputs, transcript, _ = run_final_tree_aa(tree, 4, 1, inputs, adversary, seed=5)
         check_agreement(tree, inputs, outputs)
         assert transcript.rounds_used == planned_rounds(tree, 4, 1, "final")
@@ -181,7 +181,7 @@ class TestEndToEnd:
             for seed in range(10):
                 rng = random.Random(f"labeling:{name}:{seed}")
                 inputs = {pid: rng.choice(labels) for pid in range(1, 5)}
-                adversary = REGISTRY[name](context_for_tree(tree, 4, 1, "final"))
+                adversary = make_adversary(name, context_for_tree(tree, 4, 1, "final"))
                 outputs, _, results = run_final_tree_aa(tree, 4, 1, inputs, adversary, seed)
                 check_agreement(tree, inputs, outputs)
                 longest = max((res.p for res in results.values()), key=len)
@@ -199,7 +199,7 @@ class TestEndToEnd:
                 for seed in range(5):
                     rng = random.Random(f"e2e:{mode}:{name}:{seed}")
                     inputs = {pid: rng.choice(labels) for pid in range(1, 5)}
-                    adversary = REGISTRY[name](context_for_tree(tree, 4, 1, mode))
+                    adversary = make_adversary(name, context_for_tree(tree, 4, 1, mode))
                     outputs, transcript, _ = runner(tree, 4, 1, inputs, adversary, seed)
                     check_agreement(tree, inputs, outputs)
                     assert transcript.rounds_used == expected

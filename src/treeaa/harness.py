@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import random
+import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path as FilePath
 from typing import Any, Sequence
@@ -111,7 +112,8 @@ def resolve_tree(source: str) -> tuple[LabeledTree, str]:
         except ValueError:  # not two or three fields, or a field is no integer
             raise InvalidParams(
                 f"generator spec must be kind:size[:seed] with integers, got {source!r}") from None
-        return generate_tree(parts[0], size, seed), f"{parts[0]}({size})"
+        kind = f"{parts[0]}({size})" if parts[0] != "random" or seed == 0 else f"random({size},{seed})"
+        return generate_tree(parts[0], size, seed), kind
     path = FilePath(source)
     if not path.exists():
         raise InvalidParams(f"tree file {source!r} does not exist")
@@ -157,7 +159,9 @@ def run_one(tree: LabeledTree, tree_kind: str, n: int, t: int, mode: str,
     transcript_path = None
     if emit_dir is not None:
         out = FilePath(emit_dir)
-        name = f"{mode}-{tree_kind.replace('(', '-').rstrip(')')}-n{n}-t{t}-{adversary_name}-s{seed}.jsonl"
+        labels_crc = zlib.crc32("\n".join(inputs[pid] for pid in sorted(inputs)).encode())
+        name = (f"{mode}-{tree_kind.replace('(', '-').rstrip(')')}-n{n}-t{t}-{adversary_name}"
+                f"-s{seed}-{labels_crc:08x}.jsonl")
         target = out / name
         try:
             out.mkdir(parents=True, exist_ok=True)

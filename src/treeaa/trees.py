@@ -7,7 +7,10 @@ concurrent simulations:
 
 * the rooting (parents, depths, BFS order), built with the tree;
 * on first use: the heavy-path chains, each vertex's wire record and one
-  record blob per chain, and the Euler visit list.
+  record blob per chain, the Euler visit list and the diameter.
+
+One BFS routine (``_bfs``) serves both the rooting and the diameter's
+second sweep, from a deepest vertex of the rooting.
 
 A root path crosses at most floor(log2 |V|) + 1 heavy chains, so it is
 joined from that many tuple (or bytes) slices with no per-label walk, and
@@ -19,7 +22,6 @@ O(log |V|) per member, with no further table.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
@@ -71,15 +73,12 @@ class LabeledTree:
         adj: dict[str, set[str]] = {}
         for v in vertices:
             adj.setdefault(v, set())
-        seen: set[frozenset[str]] = set()
         n_edges = 0
         for a, b in edges:
             if a == b:
                 raise CycleDetected(f"self-loop at {a!r}")
-            key = frozenset((a, b))
-            if key in seen:
+            if b in adj.get(a, ()):
                 raise DuplicateEdge(f"edge {a!r} -- {b!r} listed twice")
-            seen.add(key)
             n_edges += 1
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
@@ -92,31 +91,27 @@ class LabeledTree:
         }
         self.vertices: frozenset[str] = frozenset(self._adj)
         self.root: str = min(self._adj)
-        self._rooted()
+        order, self._parent, self._depth = self._bfs(self.root)
+        if len(order) != len(self._adj):
+            raise Disconnected(f"{len(self._adj) - len(order)} vertices unreachable")
+        self._order = tuple(order)
 
     # -- construction helpers -------------------------------------------------
 
-    def _rooted(self) -> None:
-        """BFS from the canonical root: parents, depths, pre-order; a vertex
-        it does not reach raises Disconnected."""
-        parent: dict[str, str | None] = {self.root: None}
-        depth: dict[str, int] = {self.root: 0}
-        order = [self.root]
-        queue = deque((self.root,))
-        while queue:
-            v = queue.popleft()
-            dv = depth[v]
+    def _bfs(self, source: str) -> tuple[list[str], dict[str, str | None], dict[str, int]]:
+        """Breadth-first order from ``source``, neighbors in label order, with
+        each reached vertex's parent and depth; the growing order is the queue."""
+        parent: dict[str, str | None] = {source: None}
+        depth = {source: 0}
+        order = [source]
+        for v in order:
+            dw = depth[v] + 1
             for w in self._adj[v]:
                 if w not in depth:
                     parent[w] = v
-                    depth[w] = dv + 1
+                    depth[w] = dw
                     order.append(w)
-                    queue.append(w)
-        if len(order) != len(self._adj):
-            raise Disconnected(f"{len(self._adj) - len(order)} vertices unreachable")
-        self._parent = parent
-        self._depth = depth
-        self._order = tuple(order)
+        return order, parent, depth
 
     # -- basic accessors ------------------------------------------------------
 
@@ -339,23 +334,18 @@ class LabeledTree:
         """
         self._require(root)
         adj = self._adj
-        visited = {root}
         entries = [root]
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(adj[root]))]
+        stack: list[tuple[str, str | None, Iterator[str]]] = [(root, None, iter(adj[root]))]
         while stack:
-            v, it = stack[-1]
-            pushed = False
-            for w in it:
-                if w not in visited:
-                    visited.add(w)
-                    entries.append(w)
-                    stack.append((w, iter(adj[w])))
-                    pushed = True
-                    break
-            if not pushed:
+            v, up, it = stack[-1]
+            w = next(it, None)
+            if w is None:
                 stack.pop()
                 if stack:
                     entries.append(stack[-1][0])
+            elif w != up:  # the parent is the one neighbor already visited
+                entries.append(w)
+                stack.append((w, v, iter(adj[w])))
         index_of: dict[str, list[int]] = {}
         for i, v in enumerate(entries, start=1):
             index_of.setdefault(v, []).append(i)
@@ -375,33 +365,19 @@ class LabeledTree:
 
     @cached_property
     def _longest_path(self) -> tuple[tuple[str, str], int]:
-        """Double BFS whose first pass is ``_rooted``'s: a deepest vertex a,
+        """Double BFS whose first pass is the rooting's: a deepest vertex a,
         then the vertex b farthest from a; the smallest label wins ties."""
         depth = self._depth
         a = min(self._order, key=lambda v: (-depth[v], v))
-        b, d = self._farthest_from(a)
-        return ((a, b) if a <= b else (b, a)), d
+        dist = self._bfs(a)[2]
+        b = min(dist, key=lambda v: (-dist[v], v))
+        return ((a, b) if a <= b else (b, a)), dist[b]
 
     @cached_property
     def deepest(self) -> str:
         """A vertex of maximum depth; the largest label among ties."""
         depth = self._depth
         return max(self._order, key=lambda v: (depth[v], v))
-
-    def _farthest_from(self, s: str) -> tuple[str, int]:
-        dist = {s: 0}
-        queue = deque((s,))
-        far, far_d = s, 0
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            for w in self._adj[v]:
-                if w not in dist:
-                    dist[w] = dv + 1
-                    if dv + 1 > far_d or (dv + 1 == far_d and w < far):
-                        far, far_d = w, dv + 1
-                    queue.append(w)
-        return far, far_d
 
 
 # -- parsing ----------------------------------------------------------------------

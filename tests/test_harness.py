@@ -168,6 +168,25 @@ class TestRunExperiment:
             assert len(replay_transcript(Transcript.from_jsonl(text, 7))) == report.rounds
         assert reports[0].rounds != reports[1].rounds
 
+    @pytest.mark.parametrize("sources, inputs", [
+        (("random:30:1", "random:30:2"), ("random", "random")),
+        (("path:12", "path:12"), ("random", "endpoints")),
+    ])
+    def test_transcript_names_keep_runs_that_differ_only_in_tree_seed_or_inputs_apart(
+            self, tmp_path, sources, inputs):
+        reports = [run_experiment(ExperimentConfig(
+            tree_source=source, n=4, t=1, inputs=spec, emit_transcripts=str(tmp_path)))[0]
+            for source, spec in zip(sources, inputs)]
+        assert len({report.transcript_path for report in reports}) == len(list(tmp_path.iterdir())) == 2
+        for report in reports:
+            text = open(report.transcript_path, encoding="utf-8").read()
+            assert len(replay_transcript(Transcript.from_jsonl(text, 4))) == report.rounds
+
+    def test_only_a_nonzero_random_seed_enters_the_kind(self):
+        assert [resolve_tree(spec)[1] for spec in ("random:30", "random:30:0", "random:30:7",
+                                                   "path:12:7")] == [
+            "random(30)", "random(30)", "random(30,7)", "path(12)"]
+
     def test_verdicts_recomputed_from_oracles(self, eight_vertex_tree):
         tree, kind = resolve_tree("random:12:5")
         rng = random.Random("verdict")
